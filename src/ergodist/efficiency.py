@@ -11,7 +11,9 @@ whose weighted second moment
 
 is the asymptotic variance of efficient estimators at threshold x, and
 whose nu-integral is the asymptotic lower bound for the scaled integrated
-mean square error of any estimator. The module also implements, as
+mean square error of any estimator. R, the bound, the influence primitive
+and its moment screen are all read off four running integrals that each
+model tabulates once (see ``_GridPack``). The module also implements, as
 executable identities, the decomposition of the scaled estimation error
 into a vanishing boundary term plus a stochastic integral with the
 influence ratio as integrand, and numerical screens of the moment
@@ -59,13 +61,8 @@ from .numerics import (
 )
 from .simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
-# density floor below which influence-ratio integrands are numerically zero
-# (the numerator vanishes at least as fast as the density in both tails)
-_DENSITY_FLOOR = 1e-280
 # relaxed tolerances for condition screens (flags, not truth values)
-_SCREEN_INNER = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8, max_depth=32, tail_tol=1e-10)
 _SCREEN_OUTER = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, max_depth=32, tail_tol=1e-9)
-_BOUND_INNER = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
 _INCREMENT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_depth=30)
 # The direct boundary-derivative integral cancels down to values several
 # orders below its integrand, so relative accuracy of the ratio needs a
@@ -178,65 +175,96 @@ def parse_nu(spec) -> NuMeasure:
 
 
 # ---------------------------------------------------------------------------
-# cached fine-grid pack for vectorized influence integrals
+# running integrals of the influence layer, tabulated once per model
 # ---------------------------------------------------------------------------
 
-# Where the invariant density is below this, influence-ratio integrands are
-# treated as zero: the numerator decays at least as fast as the density, so
-# the true integrand is far below every tolerance there, while CDF rounding
-# divided by a vanishing density would otherwise produce noise.
-_RATIO_FLOOR = 1e-18
+# Below this density the influence-ratio integrands are taken as 0, so that
+# 1/(sigma^2 f) cannot overflow; F and Fbar, accumulated from their own
+# tails, keep their ratios to f accurate down to it.
+_RATIO_FLOOR = 1e-280
+# panels of the fixed Simpson rule for the gaussian- and uniform-nu bound
+_BOUND_PANELS = 2048
+
+
+def _simpson_weights(panels: int, h: float) -> np.ndarray:
+    w = np.full(panels + 1, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+    return w
+
+
+def _integrands(model: DiffusionModel, ys: np.ndarray, F: np.ndarray, Fbar: np.ndarray):
+    """Rows F^2 r, F r, Fbar^2 r, Fbar r at ys, where r = 1/(sigma^2 f_S)
+    is set to 0 below the ratio floor."""
+    f = _density_vec(model, ys)
+    r = np.zeros(ys.shape)
+    np.divide(1.0, _vec_call(model.diffusion_sq, ys) * f, out=r, where=f > _RATIO_FLOOR)
+    return np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
 
 
 @dataclass
 class _GridPack:
+    """Nodes over the CDF table's [lo, hi] with f, F = int_lo^t f, Fbar =
+    int_t^hi f and, as rows of ``cum``, A = int_lo^t F^2 r, C1 = int_lo^t F r,
+    B = int_t^hi Fbar^2 r, C2 = int_t^hi Fbar r (r as in :func:`_integrands`):
+    each running integral is accumulated from the tail where it is small."""
+
     ys: np.ndarray
-    F: np.ndarray
-    Fbar: np.ndarray  # survival 1 - F with right-tail relative accuracy
+    h: float
     f: np.ndarray
-    s2: np.ndarray
-    sig: np.ndarray
-    simpson_w: np.ndarray
-    live: np.ndarray  # mask where the density is above the ratio floor
+    F: np.ndarray
+    Fbar: np.ndarray
+    mass: np.ndarray  # Simpson weight times f: sum(mass * g) is E[g(xi)] on the grid
+    cum: np.ndarray
 
 
-def _grid_pack(model: DiffusionModel, panels: int = 16384) -> _GridPack:
+def _cdf_pair(p: _GridPack, k: np.ndarray, d: np.ndarray):
+    """F and Fbar at ys[k] + d by cubic Hermite interpolation of the node
+    values, whose slopes +-f are exact."""
+    s = d / p.h
+    a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    b = s * s * (3.0 - 2.0 * s)
+    slope = p.h * s * (1.0 - s) * ((1.0 - s) * p.f[k] - s * p.f[k + 1])
+    return a * p.F[k] + b * p.F[k + 1] + slope, a * p.Fbar[k] + b * p.Fbar[k + 1] - slope
+
+
+def _grid_pack(model: DiffusionModel, panels: int = 8192) -> _GridPack:
     pack = model._cache.get("eff_grid")
     if pack is not None:
         return pack
     table = _cdf_table(model)
     ys = np.linspace(table.lo, table.hi, panels + 1)
-    F = _cdf_vec(model, ys)
-    Fbar = _survival_vec(model, ys)
-    f = _density_vec(model, ys)
-    s2 = np.broadcast_to(np.asarray(_vec_call(model.diffusion_sq, ys)), ys.shape).copy()
-    sig = np.broadcast_to(np.asarray(_vec_call(model.diffusion, ys)), ys.shape).copy()
-    h = ys[1] - ys[0]
-    w = np.full(ys.shape, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    pack = _GridPack(ys=ys, F=F, Fbar=Fbar, f=f, s2=s2, sig=sig, simpson_w=w,
-                     live=f > _RATIO_FLOOR)
+    h = float(ys[1] - ys[0])
+    mids = ys[:-1] + 0.5 * h
+    f, f_mid = _density_vec(model, ys), _density_vec(model, mids)
+    panel_mass = (h / 6.0) * (f[:-1] + 4.0 * f_mid + f[1:])
+    F = np.concatenate([[0.0], np.cumsum(panel_mass)])
+    Fbar = np.concatenate([np.cumsum(panel_mass[::-1])[::-1], [0.0]])
+    pack = _GridPack(ys=ys, h=h, f=f, F=F, Fbar=Fbar, mass=_simpson_weights(panels, h) * f,
+                     cum=np.zeros((4, panels + 1)))
+    vals = _integrands(model, ys, F, Fbar)
+    mid_vals = _integrands(model, mids, *_cdf_pair(pack, np.arange(panels), 0.5 * h))
+    steps = (h / 6.0) * (vals[:, :-1] + 4.0 * mid_vals + vals[:, 1:])
+    np.cumsum(steps[:2], axis=1, out=pack.cum[:2, 1:])
+    np.cumsum(steps[2:, ::-1], axis=1, out=pack.cum[2:, -2::-1])
     model._cache["eff_grid"] = pack
     return pack
 
 
-def _pack_influence(pack: _GridPack, model: DiffusionModel, x: float) -> np.ndarray:
-    """infl(x, y) on the pack grid in the cancellation-free product form
-    F(y) * Fbar(x) for y <= x and F(x) * Fbar(y) for y > x."""
-    fx = _cdf_fast(model, x)
-    sx = _survival_fast(model, x)
-    return np.where(pack.ys <= x, pack.F * sx, fx * pack.Fbar)
-
-
-def _local_variance_at(model: DiffusionModel, x: float) -> float:
-    """Vectorized fixed-grid evaluation of R(x, x); agrees with
-    :func:`local_variance` to well inside every tolerance used here."""
+def _running(model: DiffusionModel, ts):
+    """F, Fbar and the running integrals A, C1, B, C2 at each point of ts
+    (clipped to the grid): the node value below t plus a Simpson partial
+    panel from that node to t."""
     p = _grid_pack(model)
-    infl = _pack_influence(p, model, x)
-    integrand = np.zeros_like(p.ys)
-    np.divide(4.0 * infl * infl, p.s2 * p.f, out=integrand, where=p.live)
-    return float(np.dot(p.simpson_w, integrand))
+    t = np.clip(np.asarray(ts, dtype=float), p.ys[0], p.ys[-1])
+    k = np.minimum(((t - p.ys[0]) / p.h).astype(np.intp), len(p.ys) - 2)
+    d = t - p.ys[k]
+    F, Fbar = _cdf_pair(p, k, d)
+    part = 4.0 * _integrands(model, p.ys[k] + 0.5 * d, *_cdf_pair(p, k, 0.5 * d))
+    part += _integrands(model, p.ys[k], p.F[k], p.Fbar[k]) + _integrands(model, t, F, Fbar)
+    part *= d / 6.0
+    part[2:] *= -1.0
+    return F, Fbar, p.cum[:, k] + part
 
 
 # ---------------------------------------------------------------------------
@@ -254,55 +282,36 @@ def influence_numerator(model: DiffusionModel, x: float, y: float) -> float:
     return invariant_cdf(model, x) * _survival_fast(model, y)
 
 
-def _influence_fast(model: DiffusionModel, x: float, y: float,
-                    fx: float, sx: float) -> float:
-    if y <= x:
-        return _cdf_fast(model, y) * sx
-    return fx * _survival_fast(model, y)
+def local_variance(model: DiffusionModel, x):
+    """Asymptotic variance R(x, x) = 4*int infl(x,y)^2/(sigma^2(y) f_S(y)) dy
+    at a scalar x (a float) or a 1-d array of x (an array).
 
-
-def local_variance(model: DiffusionModel, x: float,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Asymptotic variance R(x, x) = 4*int infl(x,y)^2/(sigma^2(y) f_S(y)) dy.
-
-    A divergence error here means the variance integrand is not integrable
-    at this threshold (the bound does not apply).
+    Splitting the integral at y = x gives 4 [Fbar(x)^2 A(x) + F(x)^2 B(x)]
+    with the running integrals A and B of the model's grid pack, so no
+    kink lies inside a panel. R is 0 outside the CDF table's support.
     """
-    g = normalizing_constant(model)
-    fx = _cdf_fast(model, x)
-    sx = _survival_fast(model, x)
-    raw = _density_integrand(model)
-
-    def integrand(y: float) -> float:
-        fy = raw(y) / g
-        if fy < _DENSITY_FLOOR:
-            return 0.0
-        v = _influence_fast(model, x, y, fx, sx)
-        return 4.0 * v * v / (float(model.diffusion_sq(y)) * fy)
-
-    return integrate_line(integrand, spec).value
+    F, Fbar, (A, _, B, _) = _running(model, np.atleast_1d(np.asarray(x, dtype=float)))
+    # a partial panel deep in a tail can overshoot its running integral
+    R = np.maximum(4.0 * (Fbar * Fbar * A + F * F * B), 0.0)
+    return float(R[0]) if np.ndim(x) == 0 else R
 
 
-def efficiency_bound(model: DiffusionModel, nu: NuMeasure,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def efficiency_bound(model: DiffusionModel, nu: NuMeasure) -> float:
     """Global bound: the nu-integral of the local variance R(x, x).
 
-    Exact weighted sum for point masses; quadrature with the nu density
-    as weight otherwise. The quadrature kinds evaluate R(x, x) on the
-    cached fine grid, which matches :func:`local_variance` far inside the
-    tolerances used anywhere in this package.
+    Exact weighted sum for point masses. For gaussian and uniform nu, a
+    fixed Simpson sum of R (from :func:`local_variance`) times the nu
+    density over the nu support (a gaussian cut at mean +/- 10 sd) within
+    the CDF table, outside which R is 0.
     """
     if nu.kind == "point_masses":
-        return compensated_sum(w * local_variance(model, x, spec) for x, w in nu.atoms)
-    if nu.kind == "uniform":
-        dens = nu.mass / (nu.b - nu.a)
-        return dens * integrate(
-            lambda x: _local_variance_at(model, x), nu.a, nu.b, _BOUND_INNER
-        ).value
-    return integrate_line(
-        lambda x: _local_variance_at(model, x) * float(nu.density(x)),
-        _BOUND_INNER,
-    ).value
+        return compensated_sum(w * local_variance(model, x) for x, w in nu.atoms)
+    half = 10.0 * nu.sd
+    a, b = (nu.a, nu.b) if nu.kind == "uniform" else (nu.mean - half, nu.mean + half)
+    t = _cdf_table(model)
+    xs = np.linspace(max(a, t.lo), min(b, t.hi), _BOUND_PANELS + 1)
+    w = _simpson_weights(_BOUND_PANELS, float(xs[1] - xs[0]))
+    return float((w * local_variance(model, xs) * nu.density(xs)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +336,16 @@ def _signed_integral(f: Callable[[float], float], a: float, b: float,
     return total if b >= a else -total
 
 
-def influence_primitive(model: DiffusionModel, x: float, y: float,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """2 * int_0^y infl(x, v) / (sigma^2(v) f_S(v)) dv (signed)."""
-    g = normalizing_constant(model)
-    fx = _cdf_fast(model, x)
-    sx = _survival_fast(model, x)
-    raw = _density_integrand(model)
+def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
+    """2 * int_0^y infl(x, v) / (sigma^2(v) f_S(v)) dv (signed).
 
-    def integrand(v: float) -> float:
-        fv = raw(v) / g
-        if fv < _DENSITY_FLOOR:
-            return 0.0
-        return (2.0 * _influence_fast(model, x, v, fx, sx)
-                / (float(model.diffusion_sq(v)) * fv))
-
-    return _signed_integral(integrand, 0.0, y, x, spec)
+    The indicator in infl splits the integral at v = x into
+    2 [Fbar(x) (C1(min(y, x)) - C1(min(0, x)))
+       + F(x) (C2(max(0, x)) - C2(max(y, x)))]
+    with the running integrals C1 and C2 of the model's grid pack.
+    """
+    F, Fbar, run = _running(model, [x, min(y, x), min(0.0, x), max(0.0, x), max(y, x)])
+    return float(2.0 * (Fbar[0] * (run[1, 1] - run[1, 2]) + F[0] * (run[3, 3] - run[3, 4])))
 
 
 def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float,
@@ -362,8 +365,7 @@ def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: fl
     """Boundary term of the error decomposition; vanishes at y = 0 exactly."""
     if y == 0.0:
         return 0.0
-    return (weight_primitive(wf, model, x, y, spec)
-            + influence_primitive(model, x, y, spec))
+    return weight_primitive(wf, model, x, y, spec) + influence_primitive(model, x, y)
 
 
 def compensator(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
@@ -494,29 +496,23 @@ def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionM
 # moment-condition screens (double quadrature, flags only)
 # ---------------------------------------------------------------------------
 
-def _expected_square_of_cumulative(pack: _GridPack, integrand_vals: np.ndarray) -> float:
-    """E[g(xi)^2] for g(y) = int_0^y (grid integrand), via cumulative trapezoid."""
-    h = pack.ys[1] - pack.ys[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (integrand_vals[1:] + integrand_vals[:-1]))])
-    base = float(np.interp(0.0, pack.ys, cum))
-    g = cum - base
-    return float(np.dot(pack.simpson_w, g * g * pack.f))
-
-
 def influence_moment_finite(model: DiffusionModel, nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(influence primitive at xi)^2] converges.
 
-    Divergence is declared only via the tail-doubling criterion of the
-    outer quadrature, so a very slowly diverging integral may pass; this
-    is a screen, not a proof.
+    The primitive at every grid node is read off the running integrals C1
+    and C2 (see :func:`influence_primitive`). Divergence is declared only
+    via the tail-doubling criterion of the outer quadrature, so a very
+    slowly diverging integral may pass; this is a screen, not a proof.
     """
     pack = _grid_pack(model)
+    C1, C2 = pack.cum[1], pack.cum[3]
 
     def inner(x: float) -> float:
-        infl = _pack_influence(pack, model, x)
-        vals = np.zeros_like(pack.ys)
-        np.divide(2.0 * infl, pack.s2 * pack.f, out=vals, where=pack.live)
-        return _expected_square_of_cumulative(pack, vals)
+        F, Fbar, run = _running(model, [x, min(0.0, x), max(0.0, x)])
+        c1 = np.where(pack.ys <= x, C1, run[1, 0]) - run[1, 1]
+        c2 = run[3, 2] - np.where(pack.ys > x, C2, run[3, 0])
+        g = 2.0 * (Fbar[0] * c1 + F[0] * c2)
+        return float((pack.mass * g * g).sum())
 
     return _nu_weighted_screen(inner, nu)
 
@@ -535,8 +531,11 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
         else:
             # every primitive here is based at 0, so P(x) is the kernel to 0
             px = kernel(wf, model, x, 0.0)
+        # g(y) = int_0^y of the integrand, by a cumulative trapezoid
         vals = np.where(pack.ys < x, 2.0 * (px - Pys) * hys, 0.0)
-        return _expected_square_of_cumulative(pack, vals)
+        g = np.concatenate([[0.0], np.cumsum(0.5 * pack.h * (vals[1:] + vals[:-1]))])
+        g -= np.interp(0.0, pack.ys, g)
+        return float((pack.mass * g * g).sum())
 
     return _nu_weighted_screen(inner, nu)
 
@@ -724,7 +723,7 @@ def empirical_risk(
     scaled_risk = T * compensated_sum(risk_each) / R
 
     keep_idx = np.searchsorted(eval_xs, xs)
-    local_bound = np.array([_local_variance_at(model, float(x)) for x in xs])
+    local_bound = local_variance(model, xs)
     bound = efficiency_bound(model, nu)
     seeds = [derive_substream_seed(sim.seed, r) for r in range(replications)]
     return RiskReport(

@@ -381,7 +381,7 @@ def _cmd_bound(args) -> int:
     if args.grid is not None:
         xs = _parse_grid_arg(args.grid)
         payload["xs"] = [float(v) for v in xs]
-        payload["local_bound"] = [local_variance(model, float(x)) for x in xs]
+        payload["local_bound"] = [float(r) for r in local_variance(model, xs)]
         if args.csv is not None:
             with open(args.csv, "w", newline="") as fh:
                 w = csv.writer(fh)

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ import pytest
 from ergodist.errors import ConfigError, RiskRunError
 from ergodist.estimators import constant_weight, dx_weight, exponential_weight, polynomial_weight
 from ergodist.efficiency import (
-    _local_variance_at,
     boundary_derivative_closed,
     boundary_derivative_direct,
     boundary_function,
@@ -28,6 +28,7 @@ from ergodist.efficiency import (
     weight_moment_finite,
     weight_primitive,
 )
+from ergodist.harness import cli_main
 from ergodist.model import invariant_cdf, invariant_density, stationary_expectation
 from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
@@ -134,13 +135,20 @@ class TestLocalVariance:
         for x in np.linspace(-3, 3, 13):
             assert local_variance(ou, float(x)) > 0.0
 
-    def test_grid_evaluator_agrees(self, ou):
-        # the fixed grid crosses the indicator kink between nodes, which
-        # costs ~1e-6 relative there; the bound integral averages it away
-        for x in (-2.0, -0.3, 0.0, 1.7):
-            assert _local_variance_at(ou, x) == pytest.approx(
-                local_variance(ou, x), rel=1e-5, abs=1e-12
-            )
+    @pytest.mark.parametrize("x", [-4.75, -4.0, -3.0, 3.0, 4.0, 4.75])
+    def test_tails_match_trapezoid_oracle(self, ou, x):
+        assert local_variance(ou, x) == pytest.approx(trapezoid_local_variance(x), rel=1e-5)
+
+    def test_risk_and_cli_local_bound_are_local_variance(self, ou, tmp_path):
+        xs = np.linspace(-5.0, 5.0, 21)
+        sim = SimConfig(horizon_T=1.0, dt=0.01, seed=3)
+        rep = empirical_risk(ou, "edf", nu_gaussian(0, 1), sim, 3, xs)
+        assert np.array_equal(rep.local_bound, local_variance(ou, xs))
+        out = tmp_path / "bound.json"
+        rc = cli_main(["bound", "--model", "ou", "--nu", "gauss:0,1", "--grid", "-5:5:21",
+                       "--out", str(out)])
+        assert rc == 0
+        assert json.load(open(out))["local_bound"] == local_variance(ou, xs).tolist()
 
 
 class TestEfficiencyBound:

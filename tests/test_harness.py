@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from ergodist import harness
 from ergodist.errors import ConfigError
 from ergodist.harness import (
     DEFAULT_GRID,
@@ -14,6 +15,7 @@ from ergodist.harness import (
     cli_main,
     run_experiment,
 )
+from ergodist.model import DiffusionModel
 
 
 def make_config(tmpdir, **overrides):
@@ -238,14 +240,19 @@ class TestCli:
         json.dump(make_config(tmp_path, replications=0), open(cfg_path, "w"))
         assert cli_main(["experiment", "--config", str(cfg_path)]) == 2
 
-    def test_divergent_model_exits_3(self):
-        # null drift: the normalizer diverges under tail doubling
+    def test_divergent_model_exits_3(self, monkeypatch):
         rc = cli_main(["bound", "--model", "ou:theta=1,s=1", "--nu", "gauss:0,1",
                        "--grid", "0:1:2"])
         assert rc == 0  # sane baseline first
         rc = cli_main(["identity-checks", "--model", "quartic",
                        "--estimator", "unbiased:exp:delta=1", "--z-grid", "-1:1:3"])
         assert rc == 0
+        # null drift: the normalizer diverges under tail doubling
+        null = DiffusionModel(drift=lambda x: 0.0 * x, diffusion=lambda x: 1.0,
+                              diffusion_sq=lambda x: 1.0, label="null_drift")
+        monkeypatch.setattr(harness, "_model_from_arg", lambda text: null)
+        rc = cli_main(["bound", "--model", "ou", "--nu", "gauss:0,1"])
+        assert rc == 3
 
     def test_explosion_exits_4(self):
         rc = cli_main(["simulate", "--model", "quartic", "--T", "50", "--dt", "0.5",
