@@ -28,12 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, RiskRunError, SimulationError, TailError
+from .errors import ConfigError, DivergenceError, RiskRunError, TailError
 from .estimators import (
     EstimatorChoice,
     WeightFunction,
     as_estimator,
-    estimate_curve,
+    estimate_curves,
     kernel,
     primitive,
     unbiased_estimate,
@@ -59,7 +59,7 @@ from .numerics import (
     integrate,
     integrate_line,
 )
-from .simulate import Path, SimConfig, derive_substream_seed, simulate_path
+from .simulate import Path, SimConfig, block_size, derive_substream_seed, simulate_block
 
 # relaxed tolerances for condition screens (flags, not truth values)
 _SCREEN_OUTER = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, max_depth=32, tail_tol=1e-9)
@@ -595,6 +595,7 @@ class RiskReport:
             "scaled_risk": self.scaled_risk,
             "bound": self.bound,
             "ratio": self.ratio,
+            "aborted": self.aborted,
             "config": dict(config or {}),
         }
 
@@ -622,29 +623,32 @@ def _nu_quad_weights(nu: NuMeasure, grid: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _RiskContext:
     model: DiffusionModel
-    choice: EstimatorChoice
+    choices: tuple[EstimatorChoice, ...]
     sim: SimConfig
     eval_xs: np.ndarray
     truth: np.ndarray
 
 
-def _one_replication(ctx: _RiskContext, r: int) -> np.ndarray | None:
-    seed = derive_substream_seed(ctx.sim.seed, r)
-    cfg = replace(ctx.sim, seed=seed, init="stationary", store_wiener=False)
-    try:
-        path = simulate_path(ctx.model, cfg)
-    except SimulationError:
-        return None
-    curve = estimate_curve(path, ctx.eval_xs, ctx.choice, ctx.model)
-    return curve.values - ctx.truth
+def _block_errors(ctx: _RiskContext, reps: range) -> list[list[np.ndarray] | None]:
+    """Simulate replications ``reps`` as one block; per replication, each
+    estimator's error curve, or None where the path exploded."""
+    seeds = [derive_substream_seed(ctx.sim.seed, r) for r in reps]
+    block = simulate_block(ctx.model, ctx.sim, seeds)
+    out: list[list[np.ndarray] | None] = []
+    for j in range(len(seeds)):
+        if block.exploded[j] >= 0:
+            out.append(None)
+            continue
+        curves = estimate_curves(block.path(j), ctx.eval_xs, ctx.choices, ctx.model)
+        out.append([c.values - ctx.truth for c in curves])
+    return out
 
 
 _POOL_CTX: _RiskContext | None = None
 
 
-def _pool_worker(r: int):
-    err = _one_replication(_POOL_CTX, r)
-    return r, err
+def _pool_worker(reps: range):
+    return _block_errors(_POOL_CTX, reps)
 
 
 def empirical_risk(
@@ -655,16 +659,20 @@ def empirical_risk(
     replications: int,
     xs,
     workers: int = 1,
-) -> RiskReport:
-    """Monte Carlo integrated risk of an estimator against the bound.
+) -> RiskReport | list[RiskReport]:
+    """Monte Carlo integrated risk of estimators against the bound.
 
-    Simulates ``replications`` stationary paths with deterministic
-    substream seeds, evaluates the estimator curve on a fixed grid (shared
-    evaluation points reduce comparison variance), and reports per-x bias,
-    the variance of sqrt(T)-scaled errors, the scaled integrated risk
-    rho = T * mean over reps of the nu-integral of squared error, and the
-    ratio to the quadrature bound. Reductions run in replication order with
-    compensated summation, so results do not depend on worker scheduling.
+    ``estimator`` is one estimator choice, or a list of them, which gives
+    a list of reports in the same order. Simulates ``replications``
+    stationary paths with deterministic substream seeds, each once in
+    blocks of ``block_size`` paths, evaluates every estimator curve on a
+    fixed grid (shared paths and evaluation points reduce comparison
+    variance), and reports per-x bias, the variance of sqrt(T)-scaled
+    errors, the scaled integrated risk rho = T * mean over reps of the
+    nu-integral of squared error, and the ratio to the quadrature bound.
+    Blocks run in a process pool when ``workers > 1``. Reductions run in
+    replication order with compensated summation, so results do not depend
+    on the block size or on worker scheduling.
 
     Replications whose path explodes are dropped; more than 1% of them
     aborting fails the run.
@@ -687,22 +695,21 @@ def empirical_risk(
     if violations:
         raise ConfigError(violations)
 
-    choice = as_estimator(estimator)
+    single = not isinstance(estimator, (list, tuple))
+    choices = tuple(as_estimator(e) for e in ([estimator] if single else estimator))
     eval_xs = xs
     if nu.kind == "point_masses":
         eval_xs = np.unique(np.concatenate([xs, [x for x, _ in nu.atoms]]))
     truth = np.array([invariant_cdf(model, float(x)) for x in eval_xs])
     weights = _nu_quad_weights(nu, eval_xs)
-    ctx = _RiskContext(model=model, choice=choice, sim=sim, eval_xs=eval_xs, truth=truth)
+    sim_r = replace(sim, init="stationary", store_wiener=False)
+    ctx = _RiskContext(model=model, choices=choices, sim=sim_r, eval_xs=eval_xs, truth=truth)
 
-    errors: dict[int, np.ndarray | None] = {}
-    if workers <= 1:
-        for r in range(replications):
-            errors[r] = _one_replication(ctx, r)
-    else:
-        errors = _run_pool(ctx, replications, workers)
+    size = min(block_size(sim.n_steps), -(-replications // max(1, workers)))
+    blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
+    errors = [e for b in _run_blocks(ctx, blocks, workers) for e in b]
 
-    kept = [errors[r] for r in range(replications) if errors[r] is not None]
+    kept = [e for e in errors if e is not None]
     aborted = replications - len(kept)
     if aborted > 0.01 * replications:
         raise RiskRunError(
@@ -711,51 +718,49 @@ def empirical_risk(
     if len(kept) < 2:
         raise RiskRunError("fewer than 2 replications completed")
 
-    E = np.vstack(kept)  # (reps, grid)
-    R = E.shape[0]
     T = sim.effective_T
-    n_eval = E.shape[1]
-    bias_eval = np.array([compensated_sum(E[:, j]) / R for j in range(n_eval)])
-    var_eval = np.array([
-        compensated_sum((E[:, j] - bias_eval[j]) ** 2) / (R - 1) for j in range(n_eval)
-    ])
-    risk_each = [compensated_sum(weights * E[r] * E[r]) for r in range(R)]
-    scaled_risk = T * compensated_sum(risk_each) / R
-
     keep_idx = np.searchsorted(eval_xs, xs)
     local_bound = local_variance(model, xs)
     bound = efficiency_bound(model, nu)
     seeds = [derive_substream_seed(sim.seed, r) for r in range(replications)]
-    return RiskReport(
-        xs=xs,
-        bias=bias_eval[keep_idx],
-        scaled_variance=T * var_eval[keep_idx],
-        local_bound=local_bound,
-        scaled_risk=scaled_risk,
-        bound=bound,
-        ratio=scaled_risk / bound,
-        replications=R,
-        horizon_T=T,
-        dt=sim.dt,
-        estimator_tag=choice.tag,
-        path_seeds=seeds,
-        aborted=aborted,
-    )
+    reports = []
+    for i, choice in enumerate(choices):
+        E = np.vstack([e[i] for e in kept])  # (reps, grid)
+        R = E.shape[0]
+        n_eval = E.shape[1]
+        bias_eval = np.array([compensated_sum(E[:, j]) / R for j in range(n_eval)])
+        var_eval = np.array([
+            compensated_sum((E[:, j] - bias_eval[j]) ** 2) / (R - 1) for j in range(n_eval)
+        ])
+        risk_each = [compensated_sum(weights * E[r] * E[r]) for r in range(R)]
+        scaled_risk = T * compensated_sum(risk_each) / R
+        reports.append(RiskReport(
+            xs=xs,
+            bias=bias_eval[keep_idx],
+            scaled_variance=T * var_eval[keep_idx],
+            local_bound=local_bound,
+            scaled_risk=scaled_risk,
+            bound=bound,
+            ratio=scaled_risk / bound,
+            replications=R,
+            horizon_T=T,
+            dt=sim.dt,
+            estimator_tag=choice.tag,
+            path_seeds=list(seeds),
+            aborted=aborted,
+        ))
+    return reports[0] if single else reports
 
 
-def _run_pool(ctx: _RiskContext, replications: int, workers: int) -> dict:
+def _run_blocks(ctx: _RiskContext, blocks: list[range], workers: int) -> list:
     import multiprocessing as mp
 
     global _POOL_CTX
-    try:
-        mp_ctx = mp.get_context("fork")
-    except ValueError:
-        # No fork on this platform: fall back to the serial path.
-        return {r: _one_replication(ctx, r) for r in range(replications)}
-    _POOL_CTX = ctx
-    try:
-        with mp_ctx.Pool(processes=workers) as pool:
-            results = pool.map(_pool_worker, range(replications))
-    finally:
-        _POOL_CTX = None
-    return dict(results)
+    if workers > 1 and "fork" in mp.get_all_start_methods():
+        _POOL_CTX = ctx
+        try:
+            with mp.get_context("fork").Pool(processes=workers) as pool:
+                return pool.map(_pool_worker, blocks)
+        finally:
+            _POOL_CTX = None
+    return [_block_errors(ctx, b) for b in blocks]  # serial, or no fork here

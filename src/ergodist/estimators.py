@@ -389,19 +389,15 @@ class EstimateCurve:
             raise ValueError("curve values must be finite")
 
 
-def _edf_curve_values(path: Path, xs: np.ndarray) -> np.ndarray:
-    left = np.sort(path.values[:-1])
-    counts = np.searchsorted(left, xs, side="left")
-    return counts / len(left)
-
-
 def _unbiased_curve_values(
-    path: Path, wf: WeightFunction, model: DiffusionModel, xs: np.ndarray
+    path: Path, wf: WeightFunction, model: DiffusionModel, xs: np.ndarray,
+    order: np.ndarray, k: np.ndarray,
 ) -> np.ndarray:
     """Shared-pass evaluation: one sort plus prefix sums serves every x.
 
     For each x the two sums only involve grid points with X_i < x, so after
-    ordering the left endpoints all cutoffs become prefix-sum lookups.
+    ordering the left endpoints (``order``, a stable argsort) all cutoffs
+    become prefix-sum lookups at ``k``, the count of left endpoints below x.
     """
     left = path.values[:-1]
     dX = np.diff(path.values)
@@ -422,39 +418,55 @@ def _unbiased_curve_values(
     b = Pl * a
     c = hp * s2
     d = Pl * c
-    order = np.argsort(left, kind="stable")
-    sorted_left = left[order]
     zero = np.zeros(1)
     A = np.concatenate([zero, np.cumsum(a[order])])
     B = np.concatenate([zero, np.cumsum(b[order])])
     C = np.concatenate([zero, np.cumsum(c[order])])
     D = np.concatenate([zero, np.cumsum(d[order])])
-    k = np.searchsorted(sorted_left, xs, side="left")
     Px = np.asarray(P(xs), dtype=float)
     return (2.0 * (Px * A[k] - B[k]) + dt * (Px * C[k] - D[k])) / T
 
 
-def estimate_curve(path: Path, xs, estimator, model: DiffusionModel | None = None) -> EstimateCurve:
-    """Evaluate an estimator on a strictly increasing grid of thresholds."""
+def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = None
+                    ) -> list[EstimateCurve]:
+    """Evaluate estimators on a strictly increasing grid of thresholds.
+
+    The EDF and the weight-function curves share one sort of the path's
+    left endpoints.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.size and not np.all(np.diff(xs) > 0.0):
         raise ValueError("xs must be sorted strictly increasing")
-    choice = as_estimator(estimator)
+    choices = [as_estimator(e) for e in estimators]
     if xs.size == 0:
-        return EstimateCurve(xs=xs, values=np.empty(0), estimator_tag=choice.tag,
-                             horizon_T=path.horizon_T)
-    if choice.kind == "edf":
-        values = _edf_curve_values(path, xs)
-    elif choice.kind == "unbiased":
-        if model is None:
-            raise ValueError("weight-function estimators need the model (sigma^2)")
-        values = _unbiased_curve_values(path, choice.weight, model, xs)
-    else:
-        values = np.asarray(choice.curve_fn(path, xs), dtype=float)
-        if values.shape != xs.shape:
-            raise ValueError("custom estimator returned a wrong-shaped curve")
-    return EstimateCurve(xs=xs, values=values, estimator_tag=choice.tag,
-                         horizon_T=path.horizon_T)
+        return [EstimateCurve(xs=xs, values=np.empty(0), estimator_tag=c.tag,
+                              horizon_T=path.horizon_T) for c in choices]
+    left = path.values[:-1]
+    if any(c.kind == "unbiased" for c in choices):
+        order = np.argsort(left, kind="stable")
+        k = np.searchsorted(left[order], xs, side="left")
+    elif any(c.kind == "edf" for c in choices):
+        k = np.searchsorted(np.sort(left), xs, side="left")
+    curves = []
+    for choice in choices:
+        if choice.kind == "edf":
+            values = k / len(left)
+        elif choice.kind == "unbiased":
+            if model is None:
+                raise ValueError("weight-function estimators need the model (sigma^2)")
+            values = _unbiased_curve_values(path, choice.weight, model, xs, order, k)
+        else:
+            values = np.asarray(choice.curve_fn(path, xs), dtype=float)
+            if values.shape != xs.shape:
+                raise ValueError("custom estimator returned a wrong-shaped curve")
+        curves.append(EstimateCurve(xs=xs, values=values, estimator_tag=choice.tag,
+                                    horizon_T=path.horizon_T))
+    return curves
+
+
+def estimate_curve(path: Path, xs, estimator, model: DiffusionModel | None = None) -> EstimateCurve:
+    """Evaluate an estimator on a strictly increasing grid of thresholds."""
+    return estimate_curves(path, xs, [estimator], model)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     workers = cfg.resolved_workers()
     xs = cfg.grid
     t0 = time.perf_counter()
-    reports: dict[str, RiskReport] = {}
-    path_seeds: dict[str, list[int]] = {}
-    for spec, tag in zip(cfg.estimators, _dedup_tags(cfg.estimators)):
-        rep = empirical_risk(model, spec, nu, sim, cfg.replications, xs, workers=workers)
-        reports[tag] = rep
-        path_seeds[tag] = list(rep.path_seeds)
+    reps = empirical_risk(model, list(cfg.estimators), nu, sim, cfg.replications, xs,
+                          workers=workers)
+    reports = dict(zip(_dedup_tags(cfg.estimators), reps))
+    path_seeds = {tag: list(rep.path_seeds) for tag, rep in reports.items()}
     wall = time.perf_counter() - t0
     result = ExperimentResult(
         reports=reports,

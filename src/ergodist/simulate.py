@@ -1,9 +1,22 @@
 """Trajectory simulation with a deterministic, splittable randomness contract.
 
-Euler-Maruyama with a per-replication substream seed derived by an
-avalanche-quality integer hash, so replications are reproducible and
-embarrassingly parallel. Stationary initialization draws the starting
-point from the invariant law via the quantile transform.
+Euler-Maruyama, X_{i+1} = X_i + S(X_i) dt + sigma(X_i) dW_i, with a
+per-replication substream seed derived by an avalanche-quality integer
+hash, so replications are reproducible and embarrassingly parallel. A path
+draws everything from a PCG64 stream seeded with its own seed: first one
+uniform for a stationary start (the invariant law's quantile transform),
+then its increments dW_i ~ Normal(0, dt), burn-in steps first.
+
+``simulate_block`` is the one simulator. It steps the paths of a block as
+one numpy vector, drawing each path's increments from its own stream in
+chunks of ``_CHUNK_STEPS`` steps, so row j of a block is bit-identical to
+the path of seeds[j] alone. A block of one, and every block of a model
+whose drift or diffusion does not map a state vector to the values of its
+scalar calls (one written with ``math.exp``, say), steps a Python float
+per path instead. ``block_size`` caps a block's path array at
+``_BLOCK_BYTES``. A path that leaves the finite numbers stays non-finite,
+so a block marks it at its first non-finite step, the step index that
+``simulate_path`` reports, while the other paths run on.
 """
 
 from __future__ import annotations
@@ -121,33 +134,109 @@ def _initial_value(model: DiffusionModel, cfg: SimConfig, rng: np.random.Generat
     return float(cfg.init)
 
 
-def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:
-    """Euler-Maruyama trajectory: X_{i+1} = X_i + S(X_i) dt + sigma(X_i) dW_i.
+# Bytes of path values one block may hold: at T = 100, dt = 0.005 a block
+# is 16 paths.
+_BLOCK_BYTES = 5 * 2**19
+# Steps of increments a vector block draws at a time.
+_CHUNK_STEPS = 512
+# Points between the start points at which a block checks that drift and
+# diffusion vectorize.
+_PROBE_POINTS = 1024
 
-    dW_i ~ Normal(0, dt) from a PCG64 stream seeded with cfg.seed. The same
-    (model, cfg) always yields a bit-identical path. Stationary
-    initialization consumes one uniform draw before the increments.
+
+def block_size(n_steps: int) -> int:
+    """Paths per block whose (paths, n_steps + 1) array fits _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """Paths of one block: row j of ``values`` is the path of ``seeds[j]``.
+
+    ``exploded[j]`` is the first step at which path j left the finite
+    numbers, counting burn-in steps first, or -1; such a row holds no path.
     """
+
+    dt: float
+    values: np.ndarray
+    exploded: np.ndarray
+    seeds: tuple[int, ...]
+    n_burn: int = 0
+    wiener_increments: np.ndarray | None = None
+
+    def path(self, j: int) -> Path:
+        """Path j, or the SimulationError of its explosion."""
+        step = int(self.exploded[j])
+        if step >= self.n_burn:
+            raise SimulationError(step - self.n_burn,
+                                  f"trajectory exploded at step {step - self.n_burn}")
+        if step >= 0:
+            raise SimulationError(step, f"trajectory exploded during burn-in at step {step}")
+        dw = None if self.wiener_increments is None else self.wiener_increments[j]
+        return Path(dt=self.dt, values=self.values[j], wiener_increments=dw,
+                    seed_used=self.seeds[j])
+
+
+def simulate_block(model: DiffusionModel, cfg: SimConfig, seeds) -> PathBlock:
+    """Simulate one path per seed with cfg's horizon, step and initialization.
+
+    Row j is bit-identical to ``simulate_path(model, replace(cfg,
+    seed=seeds[j]))``; an exploding path is marked, not raised, and the
+    other rows are unaffected.
+    """
+    seeds = tuple(int(s) for s in seeds)
     n = cfg.n_steps
-    dt = cfg.dt
-    rng = np.random.default_rng(cfg.seed)
-    x0 = _initial_value(model, cfg, rng)
+    n_burn = round(cfg.burn_in_T / cfg.dt) if cfg.burn_in_T > 0.0 else 0
+    rngs = [np.random.default_rng(s) for s in seeds]
+    x0 = [_initial_value(model, cfg, rng) for rng in rngs]
+    values = np.empty((len(seeds), n + 1))
+    wiener = np.empty((len(seeds), n)) if cfg.store_wiener else None
+    if len(seeds) > 1 and _vectorizes(model, np.array(x0)):
+        exploded = _step_vector(model, np.array(x0), cfg.dt, rngs, n_burn, values, wiener)
+    else:
+        sd = math.sqrt(cfg.dt)
+        exploded = np.empty(len(seeds), dtype=np.int64)
+        for j, rng in enumerate(rngs):
+            dw_all = rng.normal(0.0, sd, size=n_burn + n)
+            exploded[j] = _step_scalar(model, x0[j], cfg.dt, dw_all.tolist(), n_burn, values[j])
+            if wiener is not None:
+                wiener[j] = dw_all[n_burn:]
+    return PathBlock(dt=cfg.dt, values=values, exploded=exploded, seeds=seeds,
+                     n_burn=n_burn, wiener_increments=wiener)
 
-    n_burn = round(cfg.burn_in_T / dt) if cfg.burn_in_T > 0.0 else 0
-    dw_all = rng.normal(0.0, math.sqrt(dt), size=n_burn + n)
 
+def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
+    """Whether drift and diffusion map a state vector to the values of
+    their scalar calls, probed at the start points x0 and at _PROBE_POINTS
+    points between them (a numpy power, for one, can differ from a Python
+    float's in the last bit)."""
+    xs = np.concatenate([x0, np.linspace(x0.min(), x0.max(), _PROBE_POINTS)])
+    for fn in (model.drift, model.diffusion):
+        try:
+            with np.errstate(all="ignore"):
+                got = np.asarray(fn(xs), dtype=float)
+            want = np.array([float(fn(v)) for v in xs.tolist()])
+        except Exception:  # a scalar-only function (math.exp, an if on x, ...)
+            return False
+        if got.shape not in ((), xs.shape) or not np.array_equal(
+                np.broadcast_to(got, xs.shape), want, equal_nan=True):
+            return False
+    return True
+
+
+def _step_scalar(model: DiffusionModel, x: float, dt: float, dw_list: list,
+                 n_burn: int, values: np.ndarray) -> int:
+    """One path as a Python float; returns its first non-finite step or -1."""
     drift = model.drift
     sigma = model.diffusion
-    values = np.empty(n + 1)
-    x = float(x0)
-    dw_list = dw_all.tolist()
+    n = len(values) - 1
     for i in range(n_burn):
         try:
             x = x + float(drift(x)) * dt + float(sigma(x)) * dw_list[i]
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
-            raise SimulationError(i, f"trajectory exploded during burn-in at step {i}")
+            return i
     values[0] = x
     for i in range(n):
         try:
@@ -155,11 +244,55 @@ def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
-            raise SimulationError(i, f"trajectory exploded at step {i}")
+            return n_burn + i
         values[i + 1] = x
+    return -1
 
-    increments = dw_all[n_burn:].copy() if cfg.store_wiener else None
-    return Path(dt=dt, values=values, wiener_increments=increments, seed_used=int(cfg.seed))
+
+def _step_vector(model: DiffusionModel, x: np.ndarray, dt: float, rngs: list,
+                 n_burn: int, values: np.ndarray, wiener: np.ndarray | None) -> np.ndarray:
+    """All paths of a block as one vector; returns each one's first
+    non-finite step or -1. Column g of a chunk is global step g (burn-in
+    first); path column g - n_burn + 1 holds the state after it."""
+    drift = model.drift
+    sigma = model.diffusion
+    sd = math.sqrt(dt)
+    m = len(rngs)
+    total = n_burn + values.shape[1] - 1
+    exploded = np.full(m, -1, dtype=np.int64)
+    dw = np.empty((_CHUNK_STEPS, m))
+    out = np.empty((_CHUNK_STEPS, m))
+    if n_burn == 0:
+        values[:, 0] = x
+    with np.errstate(all="ignore"):
+        for start in range(0, total, _CHUNK_STEPS):
+            c = min(_CHUNK_STEPS, total - start)
+            for j, rng in enumerate(rngs):
+                dw[:c, j] = rng.normal(0.0, sd, size=c)
+            for k in range(c):
+                x = x + drift(x) * dt + sigma(x) * dw[k]
+                out[k] = x
+            bad = ~np.isfinite(out[:c])
+            new = bad.any(axis=0) & (exploded < 0)
+            exploded[new] = start + bad.argmax(axis=0)[new]
+            first = max(start, n_burn - 1)
+            if first < start + c:
+                values[:, first - n_burn + 1:start + c - n_burn + 1] = out[first - start:c].T
+            first = max(start, n_burn)
+            if wiener is not None and first < start + c:
+                wiener[:, first - n_burn:start + c - n_burn] = dw[first - start:c].T
+    return exploded
+
+
+def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:
+    """Euler-Maruyama trajectory: X_{i+1} = X_i + S(X_i) dt + sigma(X_i) dW_i.
+
+    dW_i ~ Normal(0, dt) from a PCG64 stream seeded with cfg.seed. The same
+    (model, cfg) always yields a bit-identical path. Stationary
+    initialization consumes one uniform draw before the increments. This is
+    the block of one: its state is a Python float.
+    """
+    return simulate_block(model, cfg, [cfg.seed]).path(0)
 
 
 def occupation_mean(path: Path, g: Callable[[float], float]) -> float:

@@ -107,9 +107,12 @@ def trapezoid_influence_primitive(x: float, y: float, n: int = 2_000_001) -> flo
     lo, hi = (0.0, y) if y >= 0.0 else (y, 0.0)
     vs = np.linspace(lo, hi, n)
     F = norm.cdf(vs * math.sqrt(2.0))
+    Fbar = norm.sf(vs * math.sqrt(2.0))
     f = np.exp(-vs * vs) / math.sqrt(math.pi)
     Fx = norm.cdf(x * math.sqrt(2.0))
-    infl = np.where(vs <= x, F, Fx) - Fx * F
+    Sx = norm.sf(x * math.sqrt(2.0))
+    # product form: F(min) - F(x) F(v) cancels in the right tail
+    infl = np.where(vs <= x, F * Sx, Fx * Fbar)
     val = float(np.trapezoid(2.0 * infl / f, vs))
     return val if y >= 0.0 else -val
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ergodist import efficiency, simulate
 from ergodist.errors import ConfigError, RiskRunError
 from ergodist.estimators import constant_weight, dx_weight, exponential_weight, polynomial_weight
 from ergodist.efficiency import (
@@ -188,6 +189,12 @@ class TestInfluencePrimitive:
         live = trapezoid_influence_primitive(0.0, 1.0)
         assert live == pytest.approx(H_ZERO_ONE, rel=1e-10)
         assert influence_primitive(ou, 0.0, 1.0) == pytest.approx(live, rel=1e-6)
+
+    @pytest.mark.parametrize("x, y", [(0.0, 6.0), (0.0, 7.0), (2.5, 6.0)])
+    def test_right_tail_matches_trapezoid_oracle(self, ou, x, y):
+        # deep in the right tail, where F(min) - F(x) F(y) would cancel
+        assert influence_primitive(ou, x, y) == pytest.approx(
+            trapezoid_influence_primitive(x, y), rel=1e-8)
 
     def test_integrand_sign_on_right_of_center(self, ou):
         # for x = 0 and v > 0 the numerator is F(0)(1 - F(v)) > 0, so the
@@ -445,11 +452,44 @@ class TestEmpiricalRisk:
         assert np.array_equal(a.bias, b.bias)
         assert a.path_seeds == b.path_seeds
 
+    def test_estimator_list_matches_single_runs_bitwise(self, ou):
+        sim = SimConfig(horizon_T=2.0, dt=0.01, seed=12)
+        specs = ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"]
+        reports = empirical_risk(ou, specs, nu_gaussian(0, 1), sim, 6, self.grid())
+        assert [rep.estimator_tag for rep in reports] == [
+            "edf", "unbiased_exp", "unbiased_poly"]
+        for spec, rep in zip(specs, reports):
+            one = empirical_risk(ou, spec, nu_gaussian(0, 1), sim, 6, self.grid())
+            assert rep.scaled_risk == one.scaled_risk
+            assert rep.bound == one.bound and rep.ratio == one.ratio
+            for field in ("bias", "scaled_variance", "local_bound"):
+                assert np.array_equal(getattr(rep, field), getattr(one, field))
+            assert rep.path_seeds == one.path_seeds
+
+    def test_blocks_respect_byte_budget(self, ou, monkeypatch):
+        # a budget of three paths splits seven replications into blocks of
+        # 3, 3 and 1, with every number unchanged
+        sim = SimConfig(horizon_T=1.0, dt=0.01, seed=8)
+        whole = empirical_risk(ou, "unbiased:exp:delta=1", nu_gaussian(0, 1), sim, 7,
+                               self.grid())
+        sizes = []
+        real = efficiency.simulate_block
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * (sim.n_steps + 1))
+        monkeypatch.setattr(efficiency, "simulate_block",
+                            lambda m, cfg, seeds: sizes.append(len(seeds)) or real(m, cfg, seeds))
+        split = empirical_risk(ou, "unbiased:exp:delta=1", nu_gaussian(0, 1), sim, 7,
+                               self.grid())
+        assert sizes == [3, 3, 1]
+        assert split.scaled_risk == whole.scaled_risk
+        assert np.array_equal(split.bias, whole.bias)
+        assert np.array_equal(split.scaled_variance, whole.scaled_variance)
+
     def test_report_dict_schema(self, ou):
         sim = SimConfig(horizon_T=1.0, dt=0.01, seed=3)
         rep = empirical_risk(ou, "edf", nu_gaussian(0, 1), sim, 3, self.grid())
         d = rep.to_dict({"estimator": "edf"})
         assert set(d) == {"xs", "bias", "scaled_variance", "local_bound",
-                          "scaled_risk", "bound", "ratio", "config"}
+                          "scaled_risk", "bound", "ratio", "aborted", "config"}
+        assert d["aborted"] == 0
         assert len(d["xs"]) == len(d["local_bound"]) == 21
         assert d["bound"] > 0.0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from ergodist import harness
+from ergodist import efficiency, harness, simulate
 from ergodist.errors import ConfigError
 from ergodist.harness import (
     DEFAULT_GRID,
@@ -121,6 +122,91 @@ class TestRunExperiment:
         for tag in serial.reports:
             assert serial.reports[tag].scaled_risk == pooled.reports[tag].scaled_risk
             assert np.array_equal(serial.reports[tag].bias, pooled.reports[tag].bias)
+
+
+    def test_each_replication_simulated_once(self, tmp_path, monkeypatch):
+        simulated = []
+        real = efficiency.simulate_block
+        monkeypatch.setattr(efficiency, "simulate_block",
+                            lambda m, cfg, seeds: simulated.extend(seeds) or real(m, cfg, seeds))
+        cfg = ExperimentConfig.from_dict(make_config(
+            tmp_path, replications=5,
+            estimators=["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"]))
+        result = run_experiment(cfg)
+        assert len(result.reports) == 3
+        assert sorted(simulated) == sorted(result.path_seeds["edf"])
+        assert len(set(simulated)) == 5
+
+    def test_aborted_replications_in_result_json(self, tmp_path):
+        # the Euler step dt = 0.5 throws one quartic path of 100 off (the
+        # 1% abort rule lets the run finish)
+        cfg = ExperimentConfig.from_dict(make_config(
+            tmp_path, model={"family": "quartic", "params": {}}, estimators=["edf"],
+            sim={"T": 5.0, "dt": 0.5, "seed": 0}, replications=100, nu="uniform:-2,2",
+            grid={"lo": -2.5, "hi": 2.5, "count": 11}))
+        result = run_experiment(cfg)
+        assert result.reports["edf"].aborted == 1
+        assert result.reports["edf"].replications == 99
+        data = json.load(open(tmp_path / "result.json"))
+        assert data["reports"]["edf"]["aborted"] == 1
+
+
+# Experiments whose outputs are pinned to digests: an OU run in one worker
+# and a quartic run in two, written into the relative directory
+# "byte_identity" (result.json echoes output_dir).
+_PINNED = {
+    "ou": {"model": {"family": "ou", "params": {"theta": 1.0, "s": 1.0}},
+           "estimators": ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"],
+           "sim": {"T": 5.0, "dt": 0.01, "seed": 7}, "replications": 12,
+           "nu": "gauss:0,1", "grid": {"lo": -5.0, "hi": 5.0, "count": 21}, "workers": 1},
+    "quartic": {"model": {"family": "quartic", "params": {}},
+                "estimators": ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=2"],
+                "sim": {"T": 5.0, "dt": 0.01, "seed": 7}, "replications": 12,
+                "nu": "uniform:-2,2", "grid": {"lo": -2.5, "hi": 2.5, "count": 21},
+                "workers": 2},
+}
+# sha256 of the files the per-replication simulator (one scalar path per
+# replication and estimator) wrote with numpy 2.4.6; result.json is hashed
+# without the reports' "aborted" keys, which that version did not write.
+_PINNED_NUMPY = "2.4.6"
+_PINNED_SHA256 = {
+    "ou": {
+        "risk_edf.csv": "26259ca6c5e2a5090a77557030ae2f22012f224a3a9cf77f0064f4e4744aa14a",
+        "risk_unbiased_exp.csv": "ff1e28ffdf2ae8c1c20556dea700c25717572a197faf0ce94317b8d47443df2e",
+        "risk_unbiased_poly.csv": "60ad31260b85c35306f477c57c1e2313bb5fcb398d5de4576e7f13380297a822",
+        "result.json": "dadc07a28a1f8562e845d54ee52901a1539f2b6d0be9bc451c94b708db65e277",
+    },
+    "quartic": {
+        "risk_edf.csv": "a4ea8a38649c9718327956b1378955e3841801bb54f84cfa75a04dc4d2815a76",
+        "risk_unbiased_exp.csv": "42eedcdeb9d96c57227e92dd93f53beccf14d93a9f46303afe6ab5d8b0debf2c",
+        "risk_unbiased_poly.csv": "30a4c9afce9209f02a9b4d6e22cd22ca2b85efd56ecb2ae61eab924e55e7ae84",
+        "result.json": "ed72e17ff40026131b8babb54ff143bcdcc866837ed104fbf2e7aed2f8d3e776",
+    },
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("blocks", ["one_block", "blocks_of_5"])
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_outputs_match_pinned_digests(self, name, blocks, tmp_path, monkeypatch):
+        if np.__version__ != _PINNED_NUMPY:
+            pytest.skip(f"digests pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
+        raw = {**_PINNED[name], "output_dir": "byte_identity"}
+        if blocks == "blocks_of_5":
+            n_steps = round(raw["sim"]["T"] / raw["sim"]["dt"])
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", 5 * 8 * (n_steps + 1))
+        monkeypatch.chdir(tmp_path)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        got = {}
+        for fname in _PINNED_SHA256[name]:
+            blob = (tmp_path / "byte_identity" / fname).read_bytes()
+            if fname == "result.json":
+                data = json.loads(blob)
+                for rep in data["reports"].values():
+                    assert rep.pop("aborted") == 0
+                blob = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+            got[fname] = hashlib.sha256(blob).hexdigest()
+        assert got == _PINNED_SHA256[name]
 
 
 class TestRiskCsvFormat:

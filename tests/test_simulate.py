@@ -1,16 +1,26 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ergodist import simulate
 from ergodist.errors import ConfigError, EvaluationError, SimulationError
-from ergodist.model import DiffusionModel, invariant_cdf
+from ergodist.model import (
+    DiffusionModel,
+    invariant_cdf,
+    ornstein_uhlenbeck,
+    quartic_well,
+    shifted_ou,
+)
 from ergodist.simulate import (
     Path,
     SimConfig,
+    block_size,
     derive_substream_seed,
     occupation_mean,
+    simulate_block,
     simulate_path,
     write_path_csv,
 )
@@ -132,6 +142,115 @@ class TestSimulatePath:
             finals.append(simulate_path(ou, cfg).values[-1])
         d = ks_statistic(np.asarray(finals), lambda v: invariant_cdf(ou, v))
         assert d < ks_critical_value(500, 0.01)
+
+
+def wavy_model() -> DiffusionModel:
+    """A custom model with state-dependent sigma whose numpy functions take
+    a state vector."""
+    return DiffusionModel(
+        drift=lambda x: -np.tanh(x) - 0.5 * x,
+        diffusion=lambda x: 1.0 + 0.25 * np.cos(x),
+        diffusion_sq=lambda x: (1.0 + 0.25 * np.cos(x)) ** 2,
+        label="wavy",
+    )
+
+
+def cubic_blowup() -> DiffusionModel:
+    # x * x * x rather than x**3: a numpy power can differ from a Python
+    # float's in the last bit, which sends a block to the scalar loop.
+    return DiffusionModel(drift=lambda x: x * x * x, diffusion=lambda x: 1.0,
+                          diffusion_sq=lambda x: 1.0, label="blowup")
+
+
+def vector_block(monkeypatch, model, cfg, seeds):
+    """simulate_block, failing if the block runs the scalar loop."""
+    def scalar(*args):
+        raise AssertionError("block ran the scalar loop")
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_step_scalar", scalar)
+        return simulate_block(model, cfg, seeds)
+
+
+def assert_rows_match_paths(model, cfg, seeds, block):
+    for j, seed in enumerate(seeds):
+        path = simulate_path(model, replace(cfg, seed=seed))
+        assert np.array_equal(block.values[j], path.values)
+        if cfg.store_wiener:
+            assert np.array_equal(block.wiener_increments[j], path.wiener_increments)
+
+
+class TestSimulateBlock:
+    @pytest.mark.parametrize("make", [ornstein_uhlenbeck, quartic_well, shifted_ou, wavy_model],
+                             ids=["ou", "quartic", "shifted_ou", "wavy"])
+    def test_rows_bit_identical_to_simulate_path(self, make, monkeypatch):
+        # 1200 steps span three increment chunks
+        model = make()
+        cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0)
+        seeds = [derive_substream_seed(31, r) for r in range(5)]
+        block = vector_block(monkeypatch, model, cfg, seeds)
+        assert block.values.shape == (5, 1201)
+        assert np.all(block.exploded == -1)
+        assert_rows_match_paths(model, cfg, seeds, block)
+
+    def test_burn_in_and_increments_across_chunks(self, ou, monkeypatch):
+        # 700 burn-in steps end inside the second chunk of 512
+        cfg = SimConfig(horizon_T=6.0, dt=0.01, seed=0, init=2.0, burn_in_T=7.0,
+                        store_wiener=True)
+        seeds = [11, 12, 13]
+        block = vector_block(monkeypatch, ou, cfg, seeds)
+        assert block.wiener_increments.shape == (3, 600)
+        assert_rows_match_paths(ou, cfg, seeds, block)
+
+    def test_exploding_column(self, monkeypatch):
+        model = cubic_blowup()
+        cfg = SimConfig(horizon_T=2.0, dt=0.05, seed=0, init=0.0)
+        seeds = [derive_substream_seed(0, r) for r in range(4)]
+        block = vector_block(monkeypatch, model, cfg, seeds)
+        assert list(block.exploded) == [-1, -1, -1, 32]
+        assert_rows_match_paths(model, cfg, seeds[:3], block)
+        with pytest.raises(SimulationError) as from_block:
+            block.path(3)
+        with pytest.raises(SimulationError) as from_path:
+            simulate_path(model, replace(cfg, seed=seeds[3]))
+        assert from_block.value.step_index == from_path.value.step_index == 32
+
+    def test_power_drift_runs_the_scalar_loop(self, monkeypatch):
+        # numpy's x**3 differs from the Python float's in the last bit on
+        # about 3% of inputs, so the vector probe must refuse this drift;
+        # at these seeds' start points the two agree, so only the probe
+        # points between them can tell
+        model = DiffusionModel(drift=lambda x: -x**3, diffusion=lambda x: 1.0,
+                               diffusion_sq=lambda x: 1.0, label="quartic_pow")
+        cfg = SimConfig(horizon_T=2.0, dt=0.01, seed=0)
+        seeds = [9, 10, 11, 12]
+        rows = []
+        real_scalar = simulate._step_scalar
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_step_scalar", lambda *a: rows.append(1) or real_scalar(*a))
+            block = simulate_block(model, cfg, seeds)
+        x0 = block.values[:, 0]
+        assert np.array_equal(-x0**3, [-(v**3) for v in x0.tolist()])
+        assert len(rows) == len(seeds)
+        assert_rows_match_paths(model, cfg, seeds, block)
+
+    def test_scalar_only_drift_still_simulates(self):
+        model = DiffusionModel(drift=lambda x: -x * (1.0 + math.exp(-x * x)),
+                               diffusion=lambda x: 1.0, diffusion_sq=lambda x: 1.0,
+                               label="math_exp")
+        cfg = SimConfig(horizon_T=2.0, dt=0.01, seed=0, init=0.5)
+        seeds = [4, 5, 6]
+        block = simulate_block(model, cfg, seeds)
+        assert np.all(block.exploded == -1)
+        assert_rows_match_paths(model, cfg, seeds, block)
+
+    @pytest.mark.parametrize("n_steps", [1, 100, 20_000, 400_000, 10**8])
+    def test_block_size_respects_byte_budget(self, n_steps):
+        size = block_size(n_steps)
+        row = 8 * (n_steps + 1)
+        assert size >= 1
+        assert size == 1 or size * row <= simulate._BLOCK_BYTES
+        assert (size + 1) * row > simulate._BLOCK_BYTES
+        assert block_size(20_000) == 16
 
 
 class TestOccupationMean:
