@@ -32,6 +32,10 @@ from .errors import DivergenceError, EvaluationError
 from .model import (
     DiffusionModel,
     _density_integrand,
+    _positive,
+    _running_from,
+    _sigma_sq,
+    _table_panels,
     _vec_call,
     normalizing_constant,
     stationary_expectation,
@@ -178,20 +182,9 @@ class _PrimitiveTable:
         hi = math.ceil(max(hi, 0.0) / step) * step
         n = int(round((hi - lo) / step))
         nodes = lo + step * np.arange(n + 1)
-        integrand = _kernel_integrand(wf, model)
-        vals = np.empty(n + 1)
-        k0 = int(round((0.0 - lo) / step))
-        vals[k0] = 0.0
-        acc = 0.0
-        for k in range(k0, n):
-            acc += integrate(integrand, float(nodes[k]), float(nodes[k + 1]),
-                             _TABLE_PANEL_SPEC).value
-            vals[k + 1] = acc
-        acc = 0.0
-        for k in range(k0, 0, -1):
-            acc -= integrate(integrand, float(nodes[k - 1]), float(nodes[k]),
-                             _TABLE_PANEL_SPEC).value
-            vals[k - 1] = acc
+        panels = _table_panels(f"primitive table of the {wf.kind} weight", model.label,
+                               _kernel_integrand(wf, model), nodes, _TABLE_PANEL_SPEC)
+        vals = _running_from(panels, int(round((0.0 - lo) / step)))
         self.lo = float(nodes[0])
         self.hi = float(nodes[-1])
         self._nodes = nodes
@@ -208,15 +201,12 @@ class _PrimitiveTable:
         return float(out) if np.ndim(u) == 0 else out
 
 
-def _kernel_integrand(wf: WeightFunction, model: DiffusionModel) -> Callable[[float], float]:
-    def g(v: float) -> float:
-        hv = float(wf.h(v))
-        if not hv > 0.0:
-            raise EvaluationError(v, f"weight function must be positive, got h({v!r}) = {hv!r}")
-        s2 = float(model.diffusion_sq(v))
-        if not s2 > 0.0:
-            raise EvaluationError(v, f"sigma^2 must be positive, got {s2!r}")
-        return 1.0 / (s2 * hv)
+def _kernel_integrand(wf: WeightFunction, model: DiffusionModel) -> Callable:
+    """1/(sigma^2 h) on a float or an array."""
+
+    def g(v):
+        v = np.asarray(v, dtype=float)
+        return 1.0 / (_sigma_sq(model, v) * _positive(wf.h, v, "weight function h"))
 
     return g
 

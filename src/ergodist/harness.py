@@ -39,7 +39,7 @@ from .efficiency import (
     weight_moment_finite,
     weight_primitive,
 )
-from .errors import ConfigError, DivergenceError, SimulationError
+from .errors import ConfigError, DivergenceError, RiskRunError, SimulationError
 from .estimators import as_estimator, check_weight_conditions, parse_estimator
 from .model import (
     DiffusionModel,
@@ -594,7 +594,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
-    except SimulationError as exc:
+    except (SimulationError, RiskRunError) as exc:
         print(f"simulation explosion: {exc}", file=sys.stderr)
         return 4
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -38,6 +39,7 @@ from .numerics import (
     QuadratureSpec,
     integrate,
     integrate_line,
+    integrate_panels,
     invert_monotone,
 )
 
@@ -160,11 +162,20 @@ def model_from_spec(spec: dict) -> DiffusionModel:
 # scalar helpers
 # ---------------------------------------------------------------------------
 
-def _sigma_sq(model: DiffusionModel, y: float) -> float:
-    s2 = float(model.diffusion_sq(y))
-    if not (s2 > 0.0) or not math.isfinite(s2):
-        raise EvaluationError(y, f"sigma^2 must be positive and finite, got {s2!r} at y={y!r}")
-    return s2
+def _positive(fn: Callable, y, name: str):
+    """``fn`` at a float or on an array; EvaluationError where it is not
+    positive and finite."""
+    v = _vec_call(fn, y) if isinstance(y, np.ndarray) else float(fn(y))
+    ok = np.logical_and(v > 0.0, np.isfinite(v))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        yi, vi = float(np.ravel(y)[i]), float(np.ravel(v)[i])
+        raise EvaluationError(yi, f"{name} must be positive and finite, got {vi!r} at y={yi!r}")
+    return v
+
+
+def _sigma_sq(model: DiffusionModel, y):
+    return _positive(model.diffusion_sq, y, "sigma^2")
 
 
 def _vec_call(fn: Callable, arr: np.ndarray) -> np.ndarray:
@@ -176,6 +187,39 @@ def _vec_call(fn: Callable, arr: np.ndarray) -> np.ndarray:
     if out.ndim == 0:
         return np.broadcast_to(out, arr.shape)
     return np.array([float(fn(float(t))) for t in arr])
+
+
+def _checked_exp(e: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """exp(e), or ExponentOverflowError at the first y where e saturates."""
+    over = e > _EXP_LIMIT
+    if over.any():
+        i = int(np.argmax(over))
+        yi, ei = float(ys.flat[i]), float(e.flat[i])
+        raise ExponentOverflowError(yi, f"scale exponent {ei!r} saturates exp at y={yi!r}")
+    return np.exp(e)
+
+
+def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
+    """Node values of a running integral based at node ``k0``, accumulated
+    outward from it, given the integrals over the panels between nodes."""
+    vals = np.zeros(panels.size + 1)
+    np.cumsum(panels[k0:], out=vals[k0 + 1:])
+    np.cumsum(panels[:k0][::-1], out=vals[:k0][::-1])
+    np.negative(vals[:k0], out=vals[:k0])
+    return vals
+
+
+def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray,
+                  spec: QuadratureSpec) -> np.ndarray:
+    """Integrals of ``f`` over a table's panels; one RuntimeWarning naming
+    the x-range of the panels that did not converge."""
+    values, _, converged = integrate_panels(f, nodes, spec)
+    bad = np.flatnonzero(~converged)
+    if bad.size:
+        lo, hi = float(nodes[bad[0]]), float(nodes[bad[-1] + 1])
+        warnings.warn(f"{what} of {label}: quadrature did not converge on {bad.size} of "
+                      f"{converged.size} panels in [{lo!r}, {hi!r}]", RuntimeWarning, stacklevel=3)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +235,7 @@ def scale_exponent(model: DiffusionModel, y: float) -> float:
         return float(model.scale_exponent_closed(y))
     if y == 0.0:
         return 0.0
-    integrand = lambda v: float(model.drift(v)) / _sigma_sq(model, v)
+    integrand = lambda v: model.drift(v) / _sigma_sq(model, v)
     if y > 0.0:
         return 2.0 * integrate(integrand, 0.0, y).value
     return -2.0 * integrate(integrand, y, 0.0).value
@@ -235,19 +279,10 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _UniformCubic:
     w = max(halfwidth, DEFAULT_QUADRATURE.initial_halfwidth)
     if cached is not None:
         w = max(w, 2.0 * cached.hi)
-    integrand = lambda v: float(model.drift(v)) / _sigma_sq(model, v)
+    integrand = lambda v: model.drift(v) / _sigma_sq(model, v)
     nodes = np.linspace(-w, w, 2 * _EXP_PANELS + 1)
-    k0 = _EXP_PANELS  # node at exactly 0.0
-    vals = np.empty_like(nodes)
-    vals[k0] = 0.0
-    acc = 0.0
-    for k in range(k0, 2 * _EXP_PANELS):
-        acc += 2.0 * integrate(integrand, float(nodes[k]), float(nodes[k + 1]), _PANEL_SPEC).value
-        vals[k + 1] = acc
-    acc = 0.0
-    for k in range(k0, 0, -1):
-        acc -= 2.0 * integrate(integrand, float(nodes[k - 1]), float(nodes[k]), _PANEL_SPEC).value
-        vals[k - 1] = acc
+    panels = _table_panels("scale exponent table", model.label, integrand, nodes, _PANEL_SPEC)
+    vals = _running_from(2.0 * panels, _EXP_PANELS)  # node _EXP_PANELS is 0.0
     table = _UniformCubic(nodes, vals, 2.0 * integrand(float(nodes[0])),
                           2.0 * integrand(float(nodes[-1])))
     model._cache["exp_table"] = table
@@ -274,11 +309,9 @@ def _exponent_vec(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
 def scale_function(model: DiffusionModel, x: float) -> float:
     """V_S(x) = int_0^x exp{-2*int_0^y S/sigma^2} dy (signed)."""
 
-    def integrand(y: float) -> float:
-        e = -_exponent_scalar(model, y)
-        if e > _EXP_LIMIT:
-            raise ExponentOverflowError(y, f"scale exponent {-e!r} saturates exp at y={y!r}")
-        return math.exp(e)
+    def integrand(y):
+        y = np.asarray(y, dtype=float)
+        return _checked_exp(-_exponent_vec(model, y), y)
 
     if x == 0.0:
         return 0.0
@@ -291,12 +324,13 @@ def scale_function(model: DiffusionModel, x: float) -> float:
 # normalizer, density, CDF
 # ---------------------------------------------------------------------------
 
-def _density_integrand(model: DiffusionModel) -> Callable[[float], float]:
-    def g(y: float) -> float:
-        e = _exponent_scalar(model, y)
-        if e > _EXP_LIMIT:
-            raise ExponentOverflowError(y, f"scale exponent {e!r} saturates exp at y={y!r}")
-        return math.exp(e) / _sigma_sq(model, y)
+def _density_integrand(model: DiffusionModel) -> Callable:
+    """The unnormalized invariant density exp(scale exponent)/sigma^2, on a
+    float or an array."""
+
+    def g(y):
+        y = np.asarray(y, dtype=float)
+        return _checked_exp(_exponent_vec(model, y), y) / _sigma_sq(model, y)
 
     return g
 
@@ -382,9 +416,7 @@ def _cdf_table(model: DiffusionModel) -> _CdfTable:
     raw = _density_integrand(model)
     f = lambda y: raw(y) / g
     nodes = np.linspace(lo, hi, _CDF_PANELS + 1)
-    panels = np.empty(_CDF_PANELS)
-    for k in range(_CDF_PANELS):
-        panels[k] = integrate(raw, float(nodes[k]), float(nodes[k + 1]), _PANEL_SPEC).value / g
+    panels = _table_panels("CDF table", model.label, raw, nodes, _PANEL_SPEC) / g
     vals = np.concatenate([[0.0], np.cumsum(panels)])
     np.maximum.accumulate(vals, out=vals)
     # Survival values accumulate from the right so 1 - F keeps full relative
@@ -473,7 +505,7 @@ def stationary_expectation(
     G = normalizing_constant(model)
     raw = _density_integrand(model)
     try:
-        return integrate_line(lambda z: float(g(z)) * raw(z) / G, spec).value
+        return integrate_line(lambda z: np.asarray(g(z), dtype=float) * raw(z) / G, spec).value
     except EvaluationError as exc:
         raise DivergenceError(
             f"moment integrand invalid or overflowing at z={exc.abscissa!r}; "

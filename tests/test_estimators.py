@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ergodist import estimators
 from ergodist.errors import EvaluationError
 from ergodist.estimators import (
     check_weight_conditions,
@@ -21,6 +22,9 @@ from ergodist.estimators import (
     unbiased_estimate,
 )
 from ergodist.model import invariant_cdf, stationary_expectation
+from ergodist.numerics import QuadratureSpec
+
+from test_model import unconverged_ranges
 from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
 
@@ -98,6 +102,18 @@ class TestKernel:
         for x, y in [(1.0, -1.0), (0.3, 2.0), (-4.0, 5.0)]:
             expect = quad(lambda u: 1.0 / (1.0 + u**4), y, x, epsabs=1e-12)[0]
             assert kernel(wf, ou, x, y) == pytest.approx(expect, abs=1e-9)
+
+    def test_unconverged_primitive_table_warns(self, ou, monkeypatch):
+        monkeypatch.setattr(estimators, "_TABLE_PANEL_SPEC",
+                            QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=1))
+        # the kink of h at 1/3 lies inside a 1e-3 table panel
+        wf = custom_weight(h=lambda u: 1.0 + np.abs(u - 1.0 / 3.0),
+                           h_prime=lambda u: np.sign(u - 1.0 / 3.0))
+        with pytest.warns(RuntimeWarning) as record:
+            primitive(wf, ou, -1.0, 1.0)
+        [(label, lo, hi)] = unconverged_ranges(record, "primitive table of the custom weight")
+        assert label == ou.label
+        assert lo < 1.0 / 3.0 < hi and hi - lo < 0.01
 
     def test_diffusion_scaling(self):
         from ergodist.model import ornstein_uhlenbeck

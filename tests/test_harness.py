@@ -165,22 +165,24 @@ _PINNED = {
                 "nu": "uniform:-2,2", "grid": {"lo": -2.5, "hi": 2.5, "count": 21},
                 "workers": 2},
 }
-# sha256 of the files the per-replication simulator (one scalar path per
-# replication and estimator) wrote with numpy 2.4.6; result.json is hashed
-# without the reports' "aborted" keys, which that version did not write.
+# sha256 of the files written with numpy 2.4.6 by the code whose quadrature
+# tables (G(S), and the CDF table behind the truth and the quantile starts)
+# come from the G7/K15 panel integrator, numerics.integrate_panels;
+# result.json is hashed without the reports' "aborted" keys, which the test
+# checks are 0.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_SHA256 = {
     "ou": {
-        "risk_edf.csv": "26259ca6c5e2a5090a77557030ae2f22012f224a3a9cf77f0064f4e4744aa14a",
-        "risk_unbiased_exp.csv": "ff1e28ffdf2ae8c1c20556dea700c25717572a197faf0ce94317b8d47443df2e",
-        "risk_unbiased_poly.csv": "60ad31260b85c35306f477c57c1e2313bb5fcb398d5de4576e7f13380297a822",
-        "result.json": "dadc07a28a1f8562e845d54ee52901a1539f2b6d0be9bc451c94b708db65e277",
+        "risk_edf.csv": "7f5aa379613a5dbaa1e00cce7f512be612e05e28572fe7aebe158effaac32921",
+        "risk_unbiased_exp.csv": "93f30c69834bb14a0e412ddaf8661c48787abf8049046288c0214642c55facdb",
+        "risk_unbiased_poly.csv": "0b4fc2eeebfaf61004f20867fd6f4d0a7cb6106e4c6432959344ae6f6b7e9850",
+        "result.json": "2c74282b1941be000117463aa762ae35ed187e09dad5c48abfb2d9d30e79d2b6",
     },
     "quartic": {
-        "risk_edf.csv": "a4ea8a38649c9718327956b1378955e3841801bb54f84cfa75a04dc4d2815a76",
-        "risk_unbiased_exp.csv": "42eedcdeb9d96c57227e92dd93f53beccf14d93a9f46303afe6ab5d8b0debf2c",
-        "risk_unbiased_poly.csv": "30a4c9afce9209f02a9b4d6e22cd22ca2b85efd56ecb2ae61eab924e55e7ae84",
-        "result.json": "ed72e17ff40026131b8babb54ff143bcdcc866837ed104fbf2e7aed2f8d3e776",
+        "risk_edf.csv": "9c285358d62b50fcbd014cff72804b05a67e4072f2cdfe1c23b0902d58795d80",
+        "risk_unbiased_exp.csv": "a181ee74587b9a7824d4d4cb59c5397ee2081fc89c82845449036842b6565c19",
+        "risk_unbiased_poly.csv": "0b2c8c0de8ae7509075e95326e5cf789fdfb57e3c05e3c032857775abfff1daf",
+        "result.json": "dac2b2a89189c304dfd077119aed8df1941cc81e0695afc979bcf399aa726e08",
     },
 }
 
@@ -344,6 +346,18 @@ class TestCli:
         rc = cli_main(["simulate", "--model", "quartic", "--T", "50", "--dt", "0.5",
                        "--seed", "1", "--x0", "40"])
         assert rc == 4
+
+    def test_exploding_experiment_exits_4(self, tmp_path, capsys):
+        # dt = 1.0 throws a large share of quartic paths off, past the 1% rule
+        cfg_path = tmp_path / "cfg.json"
+        json.dump(make_config(tmp_path, model={"family": "quartic", "params": {}},
+                              estimators=["edf"], sim={"T": 10.0, "dt": 1.0, "seed": 0},
+                              replications=10, nu="uniform:-2,2",
+                              grid={"lo": -2.5, "hi": 2.5, "count": 11}),
+                  open(cfg_path, "w"))
+        assert cli_main(["experiment", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("simulation explosion:") and len(err.splitlines()) == 1
 
     def test_identity_checks_json(self, tmp_path):
         out = tmp_path / "idc.json"

@@ -1,8 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from ergodist import model as model_module
 from ergodist.errors import DivergenceError, TailError
 from ergodist.model import (
     DiffusionModel,
@@ -246,3 +249,42 @@ class TestCatalog:
             assert invariant_density(quartic, y) == pytest.approx(
                 math.exp(-0.5 * y**4) / g, rel=1e-10
             )
+
+
+def unconverged_ranges(record, what):
+    """(label, lo, hi) of each warning about a table's unconverged panels."""
+    out = []
+    for w in record:
+        m = re.match(rf"{what} of (.+): quadrature did not converge on \d+ of \d+ panels "
+                     r"in \[(.+), (.+)\]", str(w.message))
+        if m:
+            out.append((m.group(1), float(m.group(2)), float(m.group(3))))
+    return out
+
+
+class TestTableConvergence:
+    @staticmethod
+    def kinked(label):
+        # sigma^2 has a kink at 1/3, inside a table panel
+        return DiffusionModel(drift=lambda x: -x,
+                              diffusion=lambda x: np.sqrt(1.0 + np.abs(x - 1.0 / 3.0)),
+                              diffusion_sq=lambda x: 1.0 + np.abs(x - 1.0 / 3.0), label=label)
+
+    def test_default_spec_converges_without_warning(self):
+        m = self.kinked("kinked")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert 0.0 < invariant_cdf(m, 0.5) < 1.0
+
+    def test_unconverged_panels_warn_with_label_and_range(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_PANEL_SPEC",
+                            QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=1))
+        m = self.kinked("kinked-shallow")
+        with pytest.warns(RuntimeWarning) as record:
+            invariant_cdf(m, 0.5)
+        cdf = unconverged_ranges(record, "CDF table")
+        exponent = unconverged_ranges(record, "scale exponent table")
+        assert len(cdf) == 1 and exponent
+        for label, lo, hi in cdf + exponent:
+            assert label == "kinked-shallow"
+            assert lo < 1.0 / 3.0 < hi and hi - lo < 0.25

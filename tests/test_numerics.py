@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from ergodist import estimators, model, numerics
 from ergodist.errors import BracketError, DivergenceError, EvaluationError
 from ergodist.numerics import (
     QuadratureSpec,
     compensated_sum,
     integrate,
     integrate_line,
+    integrate_panels,
     invert_monotone,
 )
 
@@ -92,6 +95,119 @@ class TestIntegrate:
         res = integrate(lambda x: math.exp(x), 0.0, 3.0)
         assert res.converged
         assert res.error_estimate <= max(1e-10, 1e-10 * abs(res.value))
+
+
+class TestIntegratePanels:
+    EDGES = np.linspace(-1.0, 2.0, 7)
+
+    @pytest.mark.parametrize(
+        "f, g, points",
+        [
+            (lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+             lambda x: math.exp(-x * x) * math.cos(3.0 * x), None),
+            (lambda x: np.abs(x - 0.3) ** 1.5 + np.abs(x - 1.3),
+             lambda x: abs(x - 0.3) ** 1.5 + abs(x - 1.3), [0.3, 1.3]),
+            (lambda x: np.where(x < 1.0 / 3.0, np.sin(x), 2.0),
+             lambda x: math.sin(x) if x < 1.0 / 3.0 else 2.0, [1.0 / 3.0]),
+        ],
+        ids=["smooth", "kinked", "jump"],
+    )
+    def test_matches_scipy_quad(self, f, g, points):
+        values, errors, converged = integrate_panels(f, self.EDGES)
+        assert converged.all() and values.shape == errors.shape == (6,)
+        for k, (a, b) in enumerate(zip(self.EDGES[:-1], self.EDGES[1:])):
+            inside = [p for p in points or [] if a < p < b] or None
+            ref = quad(g, a, b, points=inside, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            assert values[k] == pytest.approx(ref, abs=1e-10)
+            assert errors[k] <= max(1e-10, 1e-10 * abs(values[k]))
+
+    def test_panels_sum_to_one_panel_integral(self):
+        f = lambda x: np.exp(-0.5 * x * x) / (1.0 + x * x)
+        values, _, converged = integrate_panels(f, np.linspace(-8.0, 8.0, 2049))
+        assert converged.all()
+        whole = integrate(f, -8.0, 8.0)
+        assert math.fsum(values) == pytest.approx(whole.value, abs=1e-13)
+
+    def test_scalar_only_integrand_matches_vector_form(self):
+        # math functions and an if make the array call raise; the nodes then
+        # go one at a time through float calls
+        scalar = lambda x: x * x if x < 0.5 else 0.25 - (x - 0.5)
+        vector = lambda x: np.where(x < 0.5, x * x, 0.25 - (x - 0.5))
+        assert integrate(scalar, -1.0, 2.0) == integrate(vector, -1.0, 2.0)
+        got = integrate(lambda x: math.exp(-x) if x > 0.0 else 1.0, -1.0, 3.0).value
+        ref = integrate(lambda x: np.where(x > 0.0, np.exp(-x), 1.0), -1.0, 3.0).value
+        assert got == pytest.approx(ref, rel=1e-15)
+
+    def test_scalar_result_is_broadcast(self):
+        values, _, converged = integrate_panels(lambda x: 2.0, [0.0, 1.0, 3.0])
+        assert converged.all()
+        assert values == pytest.approx([2.0, 4.0], abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_value_reports_abscissa(self, bad):
+        with pytest.raises(EvaluationError) as err:
+            integrate_panels(lambda x: np.where(x > 1.25, bad, 1.0), [0.0, 1.0, 2.0])
+        assert 1.25 < err.value.abscissa < 2.0
+
+    def test_overflow_reports_abscissa(self):
+        # math.exp overflows past about 709.78: the float calls raise
+        # OverflowError, which becomes EvaluationError at that node
+        with pytest.raises(EvaluationError) as err:
+            integrate(lambda x: math.exp(x), 0.0, 1000.0)
+        assert err.value.abscissa > 709.0
+
+        def overflowing(x):
+            # raises OverflowError on an array as well as on a float
+            return np.array([math.exp(t) for t in np.atleast_1d(x)]).reshape(np.shape(x))
+
+        with pytest.raises(EvaluationError) as err:
+            integrate_panels(overflowing, [0.0, 700.0, 800.0])
+        assert 709.0 < err.value.abscissa < 800.0
+
+    def test_depth_exhaustion_flags_only_the_failing_panel(self):
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=2)
+        _, _, converged = integrate_panels(lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0),
+                                           [0.0, 0.25, 0.5, 1.0], spec)
+        assert converged.tolist() == [True, False, True]
+
+    def test_bad_edges_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_panels(np.exp, [0.0, 1.0, 0.5])
+        with pytest.raises(EvaluationError):
+            integrate_panels(np.exp, [0.0, math.inf])
+
+    @pytest.mark.parametrize("build", ["cdf", "exponent", "primitive"])
+    def test_table_build_calls_once_per_round(self, build, monkeypatch):
+        # a custom model has no closed exponent, so every table is quadrature
+        m = model.DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                                 diffusion_sq=lambda x: 1.0, label="custom")
+        model.normalizing_constant(m)
+        calls = []
+
+        def counting(f, edges, spec=numerics.DEFAULT_QUADRATURE, split=1):
+            def counted(x):
+                counts["calls"] += 1
+                return f(x)
+
+            counts = {"calls": 0, "panels": len(edges) - 1, "depth": spec.max_depth}
+            calls.append(counts)
+            return integrate_panels(counted, edges, spec, split)
+
+        monkeypatch.setattr(model, "integrate_panels", counting)
+        if build == "cdf":
+            model._cdf_table(m)
+        elif build == "exponent":
+            model._exponent_table(m, 20.0)
+        else:
+            estimators.primitive(estimators.custom_weight(lambda u: 1.0 + u * u,
+                                                          lambda u: 2.0 * u), m, -3.0, 3.0)
+        assert len(calls) == 1
+        c = calls[0]
+        # one call per bisection round for every block of _CHUNK_INTERVALS panels
+        blocks = math.ceil(c["panels"] / numerics._CHUNK_INTERVALS)
+        assert c["panels"] >= 2048
+        assert c["calls"] <= blocks * (c["depth"] + 1)
+        assert c["calls"] <= c["panels"] / 100
 
 
 class TestIntegrateLine:
