@@ -13,11 +13,12 @@ is the asymptotic variance of efficient estimators at threshold x, and
 whose nu-integral is the asymptotic lower bound for the scaled integrated
 mean square error of any estimator. R, the bound, the influence primitive
 and its moment screen are all read off four running integrals that each
-model tabulates once (see ``_GridPack``). The module also implements, as
-executable identities, the decomposition of the scaled estimation error
-into a vanishing boundary term plus a stochastic integral with the
-influence ratio as integrand, and numerical screens of the moment
-conditions under which that decomposition applies.
+model tabulates once on the nodes of its distribution table (see
+``_GridPack``). The module also implements, as executable identities, the
+decomposition of the scaled estimation error into a vanishing boundary
+term plus a stochastic integral with the influence ratio as integrand, and
+numerical screens of the moment conditions under which that decomposition
+applies.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ from .estimators import (
 )
 from .model import (
     DiffusionModel,
-    _cdf_fast,
+    _cdf_pair,
     _cdf_table,
-    _cdf_vec,
     _density_integrand,
     _density_vec,
-    _survival_fast,
-    _survival_vec,
     _vec_call,
     invariant_cdf,
     invariant_density,
@@ -193,58 +191,39 @@ def _simpson_weights(panels: int, h: float) -> np.ndarray:
     return w
 
 
-def _integrands(model: DiffusionModel, ys: np.ndarray, F: np.ndarray, Fbar: np.ndarray):
-    """Rows F^2 r, F r, Fbar^2 r, Fbar r at ys, where r = 1/(sigma^2 f_S)
-    is set to 0 below the ratio floor."""
+def _integrands(model: DiffusionModel, ys: np.ndarray):
+    """F and Fbar = 1 - F at ys, and the rows F^2 r, F r, Fbar^2 r, Fbar r,
+    where r = 1/(sigma^2 f_S) is set to 0 below the ratio floor."""
+    F, Fbar = _cdf_pair(model, ys)
     f = _density_vec(model, ys)
     r = np.zeros(ys.shape)
     np.divide(1.0, _vec_call(model.diffusion_sq, ys) * f, out=r, where=f > _RATIO_FLOOR)
-    return np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
+    return F, Fbar, np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
 
 
 @dataclass
 class _GridPack:
-    """Nodes over the CDF table's [lo, hi] with f, F = int_lo^t f, Fbar =
-    int_t^hi f and, as rows of ``cum``, A = int_lo^t F^2 r, C1 = int_lo^t F r,
-    B = int_t^hi Fbar^2 r, C2 = int_t^hi Fbar r (r as in :func:`_integrands`):
-    each running integral is accumulated from the tail where it is small."""
+    """On the nodes of the model's distribution table: the Simpson mass
+    and, as rows of ``cum``, A = int_lo^t F^2 r, C1 = int_lo^t F r,
+    B = int_t^hi Fbar^2 r, C2 = int_t^hi Fbar r (r as in
+    :func:`_integrands`), each accumulated from the tail where it is small."""
 
-    ys: np.ndarray
-    h: float
-    f: np.ndarray
-    F: np.ndarray
-    Fbar: np.ndarray
-    mass: np.ndarray  # Simpson weight times f: sum(mass * g) is E[g(xi)] on the grid
+    mass: np.ndarray  # Simpson weight times f: sum(mass * g) is E[g(xi)] on the nodes
     cum: np.ndarray
 
 
-def _cdf_pair(p: _GridPack, k: np.ndarray, d: np.ndarray):
-    """F and Fbar at ys[k] + d by cubic Hermite interpolation of the node
-    values, whose slopes +-f are exact."""
-    s = d / p.h
-    a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    b = s * s * (3.0 - 2.0 * s)
-    slope = p.h * s * (1.0 - s) * ((1.0 - s) * p.f[k] - s * p.f[k + 1])
-    return a * p.F[k] + b * p.F[k + 1] + slope, a * p.Fbar[k] + b * p.Fbar[k + 1] - slope
-
-
-def _grid_pack(model: DiffusionModel, panels: int = 8192) -> _GridPack:
+def _grid_pack(model: DiffusionModel) -> _GridPack:
     pack = model._cache.get("eff_grid")
     if pack is not None:
         return pack
-    table = _cdf_table(model)
-    ys = np.linspace(table.lo, table.hi, panels + 1)
-    h = float(ys[1] - ys[0])
-    mids = ys[:-1] + 0.5 * h
-    f, f_mid = _density_vec(model, ys), _density_vec(model, mids)
-    panel_mass = (h / 6.0) * (f[:-1] + 4.0 * f_mid + f[1:])
-    F = np.concatenate([[0.0], np.cumsum(panel_mass)])
-    Fbar = np.concatenate([np.cumsum(panel_mass[::-1])[::-1], [0.0]])
-    pack = _GridPack(ys=ys, h=h, f=f, F=F, Fbar=Fbar, mass=_simpson_weights(panels, h) * f,
-                     cum=np.zeros((4, panels + 1)))
-    vals = _integrands(model, ys, F, Fbar)
-    mid_vals = _integrands(model, mids, *_cdf_pair(pack, np.arange(panels), 0.5 * h))
+    t = _cdf_table(model)
+    ys, h = t.nodes, t.step
+    panels = ys.size - 1
+    vals = _integrands(model, ys)[2]
+    mid_vals = _integrands(model, ys[:-1] + 0.5 * h)[2]
     steps = (h / 6.0) * (vals[:, :-1] + 4.0 * mid_vals + vals[:, 1:])
+    pack = _GridPack(mass=_simpson_weights(panels, h) * t.slopes[0],  # slopes[0] is f
+                     cum=np.zeros((4, panels + 1)))
     np.cumsum(steps[:2], axis=1, out=pack.cum[:2, 1:])
     np.cumsum(steps[2:, ::-1], axis=1, out=pack.cum[2:, -2::-1])
     model._cache["eff_grid"] = pack
@@ -253,18 +232,20 @@ def _grid_pack(model: DiffusionModel, panels: int = 8192) -> _GridPack:
 
 def _running(model: DiffusionModel, ts):
     """F, Fbar and the running integrals A, C1, B, C2 at each point of ts
-    (clipped to the grid): the node value below t plus a Simpson partial
+    (clipped to the table): the node value below t plus a Simpson partial
     panel from that node to t."""
     p = _grid_pack(model)
-    t = np.clip(np.asarray(ts, dtype=float), p.ys[0], p.ys[-1])
-    k = np.minimum(((t - p.ys[0]) / p.h).astype(np.intp), len(p.ys) - 2)
-    d = t - p.ys[k]
-    F, Fbar = _cdf_pair(p, k, d)
-    part = 4.0 * _integrands(model, p.ys[k] + 0.5 * d, *_cdf_pair(p, k, 0.5 * d))
-    part += _integrands(model, p.ys[k], p.F[k], p.Fbar[k]) + _integrands(model, t, F, Fbar)
-    part *= d / 6.0
+    table = _cdf_table(model)
+    t = np.clip(np.asarray(ts, dtype=float), table.lo, table.hi)
+    k, s = table.cell(t)
+    d = s * table.step
+    node = table.nodes[k]
+    # the partial panel's Simpson points t, its midpoint and its node in one pass
+    F, Fbar, rows = _integrands(model, np.concatenate([t, node + 0.5 * d, node]))
+    end, mid, start = np.split(rows, 3, axis=1)
+    part = (d / 6.0) * (start + 4.0 * mid + end)
     part[2:] *= -1.0
-    return F, Fbar, p.cum[:, k] + part
+    return F[:t.size], Fbar[:t.size], p.cum[:, k] + part
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +256,10 @@ def influence_numerator(model: DiffusionModel, x: float, y: float) -> float:
     """F_S(min(x, y)) - F_S(x) * F_S(y).
 
     Evaluated as F(y) * (1 - F(x)) for y <= x and F(x) * (1 - F(y))
-    otherwise, with the survival factor accumulated from the right tail,
-    so the value keeps relative accuracy deep in both tails."""
-    if y <= x:
-        return invariant_cdf(model, y) * _survival_fast(model, x)
-    return invariant_cdf(model, x) * _survival_fast(model, y)
+    otherwise, with 1 - F read from the distribution table's right-tail
+    sums, so the value keeps relative accuracy deep in both tails."""
+    F, Fbar = _cdf_pair(model, [min(x, y), max(x, y)])
+    return float(F[0] * Fbar[1])
 
 
 def local_variance(model: DiffusionModel, x):
@@ -288,7 +268,8 @@ def local_variance(model: DiffusionModel, x):
 
     Splitting the integral at y = x gives 4 [Fbar(x)^2 A(x) + F(x)^2 B(x)]
     with the running integrals A and B of the model's grid pack, so no
-    kink lies inside a panel. R is 0 outside the CDF table's support.
+    kink lies inside a panel. R is 0 outside the distribution table's
+    support.
     """
     F, Fbar, (A, _, B, _) = _running(model, np.atleast_1d(np.asarray(x, dtype=float)))
     # a partial panel deep in a tail can overshoot its running integral
@@ -302,7 +283,7 @@ def efficiency_bound(model: DiffusionModel, nu: NuMeasure) -> float:
     Exact weighted sum for point masses. For gaussian and uniform nu, a
     fixed Simpson sum of R (from :func:`local_variance`) times the nu
     density over the nu support (a gaussian cut at mean +/- 10 sd) within
-    the CDF table, outside which R is 0.
+    the distribution table, outside which R is 0.
     """
     if nu.kind == "point_masses":
         return compensated_sum(w * local_variance(model, x) for x, w in nu.atoms)
@@ -460,10 +441,8 @@ def _influence_ratio_vec(model: DiffusionModel, x: float, ys: np.ndarray) -> np.
     """2 * (F(x) F(y) - F(min(x, y))) / (sigma(y) f_S(y)) on an array.
 
     The numerator is -infl(x, y), evaluated in the stable product form."""
-    fx = _cdf_fast(model, x)
-    sx = _survival_fast(model, x)
-    fy = _cdf_vec(model, ys)
-    sy = _survival_vec(model, ys)
+    fx, sx = _cdf_pair(model, x)
+    fy, sy = _cdf_pair(model, ys)
     infl = np.where(ys <= x, fy * sx, fx * sy)
     dens = _density_vec(model, ys)
     sig = np.broadcast_to(np.asarray(_vec_call(model.diffusion, ys)), ys.shape)
@@ -505,12 +484,13 @@ def influence_moment_finite(model: DiffusionModel, nu: NuMeasure) -> tuple[bool,
     slowly diverging integral may pass; this is a screen, not a proof.
     """
     pack = _grid_pack(model)
+    ys = _cdf_table(model).nodes
     C1, C2 = pack.cum[1], pack.cum[3]
 
     def inner(x: float) -> float:
         F, Fbar, run = _running(model, [x, min(0.0, x), max(0.0, x)])
-        c1 = np.where(pack.ys <= x, C1, run[1, 0]) - run[1, 1]
-        c2 = run[3, 2] - np.where(pack.ys > x, C2, run[3, 0])
+        c1 = np.where(ys <= x, C1, run[1, 0]) - run[1, 1]
+        c2 = run[3, 2] - np.where(ys > x, C2, run[3, 0])
         g = 2.0 * (Fbar[0] * c1 + F[0] * c2)
         return float((pack.mass * g * g).sum())
 
@@ -521,20 +501,22 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
                          nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(weight primitive at xi)^2] converges."""
     pack = _grid_pack(model)
-    P = primitive(wf, model, float(pack.ys[0]), float(pack.ys[-1]))
-    Pys = np.asarray(P(pack.ys), dtype=float)
-    hys = np.broadcast_to(np.asarray(_vec_call(wf.h, pack.ys)), pack.ys.shape)
+    table = _cdf_table(model)
+    ys = table.nodes
+    P = primitive(wf, model, table.lo, table.hi)
+    Pys = np.asarray(P(ys), dtype=float)
+    hys = np.broadcast_to(np.asarray(_vec_call(wf.h, ys)), ys.shape)
 
     def inner(x: float) -> float:
-        if pack.ys[0] <= x <= pack.ys[-1]:
+        if table.lo <= x <= table.hi:
             px = float(P(x))
         else:
             # every primitive here is based at 0, so P(x) is the kernel to 0
             px = kernel(wf, model, x, 0.0)
         # g(y) = int_0^y of the integrand, by a cumulative trapezoid
-        vals = np.where(pack.ys < x, 2.0 * (px - Pys) * hys, 0.0)
-        g = np.concatenate([[0.0], np.cumsum(0.5 * pack.h * (vals[1:] + vals[:-1]))])
-        g -= np.interp(0.0, pack.ys, g)
+        vals = np.where(ys < x, 2.0 * (px - Pys) * hys, 0.0)
+        g = np.concatenate([[0.0], np.cumsum(0.5 * table.step * (vals[1:] + vals[:-1]))])
+        g -= np.interp(0.0, ys, g)
         return float((pack.mass * g * g).sum())
 
     return _nu_weighted_screen(inner, nu)

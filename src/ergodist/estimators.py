@@ -32,6 +32,7 @@ from .errors import DivergenceError, EvaluationError
 from .model import (
     DiffusionModel,
     _density_integrand,
+    _Hermite,
     _positive,
     _running_from,
     _sigma_sq,
@@ -43,8 +44,8 @@ from .model import (
 from .numerics import QuadratureSpec, compensated_sum, integrate
 from .simulate import Path
 
-# grid step of the linearly interpolated primitive table, used for custom
-# weights and for models without a constant diffusion coefficient
+# node step of the primitive table, used for custom weights and for models
+# without a constant diffusion coefficient
 _LINEAR_STEP = 1e-3
 _TABLE_PANEL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=30)
 
@@ -99,9 +100,9 @@ def _poly_inv_h_primitive(p: int) -> Callable:
     for odd p), and each pair's logarithms combine into
     2 c_k atanh(2 c_k u/(1 + u^2)). So no u^2 is formed, P is finite and
     within pi/(2p sin(pi/2p)) of 0 for every u (infinities included),
-    P(0) = 0 exactly, and it matches scipy's quad to about 1e-15 absolute.
-    Terms are added one at a time in place, so an array argument costs two
-    temporaries of its size.
+    P(0) = 0 exactly, and it matches QUADPACK quadrature to about 1e-15
+    absolute. Terms are added one at a time in place, so an array argument
+    costs two temporaries of its size.
     """
     pairs = [(math.cos(t), math.sin(t))
              for t in (math.pi * (2 * k + 1) / (2 * p) for k in range(p // 2))]
@@ -172,9 +173,10 @@ def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> Weig
 # kernel primitive: P with P' = 1/(sigma^2 * h)
 # ---------------------------------------------------------------------------
 
-class _PrimitiveTable:
+class _PrimitiveTable(_Hermite):
     """Tabulated antiderivative of 1/(sigma^2 h) on [lo, hi], base point 0,
-    linearly interpolated between nodes _LINEAR_STEP apart."""
+    cubic Hermite between nodes _LINEAR_STEP apart with the exact slopes
+    1/(sigma^2 h)."""
 
     def __init__(self, wf: WeightFunction, model: DiffusionModel, lo: float, hi: float):
         step = _LINEAR_STEP
@@ -182,13 +184,9 @@ class _PrimitiveTable:
         hi = math.ceil(max(hi, 0.0) / step) * step
         n = int(round((hi - lo) / step))
         nodes = lo + step * np.arange(n + 1)
-        panels = _table_panels(f"primitive table of the {wf.kind} weight", model.label,
-                               _kernel_integrand(wf, model), nodes, _TABLE_PANEL_SPEC)
-        vals = _running_from(panels, int(round((0.0 - lo) / step)))
-        self.lo = float(nodes[0])
-        self.hi = float(nodes[-1])
-        self._nodes = nodes
-        self._vals = vals
+        panels, slopes = _table_panels(f"primitive table of the {wf.kind} weight", model.label,
+                                       _kernel_integrand(wf, model), nodes, _TABLE_PANEL_SPEC)
+        super().__init__(nodes, _running_from(panels, int(round((0.0 - lo) / step))), slopes)
 
     def __call__(self, u):
         arr = np.asarray(u, dtype=float)
@@ -197,7 +195,7 @@ class _PrimitiveTable:
                 float(arr.min() if arr.min() < self.lo else arr.max()),
                 "primitive table queried outside its window (internal rebuild bug)",
             )
-        out = np.interp(arr, self._nodes, self._vals)
+        out = super().__call__(arr)
         return float(out) if np.ndim(u) == 0 else out
 
 
@@ -224,8 +222,7 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
 
     Closed form for the built-in weights on a constant-sigma model;
     otherwise (custom weights, or sigma depending on the state) a memoized
-    table, linearly interpolated on a 1e-3 grid - a documented accuracy
-    trade-off.
+    table on a 1e-3 grid, cubic Hermite between its nodes.
     """
     closed = _closed_primitive(wf, model)
     if closed is not None:

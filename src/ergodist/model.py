@@ -12,21 +12,20 @@ is finite, the process is ergodic with invariant density
 
 This module computes the scale exponent and scale function, G(S), the
 invariant density/CDF/quantile, stationary expectations, and a numerical
-ergodicity screen. Per-model caches (normalizer, exponent and CDF tables)
-are write-once; racing writers compute identical values, so instances are
-safe for concurrent reads.
+ergodicity screen. F, 1 - F and the quantile all read one distribution
+table per model. Per-model caches (normalizer, exponent and distribution
+tables) are write-once; racing writers compute identical values, so
+instances are safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DivergenceError,
@@ -37,6 +36,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _evaluate,
     integrate,
     integrate_line,
     integrate_panels,
@@ -47,8 +47,11 @@ from .numerics import (
 _EXP_LIMIT = 709.0
 # per-panel tolerance for cumulative tables (errors accumulate across panels)
 _PANEL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=30)
-_CDF_PANELS = 2048
-_EXP_PANELS = 1024
+_CDF_PANELS = 8192
+# node step of a custom model's exponent table, and the halfwidth past which
+# it is not grown (a query there means a law too wide to tabulate)
+_EXP_STEP = 1.0 / 128.0
+_EXP_MAX_HALFWIDTH = 1024.0
 # one-sided mass below this is treated as numerically zero when locating
 # the support cutoffs of the invariant law
 _TAIL_MASS = 1e-13
@@ -210,16 +213,47 @@ def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
 
 
 def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """Integrals of ``f`` over a table's panels; one RuntimeWarning naming
-    the x-range of the panels that did not converge."""
+                  spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of ``f`` over a table's panels, and ``f`` at its nodes; one
+    RuntimeWarning naming the x-range of the panels that did not converge."""
     values, _, converged = integrate_panels(f, nodes, spec)
     bad = np.flatnonzero(~converged)
     if bad.size:
         lo, hi = float(nodes[bad[0]]), float(nodes[bad[-1] + 1])
         warnings.warn(f"{what} of {label}: quadrature did not converge on {bad.size} of "
                       f"{converged.size} panels in [{lo!r}, {hi!r}]", RuntimeWarning, stacklevel=3)
-    return values
+    return values, _evaluate(f, nodes)
+
+
+class _Hermite:
+    """Cubic Hermite interpolant on uniform nodes from node values and their
+    exact slopes. 2-d ``values`` and ``slopes`` hold several functions as
+    rows, interpolated together (the result gets a leading row axis).
+    Arguments are clipped to [lo, hi]. Between nodes a smooth g is matched
+    to within step^4 max|g''''| / 384, plus the node errors."""
+
+    def __init__(self, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray):
+        self.nodes, self.values, self.slopes = nodes, values, slopes
+        self.lo, self.hi = float(nodes[0]), float(nodes[-1])
+        self.step = float(nodes[1] - nodes[0])
+
+    def cell(self, x):
+        """For each x, clipped and flattened: the index k of the node at or
+        below it and its distance past that node in steps, s in [0, 1]."""
+        x = np.clip(np.ravel(np.asarray(x, dtype=float)), self.lo, self.hi)
+        k = np.minimum(((x - self.lo) / self.step).astype(np.intp), self.nodes.size - 2)
+        return k, (x - self.nodes.take(k)) / self.step
+
+    def __call__(self, x):
+        k, s = self.cell(x)
+        t = 1.0 - s
+        v, m = self.values, self.slopes
+        vk = v.take(k, axis=-1)
+        # v_k + b (v_k+1 - v_k) rather than a v_k + b v_k+1, so equal node
+        # values give exactly that value and monotone data stay monotone
+        out = (vk + s * s * (3.0 - 2.0 * s) * (v.take(k + 1, axis=-1) - vk)
+               + self.step * s * t * (t * m.take(k, axis=-1) - s * m.take(k + 1, axis=-1)))
+        return out.reshape(v.shape[:-1] + np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -241,50 +275,31 @@ def scale_exponent(model: DiffusionModel, y: float) -> float:
     return -2.0 * integrate(integrand, y, 0.0).value
 
 
-class _UniformCubic:
-    """Cubic interpolant on uniform nodes with a cheap scalar fast path."""
+def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
+    """Scale-exponent table of a custom model on the nodes k/128 of [-w, w],
+    w >= halfwidth, with the exact slopes 2S/sigma^2.
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray,
-                 deriv_lo: float, deriv_hi: float):
-        self.lo = float(nodes[0])
-        self.hi = float(nodes[-1])
-        self.step = float(nodes[1] - nodes[0])
-        self.n = len(nodes) - 1
-        self.spline = CubicSpline(nodes, values, bc_type=((1, deriv_lo), (1, deriv_hi)))
-        # per-interval [c3, c2, c1, c0] as plain floats for scalar calls
-        self._coefs = self.spline.c.T.tolist()
-        self.node_values = values.tolist()
-
-    def scalar(self, x: float) -> float:
-        if x <= self.lo:
-            return self.node_values[0]
-        if x >= self.hi:
-            return self.node_values[-1]
-        k = int((x - self.lo) / self.step)
-        if k >= self.n:
-            k = self.n - 1
-        c3, c2, c1, c0 = self._coefs[k]
-        dx = x - (self.lo + k * self.step)
-        return ((c3 * dx + c2) * dx + c1) * dx + c0
-
-    def vector(self, xs: np.ndarray) -> np.ndarray:
-        return self.spline(np.clip(xs, self.lo, self.hi))
-
-
-def _exponent_table(model: DiffusionModel, halfwidth: float) -> _UniformCubic:
-    """Cumulative-quadrature table for the scale exponent of a custom model."""
+    A query past the edge rebuilds it at least twice as wide at the same
+    step: the panels are the same and the sums run outward from 0, so the
+    values at the old nodes do not move. Past _EXP_MAX_HALFWIDTH it raises
+    DivergenceError instead.
+    """
     cached = model._cache.get("exp_table")
-    if cached is not None and cached.lo <= -halfwidth and cached.hi >= halfwidth:
+    if cached is not None and cached.hi >= halfwidth:
         return cached
+    if not halfwidth <= _EXP_MAX_HALFWIDTH:
+        raise DivergenceError(
+            f"scale exponent of {model.label} asked for at |y| = {halfwidth!r}, past the "
+            f"table limit {_EXP_MAX_HALFWIDTH!r}: the law is too wide or not ergodic")
     w = max(halfwidth, DEFAULT_QUADRATURE.initial_halfwidth)
     if cached is not None:
-        w = max(w, 2.0 * cached.hi)
+        w = min(max(w, 2.0 * cached.hi), _EXP_MAX_HALFWIDTH)
+    n = math.ceil(w / _EXP_STEP)
+    nodes = np.arange(-n, n + 1) * _EXP_STEP
     integrand = lambda v: model.drift(v) / _sigma_sq(model, v)
-    nodes = np.linspace(-w, w, 2 * _EXP_PANELS + 1)
-    panels = _table_panels("scale exponent table", model.label, integrand, nodes, _PANEL_SPEC)
-    vals = _running_from(2.0 * panels, _EXP_PANELS)  # node _EXP_PANELS is 0.0
-    table = _UniformCubic(nodes, vals, 2.0 * integrand(float(nodes[0])),
-                          2.0 * integrand(float(nodes[-1])))
+    panels, slopes = _table_panels("scale exponent table", model.label, integrand, nodes,
+                                   _PANEL_SPEC)
+    table = _Hermite(nodes, _running_from(2.0 * panels, n), 2.0 * slopes)  # node n is 0.0
     model._cache["exp_table"] = table
     return table
 
@@ -292,14 +307,14 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _UniformCubic:
 def _exponent_scalar(model: DiffusionModel, y: float) -> float:
     if model.scale_exponent_closed is not None:
         return float(model.scale_exponent_closed(y))
-    return _exponent_table(model, abs(y)).scalar(y)
+    return float(_exponent_table(model, abs(y))(y))
 
 
 def _exponent_vec(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
     if model.scale_exponent_closed is not None:
         return _vec_call(model.scale_exponent_closed, ys)
     halfwidth = float(np.max(np.abs(ys))) if ys.size else 1.0
-    return _exponent_table(model, halfwidth).vector(ys)
+    return _exponent_table(model, halfwidth)(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +394,6 @@ def _density_vec(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
     return num / (g * _vec_call(model.diffusion_sq, ys))
 
 
-@dataclass
-class _CdfTable:
-    lo: float
-    hi: float
-    interp: _UniformCubic
-    surv_interp: _UniformCubic
-    node_xs: list[float]
-    node_vals: list[float]
-    step: float
-
-
 def _tail_cutoff(model: DiffusionModel, side: int) -> float:
     """Abscissa beyond which the one-sided invariant mass is < _TAIL_MASS."""
     f = _density_integrand(model)
@@ -406,89 +410,59 @@ def _tail_cutoff(model: DiffusionModel, side: int) -> float:
             raise DivergenceError("invariant mass tail did not fall off; model not ergodic?")
 
 
-def _cdf_table(model: DiffusionModel) -> _CdfTable:
+def _cdf_table(model: DiffusionModel) -> _Hermite:
+    """The model's distribution table: _CDF_PANELS + 1 nodes over [lo, hi],
+    beyond which each tail holds less than _TAIL_MASS, with the rows F and
+    1 - F and their exact slopes f and -f. F is summed from the left tail
+    and 1 - F from the right, so each keeps its relative accuracy in its
+    own tail."""
     cached = model._cache.get("cdf_table")
     if cached is not None:
         return cached
     g = normalizing_constant(model)
     lo = _tail_cutoff(model, -1)
     hi = _tail_cutoff(model, +1)
-    raw = _density_integrand(model)
-    f = lambda y: raw(y) / g
     nodes = np.linspace(lo, hi, _CDF_PANELS + 1)
-    panels = _table_panels("CDF table", model.label, raw, nodes, _PANEL_SPEC) / g
-    vals = np.concatenate([[0.0], np.cumsum(panels)])
-    np.maximum.accumulate(vals, out=vals)
-    # Survival values accumulate from the right so 1 - F keeps full relative
-    # accuracy in the right tail (the two differ there by float cancellation).
-    surv = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-    np.minimum.accumulate(surv, out=surv)
-    interp = _UniformCubic(nodes, vals, f(float(nodes[0])), f(float(nodes[-1])))
-    surv_interp = _UniformCubic(nodes, surv, -f(float(nodes[0])), -f(float(nodes[-1])))
-    table = _CdfTable(lo=float(lo), hi=float(hi), interp=interp, surv_interp=surv_interp,
-                      node_xs=nodes.tolist(), node_vals=vals.tolist(),
-                      step=float(nodes[1] - nodes[0]))
+    panels, f = _table_panels("CDF table", model.label, _density_integrand(model), nodes,
+                              _PANEL_SPEC)
+    panels, f = panels / g, f / g
+    F = np.concatenate([[0.0], np.cumsum(panels)])
+    np.maximum.accumulate(F, out=F)
+    Fbar = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
+    np.minimum.accumulate(Fbar, out=Fbar)
+    table = _Hermite(nodes, np.stack([F, Fbar]), np.stack([f, -f]))
     model._cache["cdf_table"] = table
     return table
 
 
+def _cdf_pair(model: DiffusionModel, xs):
+    """F_S and 1 - F_S at xs (a float or an array), clamped to [0, 1], from
+    the distribution table; stacked as the two rows of one array."""
+    pair = _cdf_table(model)(xs)
+    return np.clip(pair, 0.0, 1.0, out=pair)
+
+
 def invariant_cdf(model: DiffusionModel, x: float) -> float:
-    """F_S(x) by tail-truncated cumulative quadrature, clamped to [0, 1].
-
-    Node values are accumulated once per model; a call integrates the
-    density over the partial panel from the nearest node below x.
-    """
-    t = _cdf_table(model)
-    if x <= t.lo:
-        return 0.0
-    if x >= t.hi:
-        return 1.0
-    k = int((x - t.lo) / t.step)
-    k = min(k, len(t.node_xs) - 2)
-    base = t.node_vals[k]
-    xk = t.node_xs[k]
-    if x > xk:
-        g = normalizing_constant(model)
-        base += integrate(_density_integrand(model), xk, x, _PANEL_SPEC).value / g
-    return min(1.0, max(0.0, base))
-
-
-def _cdf_fast(model: DiffusionModel, x: float) -> float:
-    """Spline CDF lookup for hot integrands; agrees with invariant_cdf to ~1e-9."""
-    t = _cdf_table(model)
-    return min(1.0, max(0.0, t.interp.scalar(x)))
-
-
-def _cdf_vec(model: DiffusionModel, xs: np.ndarray) -> np.ndarray:
-    t = _cdf_table(model)
-    return np.clip(t.interp.vector(np.asarray(xs, dtype=float)), 0.0, 1.0)
-
-
-def _survival_fast(model: DiffusionModel, x: float) -> float:
-    """1 - F_S(x) with full relative accuracy in the right tail."""
-    t = _cdf_table(model)
-    return min(1.0, max(0.0, t.surv_interp.scalar(x)))
-
-
-def _survival_vec(model: DiffusionModel, xs: np.ndarray) -> np.ndarray:
-    t = _cdf_table(model)
-    return np.clip(t.surv_interp.vector(np.asarray(xs, dtype=float)), 0.0, 1.0)
+    """F_S(x) from the model's distribution table, clamped to [0, 1]; the
+    table's end values outside its support [lo, hi]."""
+    return float(_cdf_pair(model, x)[0])
 
 
 def invariant_quantile(model: DiffusionModel, u: float, tol: float = 1e-10) -> float:
-    """x with |F_S(x) - u| <= tol; bracket taken from the CDF node table."""
+    """x with |F_S(x) - u| <= tol: bracketed by two nodes of the
+    distribution table, then inverted on its F."""
     if not (0.0 < u < 1.0):
         raise ValueError(f"quantile level must lie in (0, 1), got {u!r}")
     t = _cdf_table(model)
-    if u <= t.node_vals[0] + 1e-12 or u >= t.node_vals[-1] - 1e-12:
+    F = t.values[0]
+    if u <= F[0] + 1e-12 or u >= F[-1] - 1e-12:
         raise TailError(
             f"quantile level {u!r} is deeper than the quadrature truncation "
-            f"range [{t.node_vals[0]!r}, {t.node_vals[-1]!r}] supports"
+            f"range [{float(F[0])!r}, {float(F[-1])!r}] supports"
         )
-    k = bisect.bisect_left(t.node_vals, u)
-    k = max(1, min(k, len(t.node_xs) - 1))
-    lo, hi = t.node_xs[k - 1], t.node_xs[k]
-    return invert_monotone(lambda x: invariant_cdf(model, x), u, lo, hi, tol)
+    k = min(max(int(np.searchsorted(F, u)), 1), F.size - 1)
+    return invert_monotone(lambda x: invariant_cdf(model, x), u,
+                           float(t.nodes[k - 1]), float(t.nodes[k]), tol)
 
 
 def stationary_expectation(

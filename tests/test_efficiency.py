@@ -113,6 +113,16 @@ class TestInfluenceNumerator:
                 influence_numerator(ou, y, x), abs=1e-12
             )
 
+    def test_tails_relative_accuracy(self, ou):
+        # F(y)(1 - F(0)) left of 0 and F(0)(1 - F(y)) right of it, N(0, 1/2) law
+        from scipy.stats import norm
+
+        ys = np.linspace(-6.0, 6.0, 1201)
+        z = ys * math.sqrt(2.0)
+        ref = np.where(ys <= 0.0, 0.5 * norm.cdf(z), 0.5 * norm.sf(z))
+        got = np.array([influence_numerator(ou, 0.0, float(y)) for y in ys])
+        assert np.max(np.abs(got / ref - 1.0)) <= 5e-8
+
 
 class TestLocalVariance:
     def test_matches_trapezoid_oracle(self, ou):

@@ -103,6 +103,15 @@ class TestKernel:
             expect = quad(lambda u: 1.0 / (1.0 + u**4), y, x, epsabs=1e-12)[0]
             assert kernel(wf, ou, x, y) == pytest.approx(expect, abs=1e-9)
 
+    def test_primitive_table_between_nodes(self, ou):
+        # a custom weight is tabulated on a 1e-3 grid; the points are off its nodes
+        wf = custom_weight(h=lambda u: 1.0 + u**4, h_prime=lambda u: 4.0 * u**3)
+        P = primitive(wf, ou, -3.0, 3.0)
+        us = [-2.7182818, -1.2345678, -0.0004999, 0.3333333, 0.7071068, 1.4142136, 2.9999]
+        for u in us:
+            expect = quad(lambda v: 1.0 / (1.0 + v**4), 0.0, u, epsabs=1e-13, epsrel=1e-13)[0]
+            assert P(u) == pytest.approx(expect, abs=1e-11)
+
     def test_unconverged_primitive_table_warns(self, ou, monkeypatch):
         monkeypatch.setattr(estimators, "_TABLE_PANEL_SPEC",
                             QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=1))

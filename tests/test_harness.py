@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,26 +167,35 @@ _PINNED = {
                 "nu": "uniform:-2,2", "grid": {"lo": -2.5, "hi": 2.5, "count": 21},
                 "workers": 2},
 }
-# sha256 of the files written with numpy 2.4.6 by the code whose quadrature
-# tables (G(S), and the CDF table behind the truth and the quantile starts)
-# come from the G7/K15 panel integrator, numerics.integrate_panels;
-# result.json is hashed without the reports' "aborted" keys, which the test
-# checks are 0.
+# sha256 of the files written with numpy 2.4.6 by the code whose truth
+# curve, quantile starts and bound read one per-model distribution table
+# (node values from the G7/K15 panel integrator, cubic Hermite between
+# nodes); result.json is hashed without the reports' "aborted" keys, which
+# the test checks are 0.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_SHA256 = {
     "ou": {
-        "risk_edf.csv": "7f5aa379613a5dbaa1e00cce7f512be612e05e28572fe7aebe158effaac32921",
-        "risk_unbiased_exp.csv": "93f30c69834bb14a0e412ddaf8661c48787abf8049046288c0214642c55facdb",
-        "risk_unbiased_poly.csv": "0b4fc2eeebfaf61004f20867fd6f4d0a7cb6106e4c6432959344ae6f6b7e9850",
-        "result.json": "2c74282b1941be000117463aa762ae35ed187e09dad5c48abfb2d9d30e79d2b6",
+        "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
+        "risk_unbiased_exp.csv": "fd654c5633e122c6e62d0b96af9b608ac6c16f68ce32ef64022f26f02474f38d",
+        "risk_unbiased_poly.csv": "70c33e78b5a3f3bf15647d5f31ec9f78332e7393a7a3599a654f6fa54b8bc65d",
+        "result.json": "fc0748fcd78f0eacbfc864081bb8d17aafbfe26d3af7b0233d530761f2055df5",
     },
     "quartic": {
-        "risk_edf.csv": "9c285358d62b50fcbd014cff72804b05a67e4072f2cdfe1c23b0902d58795d80",
-        "risk_unbiased_exp.csv": "a181ee74587b9a7824d4d4cb59c5397ee2081fc89c82845449036842b6565c19",
-        "risk_unbiased_poly.csv": "0b2c8c0de8ae7509075e95326e5cf789fdfb57e3c05e3c032857775abfff1daf",
-        "result.json": "dac2b2a89189c304dfd077119aed8df1941cc81e0695afc979bcf399aa726e08",
+        "risk_edf.csv": "30d0acf8fa4accf170eca2bc4320ea5da1b7aa0332b017a3f2dd243640167676",
+        "risk_unbiased_exp.csv": "5dc2996cfe61e962d879e94946f96f705cff45622b1d26b7d3b5b78d1911497f",
+        "risk_unbiased_poly.csv": "81a4ba0ec972ed4ebbfa88706ca0d028494319837af5fac71e4d8fab24dc22b0",
+        "result.json": "672f2e9dc1cd132a0492a219fcca0acfc4f0cd2a2d4f30d5c39ffa9feaec8f5e",
     },
 }
+
+
+class TestImport:
+    def test_package_import_leaves_scipy_out(self):
+        code = "import sys, ergodist; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestByteIdentity:

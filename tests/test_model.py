@@ -129,6 +129,14 @@ class TestInvariantCdf:
         for x in np.linspace(-20, 20, 41):
             assert 0.0 <= invariant_cdf(ou, float(x)) <= 1.0
 
+    def test_left_tail_relative_accuracy(self, ou):
+        # the law of OU(1, 1) is N(0, 1/2); F(-6) is about 1e-17
+        from scipy.stats import norm
+
+        ys = np.linspace(-6.0, 0.0, 601)
+        got = np.array([invariant_cdf(ou, float(y)) for y in ys])
+        assert np.max(np.abs(got / norm.cdf(ys * math.sqrt(2.0)) - 1.0)) <= 5e-8
+
 
 class TestInvariantQuantile:
     def test_median(self, ou):
@@ -137,10 +145,10 @@ class TestInvariantQuantile:
     def test_inverse_of_cdf_oracle(self, ou):
         assert invariant_quantile(ou, 0.9213504) == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("u", [0.1, 0.5, 0.99])
-    def test_round_trip(self, ou, u):
-        x = invariant_quantile(ou, u)
-        assert invariant_cdf(ou, x) == pytest.approx(u, abs=1e-9)
+    @pytest.mark.parametrize("u", [1e-9, 1e-4, 0.013, 0.1, 0.5, 0.81, 0.99, 1.0 - 1e-9])
+    def test_round_trip(self, ou, quartic, u):
+        for model in (ou, quartic):
+            assert abs(invariant_cdf(model, invariant_quantile(model, u)) - u) <= 1e-10
 
     def test_invalid_level_rejected(self, ou):
         with pytest.raises(ValueError):
@@ -260,6 +268,27 @@ def unconverged_ranges(record, what):
         if m:
             out.append((m.group(1), float(m.group(2)), float(m.group(3))))
     return out
+
+
+class TestExponentTable:
+    def test_widening_keeps_step_and_values(self):
+        m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                           diffusion_sq=lambda x: 1.0, label="custom")
+        ys = np.linspace(-8.0, 8.0, 1001)
+        assert scale_function(m, 1.0) > 0.0  # builds the table at y = 1
+        first = model_module._exponent_table(m, 1.0)
+        before = first(ys)
+        invariant_density(m, 60.0)
+        wide = model_module._exponent_table(m, 60.0)
+        assert wide.hi >= 60.0 and wide.step == first.step == 1.0 / 128.0
+        assert np.array_equal(wide(ys), before)
+        assert np.max(np.abs(before + ys * ys)) < 1e-12  # 2 int_0^y (-v) dv = -y^2
+
+    def test_query_past_the_limit_is_divergence(self):
+        m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                           diffusion_sq=lambda x: 1.0, label="custom")
+        with pytest.raises(DivergenceError):
+            model_module._exponent_table(m, 2.0 * model_module._EXP_MAX_HALFWIDTH)
 
 
 class TestTableConvergence:
