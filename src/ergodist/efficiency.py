@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, RiskRunError, TailError
 from .estimators import (
+    CurveAccumulator,
     EstimatorChoice,
     WeightFunction,
     as_estimator,
@@ -57,7 +58,7 @@ from .numerics import (
     integrate,
     integrate_line,
 )
-from .simulate import Path, SimConfig, block_size, derive_substream_seed, simulate_block
+from .simulate import Path, SimConfig, derive_substream_seed, simulate_block, stream_block
 
 # relaxed tolerances for condition screens (flags, not truth values)
 _SCREEN_OUTER = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, max_depth=32, tail_tol=1e-9)
@@ -258,8 +259,7 @@ def influence_numerator(model: DiffusionModel, x: float, y: float) -> float:
     Evaluated as F(y) * (1 - F(x)) for y <= x and F(x) * (1 - F(y))
     otherwise, with 1 - F read from the distribution table's right-tail
     sums, so the value keeps relative accuracy deep in both tails."""
-    F, Fbar = _cdf_pair(model, [min(x, y), max(x, y)])
-    return float(F[0] * Fbar[1])
+    return float(_cdf_pair(model, float(min(x, y)))[0] * _cdf_pair(model, float(max(x, y)))[1])
 
 
 def local_variance(model: DiffusionModel, x):
@@ -613,17 +613,30 @@ class _RiskContext:
 
 def _block_errors(ctx: _RiskContext, reps: range) -> list[list[np.ndarray] | None]:
     """Simulate replications ``reps`` as one block; per replication, each
-    estimator's error curve, or None where the path exploded."""
+    estimator's error curve, or None where the path exploded.
+
+    The paths stream through one :class:`CurveAccumulator` and are not
+    stored. A custom ``curve_fn`` estimator reads whole paths, so a block
+    with one stores its rows (:func:`simulate_block`, the same stream) and
+    each row goes through :func:`estimate_curves`, which gives the other
+    estimators the same curves bit for bit.
+    """
     seeds = [derive_substream_seed(ctx.sim.seed, r) for r in reps]
-    block = simulate_block(ctx.model, ctx.sim, seeds)
-    out: list[list[np.ndarray] | None] = []
-    for j in range(len(seeds)):
-        if block.exploded[j] >= 0:
-            out.append(None)
-            continue
-        curves = estimate_curves(block.path(j), ctx.eval_xs, ctx.choices, ctx.model)
-        out.append([c.values - ctx.truth for c in curves])
-    return out
+    if any(c.kind == "custom" for c in ctx.choices):
+        block = simulate_block(ctx.model, ctx.sim, seeds)
+        exploded = block.exploded
+        rows = [None if exploded[j] >= 0 else
+                [c.values for c in estimate_curves(block.path(j), ctx.eval_xs, ctx.choices,
+                                                   ctx.model)]
+                for j in range(len(seeds))]
+    else:
+        acc = CurveAccumulator(ctx.eval_xs, ctx.choices, ctx.model, len(seeds),
+                               ctx.sim.n_steps, ctx.sim.dt)
+        exploded = stream_block(ctx.model, ctx.sim, seeds, acc.add)
+        curves = acc.curves(exploded >= 0)
+        rows = [None if exploded[j] >= 0 else [v[j] for v in curves]
+                for j in range(len(seeds))]
+    return [None if r is None else [v - ctx.truth for v in r] for r in rows]
 
 
 _POOL_CTX: _RiskContext | None = None
@@ -646,15 +659,18 @@ def empirical_risk(
 
     ``estimator`` is one estimator choice, or a list of them, which gives
     a list of reports in the same order. Simulates ``replications``
-    stationary paths with deterministic substream seeds, each once in
-    blocks of ``block_size`` paths, evaluates every estimator curve on a
-    fixed grid (shared paths and evaluation points reduce comparison
-    variance), and reports per-x bias, the variance of sqrt(T)-scaled
-    errors, the scaled integrated risk rho = T * mean over reps of the
-    nu-integral of squared error, and the ratio to the quadrature bound.
-    Blocks run in a process pool when ``workers > 1``. Reductions run in
-    replication order with compensated summation, so results do not depend
-    on the block size or on worker scheduling.
+    stationary paths with deterministic substream seeds, each once, as
+    one block of ceil(replications / workers) paths per worker stepped as
+    one vector. Every estimator curve on the fixed grid (shared paths and
+    evaluation points reduce comparison variance) is read off per-cell
+    sums streamed from the block, which stores no path. Reports per-x
+    bias, the variance of sqrt(T)-scaled errors, the scaled integrated
+    risk rho = T * mean over reps of the nu-integral of squared error, and
+    the ratio to the quadrature bound. Blocks run in a process pool when
+    ``workers > 1``. A path's curves do not depend on the other paths of
+    its block, and reductions run in replication order with compensated
+    summation, so results do not depend on how replications are split
+    into blocks or on worker scheduling.
 
     Replications whose path explodes are dropped; more than 1% of them
     aborting fails the run.
@@ -687,7 +703,7 @@ def empirical_risk(
     sim_r = replace(sim, init="stationary", store_wiener=False)
     ctx = _RiskContext(model=model, choices=choices, sim=sim_r, eval_xs=eval_xs, truth=truth)
 
-    size = min(block_size(sim.n_steps), -(-replications // max(1, workers)))
+    size = -(-replications // max(1, workers))
     blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
     errors = [e for b in _run_blocks(ctx, blocks, workers) for e in b]
 

@@ -36,17 +36,24 @@ from .model import (
     _positive,
     _running_from,
     _sigma_sq,
+    _support,
     _table_panels,
     _vec_call,
     normalizing_constant,
     stationary_expectation,
 )
-from .numerics import QuadratureSpec, compensated_sum, integrate
-from .simulate import Path
+from .numerics import QuadratureSpec, integrate, integrate_panels
+from .simulate import _CHUNK_STEPS, Path
 
 # node step of the primitive table, used for custom weights and for models
-# without a constant diffusion coefficient
-_LINEAR_STEP = 1e-3
+# without a constant diffusion coefficient: a power of two, so every node
+# k * step is exact
+_LINEAR_STEP = 2.0**-10
+# full chunks of a stored path the curve accumulator takes at a time
+_PATH_CHUNKS = 64
+# multiple of the model's support halfwidth past which a path is not read
+# through a tabulated primitive
+_PRIMITIVE_REACH = 4.0
 _TABLE_PANEL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=30)
 
 
@@ -174,29 +181,28 @@ def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> Weig
 # ---------------------------------------------------------------------------
 
 class _PrimitiveTable(_Hermite):
-    """Tabulated antiderivative of 1/(sigma^2 h) on [lo, hi], base point 0,
-    cubic Hermite between nodes _LINEAR_STEP apart with the exact slopes
-    1/(sigma^2 h)."""
+    """Tabulated antiderivative of 1/(sigma^2 h), 0 at 0, on the nodes
+    k * _LINEAR_STEP that cover [lo, hi] and 0, cubic Hermite between them
+    with the exact slopes 1/(sigma^2 h). The panel integrals are summed
+    outward from the node at 0 and cells are counted from it, so a wider
+    table gives bit for bit the values of a narrower one inside it."""
 
     def __init__(self, wf: WeightFunction, model: DiffusionModel, lo: float, hi: float):
-        step = _LINEAR_STEP
-        lo = math.floor(min(lo, 0.0) / step) * step
-        hi = math.ceil(max(hi, 0.0) / step) * step
-        n = int(round((hi - lo) / step))
-        nodes = lo + step * np.arange(n + 1)
+        below = math.ceil(max(-lo, 0.0) / _LINEAR_STEP)
+        nodes = np.arange(-below, math.ceil(max(hi, 0.0) / _LINEAR_STEP) + 1) * _LINEAR_STEP
         panels, slopes = _table_panels(f"primitive table of the {wf.kind} weight", model.label,
                                        _kernel_integrand(wf, model), nodes, _TABLE_PANEL_SPEC)
-        super().__init__(nodes, _running_from(panels, int(round((0.0 - lo) / step))), slopes)
+        super().__init__(nodes, _running_from(panels, below), slopes, origin=below)
 
     def __call__(self, u):
-        arr = np.asarray(u, dtype=float)
-        if arr.size and (arr.min() < self.lo - 1e-12 or arr.max() > self.hi + 1e-12):
+        lo, hi = np.min(u, initial=self.lo), np.max(u, initial=self.hi)
+        if lo < self.lo - 1e-12 or hi > self.hi + 1e-12:
             raise EvaluationError(
-                float(arr.min() if arr.min() < self.lo else arr.max()),
+                float(lo if lo < self.lo else hi),
                 "primitive table queried outside its window (internal rebuild bug)",
             )
-        out = super().__call__(arr)
-        return float(out) if np.ndim(u) == 0 else out
+        out = super().__call__(u)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def _kernel_integrand(wf: WeightFunction, model: DiffusionModel) -> Callable:
@@ -222,33 +228,48 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
 
     Closed form for the built-in weights on a constant-sigma model;
     otherwise (custom weights, or sigma depending on the state) a memoized
-    table on a 1e-3 grid, cubic Hermite between its nodes.
+    table on a 2^-10 grid, first built over the model's support (the
+    distribution table's [lo, hi]) and [lo, hi]. A request past it widens
+    it at least twofold and moves none of the values it gave (see
+    :class:`_PrimitiveTable`), so no result depends on which path asked
+    first.
     """
     closed = _closed_primitive(wf, model)
     if closed is not None:
         return closed
     key = ("primitive", id(model))
     cached = wf._cache.get(key)
-    if cached is not None:
-        _, table = cached
+    if cached is None:
+        s_lo, s_hi = _support(model)
+        lo, hi = min(lo, s_lo), max(hi, s_hi)
+    else:
+        table = cached[1]
         if table.lo <= lo and table.hi >= hi:
             return table
-    if cached is not None:
-        _, old = cached
-        lo = min(lo, 2.0 * old.lo)
-        hi = max(hi, 2.0 * old.hi)
-    table = _PrimitiveTable(wf, model, lo - 1.0, hi + 1.0)
+        lo, hi = min(lo, 2.0 * table.lo), max(hi, 2.0 * table.hi)
+    table = _PrimitiveTable(wf, model, lo, hi)
     wf._cache[key] = (model, table)
     return table
 
 
 # ---------------------------------------------------------------------------
-# kernel and estimator coefficients (scalar contracts)
+# kernel and estimator coefficients (a float or an array of y)
 # ---------------------------------------------------------------------------
 
-def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
-    """K_x(y) = int_y^x dv/(sigma^2(v) h(v)); antisymmetric under swapping."""
+def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
+    """K_x(y) = int_y^x dv/(sigma^2(v) h(v)); antisymmetric under swapping.
+
+    For an array of y without a closed form, one panel integration over
+    the sorted points {y} and x, summed outward from x, gives every value.
+    """
     closed = _closed_primitive(wf, model)
+    if np.ndim(y) > 0:
+        y = np.asarray(y, dtype=float)
+        if closed is not None:
+            return closed(x) - closed(y)
+        pts, at = np.unique(np.append(y, x), return_inverse=True)
+        panels = integrate_panels(_kernel_integrand(wf, model), pts, _TABLE_PANEL_SPEC)[0]
+        return -_running_from(panels, int(at[-1]))[at[:-1]].reshape(y.shape)
     if closed is not None:
         return float(closed(x)) - float(closed(y))
     if x == y:
@@ -258,18 +279,24 @@ def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> flo
     return val if x >= y else -val
 
 
-def dx_weight(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
+def _below(x: float, y, coefficient: Callable):
+    """coefficient(y) where y < x and 0 elsewhere, for a float or an array
+    of y; an array is read at x in place of each y >= x."""
+    if np.ndim(y) == 0:
+        return float(coefficient(y)) if y < x else 0.0
+    below = np.asarray(y) < x
+    return np.where(below, coefficient(np.where(below, y, x)), 0.0)
+
+
+def dx_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Coefficient of dX in the estimator: 2*1{y<x}*K_x(y)*h(y); 0 for y >= x."""
-    if y >= x:
-        return 0.0
-    return 2.0 * kernel(wf, model, x, y) * float(wf.h(y))
+    return _below(x, y, lambda v: 2.0 * kernel(wf, model, x, v) * wf.h(v))
 
 
-def dt_weight(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
+def dt_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Coefficient of dt: 1{y<x}*K_x(y)*h'(y)*sigma^2(y); 0 for y >= x."""
-    if y >= x:
-        return 0.0
-    return kernel(wf, model, x, y) * float(wf.h_prime(y)) * float(model.diffusion_sq(y))
+    return _below(x, y, lambda v: kernel(wf, model, x, v) * wf.h_prime(v)
+                  * model.diffusion_sq(v))
 
 
 # ---------------------------------------------------------------------------
@@ -283,34 +310,15 @@ def edf(path: Path, x: float) -> float:
 
 
 def unbiased_estimate(path: Path, wf: WeightFunction, model: DiffusionModel, x: float) -> float:
-    """Left-endpoint discretization of the weight-function estimator at x.
+    """Left-endpoint discretization of the weight-function estimator at x:
+    its :func:`estimate_curves` curve at the one threshold x.
 
     Not clamped to [0, 1]: the estimator may leave the unit interval at
     finite T and clamping would break exact unbiasedness.
     """
     if len(path.values) < 2:
         raise ValueError("path needs at least 2 grid points")
-    left = path.values[:-1]
-    dX = np.diff(path.values)
-    dt = path.dt
-    T = path.horizon_T
-    lo = float(min(left.min(), x))
-    hi = float(max(left.max(), x))
-    P = primitive(wf, model, lo, hi)
-    mask = left < x
-    if not mask.any():
-        return 0.0
-    y = left[mask]
-    h = _vec_call(wf.h, y)
-    if not np.all(h > 0.0):
-        bad = float(y[int(np.argmin(h > 0.0))])
-        raise EvaluationError(bad, f"weight function must be positive, got h({bad!r}) <= 0")
-    K = float(P(x)) - np.asarray(P(y), dtype=float)
-    s2 = _vec_call(model.diffusion_sq, y)
-    hp = _vec_call(wf.h_prime, y)
-    ito = compensated_sum(2.0 * K * h * dX[mask])
-    leb = compensated_sum(K * hp * s2)
-    return (ito + dt * leb) / T
+    return float(estimate_curves(path, [x], [wf], model)[0].values[0])
 
 
 @dataclass(frozen=True)
@@ -376,50 +384,128 @@ class EstimateCurve:
             raise ValueError("curve values must be finite")
 
 
-def _unbiased_curve_values(
-    path: Path, wf: WeightFunction, model: DiffusionModel, xs: np.ndarray,
-    order: np.ndarray, k: np.ndarray,
-) -> np.ndarray:
-    """Shared-pass evaluation: one sort plus prefix sums serves every x.
+class CurveAccumulator:
+    """Per-cell sums of a block of paths, fed chunk by chunk, from which
+    every EDF and weight-function curve is read; no path is stored.
 
-    For each x the two sums only involve grid points with X_i < x, so after
-    ordering the left endpoints (``order``, a stable argsort) all cutoffs
-    become prefix-sum lookups at ``k``, the count of left endpoints below x.
+    A curve value at x sums, over the steps whose left endpoint X_i lies
+    below x, a term per step: 1 for the EDF; h dX, P h dX, h' sigma^2 and
+    P h' sigma^2 for each weight (P its kernel primitive). A chunk puts
+    each X_i in its cell, ``searchsorted(xs, X_i, side="right")``, sums
+    each term per (path, cell) with one weighted ``bincount`` and adds
+    that into the (statistic, path, cell) sums in step order; one
+    cumulative sum over the cells gives every curve. A tabulated
+    primitive is built before the first chunk and widened, moving none of
+    its values, up to _PRIMITIVE_REACH times the model's support.
+
+    A step that cannot be weighted (not finite, past that reach, or h <= 0
+    there) adds nothing: its path is about to explode, or else
+    :meth:`curves` raises. So a path that is dropped for exploding can
+    neither stop the block nor widen a table without bound.
     """
-    left = path.values[:-1]
-    dX = np.diff(path.values)
-    dt = path.dt
-    T = path.horizon_T
-    lo = float(min(left.min(), xs.min()))
-    hi = float(max(left.max(), xs.max()))
-    P = primitive(wf, model, lo, hi)
-    h = _vec_call(wf.h, left)
-    if not np.all(h > 0.0):
-        bad = float(left[int(np.argmin(h > 0.0))])
-        raise EvaluationError(bad, f"weight function must be positive, got h({bad!r}) <= 0")
-    hp = _vec_call(wf.h_prime, left)
-    s2 = _vec_call(model.diffusion_sq, left)
-    Pl = np.asarray(P(left), dtype=float)
 
-    a = h * dX
-    b = Pl * a
-    c = hp * s2
-    d = Pl * c
-    zero = np.zeros(1)
-    A = np.concatenate([zero, np.cumsum(a[order])])
-    B = np.concatenate([zero, np.cumsum(b[order])])
-    C = np.concatenate([zero, np.cumsum(c[order])])
-    D = np.concatenate([zero, np.cumsum(d[order])])
-    Px = np.asarray(P(xs), dtype=float)
-    return (2.0 * (Px * A[k] - B[k]) + dt * (Px * C[k] - D[k])) / T
+    def __init__(self, xs: np.ndarray, choices, model: DiffusionModel | None,
+                 paths: int, n_steps: int, dt: float):
+        self.xs, self.choices, self.model = xs, choices, model
+        self.n_steps, self.dt = n_steps, dt
+        self.weights = [c.weight for c in choices if c.kind == "unbiased"]
+        if self.weights and model is None:
+            raise ValueError("weight-function estimators need the model (sigma^2)")
+        # row 0 counts the steps (exact in floats), then 4 rows per weight
+        self.sums = np.zeros((1 + 4 * len(self.weights), paths, xs.size + 1))
+        self.failures: dict[int, float] = {}
+        self.reach = math.inf
+        for wf in self.weights:
+            primitive(wf, model, float(xs[0]), float(xs[-1]))
+            if _closed_primitive(wf, model) is None:
+                self.reach = _PRIMITIVE_REACH * max(abs(v) for v in (*_support(model),
+                                                                     xs[0], xs[-1]))
+
+    def add(self, cols: slice, start: int, states: np.ndarray, dw=None) -> None:
+        """The consumer of :func:`stream_block`: the steps between
+        consecutive rows of ``states``, shape (steps + 1, paths), of the
+        block's paths ``cols``."""
+        self._add(np.arange(cols.start, cols.stop), states[:-1], states[1:])
+
+    def add_path(self, j: int, values: np.ndarray) -> None:
+        """Stored path ``values`` as path j, in the chunks of steps a
+        streamed block takes; _PATH_CHUNKS full chunks are added at a time
+        as the columns of one array."""
+        n = len(values) - 1
+        full = n - n % _CHUNK_STEPS
+        span = _CHUNK_STEPS * _PATH_CHUNKS
+        for a in range(0, full, span):
+            b = min(a + span, full)
+            self._add(j, values[a:b].reshape(-1, _CHUNK_STEPS).T,
+                      values[a + 1:b + 1].reshape(-1, _CHUNK_STEPS).T)
+        if full < n:
+            self._add(j, values[full:n, None], values[full + 1:, None])
+
+    def _add(self, owner, before: np.ndarray, after: np.ndarray) -> None:
+        """Column i of ``before`` and ``after`` (shape (steps, columns)) is
+        a chunk of path ``owner[i]`` (or of path ``owner``); a step that
+        cannot be weighted is read at X = 0, dX = 0 (see the class)."""
+        k, cells = before.shape[1], self.sums.shape[2]
+        owner = np.broadcast_to(owner, k)
+        idx = (np.searchsorted(self.xs, before, side="right") + cells * np.arange(k)).ravel()
+        np.add.at(self.sums[0], owner, np.bincount(idx, minlength=k * cells).reshape(k, cells))
+        if not self.weights:
+            return
+        X = before.ravel()
+        dX = (after - before).ravel()
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(dX) | (np.abs(X) > self.reach)
+            hs = [_vec_call(wf.h, X) for wf in self.weights]
+            for h in hs:
+                bad |= ~(h > 0.0)
+        if bad.any():
+            at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
+            cols, first = np.unique(at % k, return_index=True)
+            for j, x in zip(owner[cols].tolist(), X[at[first]].tolist()):
+                self.failures.setdefault(j, x)
+            X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
+            hs = [_vec_call(wf.h, X) for wf in self.weights]
+        s2 = _vec_call(self.model.diffusion_sq, X)
+        lo, hi = float(X.min()), float(X.max())
+        for w, (wf, h) in enumerate(zip(self.weights, hs)):
+            PX = np.asarray(primitive(wf, self.model, lo, hi)(X), dtype=float)
+            a = h * dX
+            c = _vec_call(wf.h_prime, X) * s2
+            for r, term in enumerate((a, PX * a, c, PX * c)):
+                np.add.at(self.sums[1 + 4 * w + r], owner,
+                          np.bincount(idx, term, minlength=k * cells).reshape(k, cells))
+
+    def curves(self, dropped=None) -> list[np.ndarray]:
+        """Each estimator's curves on xs, one row per path; a path marked
+        in ``dropped`` has no meaningful row. Raises the EvaluationError of
+        the first other path with a step that could not be weighted."""
+        for j, x in sorted(self.failures.items()):
+            if dropped is None or not dropped[j]:
+                raise EvaluationError(x, f"path {j} cannot be weighted at x={x!r}: it is not "
+                                         f"finite or past {self.reach!r} there, or h <= 0")
+        T = self.n_steps * self.dt
+        sums = np.cumsum(self.sums[:, :, :-1], axis=2)
+        out = []
+        weights = iter(zip(self.weights, sums[1:].reshape(-1, 4, *sums.shape[1:])))
+        for choice in self.choices:
+            if choice.kind == "edf":
+                out.append(sums[0] / self.n_steps)
+                continue
+            wf, (A, B, C, D) = next(weights)
+            Px = np.asarray(primitive(wf, self.model, float(self.xs[0]),
+                                      float(self.xs[-1]))(self.xs), dtype=float)
+            out.append((2.0 * (Px * A - B) + self.dt * (Px * C - D)) / T)
+        return out
 
 
 def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = None
                     ) -> list[EstimateCurve]:
     """Evaluate estimators on a strictly increasing grid of thresholds.
 
-    The EDF and the weight-function curves share one sort of the path's
-    left endpoints.
+    The EDF and the weight-function curves come from one
+    :class:`CurveAccumulator` fed the path in the chunks a simulated block
+    takes, so they equal bit for bit the curves of a streamed block; a
+    custom estimator is called on the path.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and not np.all(np.diff(xs) > 0.0):
@@ -428,24 +514,18 @@ def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = N
     if xs.size == 0:
         return [EstimateCurve(xs=xs, values=np.empty(0), estimator_tag=c.tag,
                               horizon_T=path.horizon_T) for c in choices]
-    left = path.values[:-1]
-    if any(c.kind == "unbiased" for c in choices):
-        order = np.argsort(left, kind="stable")
-        k = np.searchsorted(left[order], xs, side="left")
-    elif any(c.kind == "edf" for c in choices):
-        k = np.searchsorted(np.sort(left), xs, side="left")
+    summed = [c for c in choices if c.kind != "custom"]
+    acc = CurveAccumulator(xs, summed, model, 1, path.n_steps, path.dt)
+    acc.add_path(0, np.ascontiguousarray(path.values, dtype=float))
+    rows = iter(acc.curves())
     curves = []
     for choice in choices:
-        if choice.kind == "edf":
-            values = k / len(left)
-        elif choice.kind == "unbiased":
-            if model is None:
-                raise ValueError("weight-function estimators need the model (sigma^2)")
-            values = _unbiased_curve_values(path, choice.weight, model, xs, order, k)
-        else:
+        if choice.kind == "custom":
             values = np.asarray(choice.curve_fn(path, xs), dtype=float)
             if values.shape != xs.shape:
                 raise ValueError("custom estimator returned a wrong-shaped curve")
+        else:
+            values = next(rows)[0]
         curves.append(EstimateCurve(xs=xs, values=values, estimator_tag=choice.tag,
                                     horizon_T=path.horizon_T))
     return curves

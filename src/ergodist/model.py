@@ -230,21 +230,46 @@ class _Hermite:
     exact slopes. 2-d ``values`` and ``slopes`` hold several functions as
     rows, interpolated together (the result gets a leading row axis).
     Arguments are clipped to [lo, hi]. Between nodes a smooth g is matched
-    to within step^4 max|g''''| / 384, plus the node errors."""
+    to within step^4 max|g''''| / 384, plus the node errors.
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray):
+    Cells are counted from node ``origin``. A table whose nodes are integer
+    multiples of a power-of-two step, counted from its node at 0, puts x in
+    the same cell however far it reaches, so widening it moves no value.
+    A Python float is read with Python floats, by the array route's
+    arithmetic in the same order, so the two agree bit for bit; it gives a
+    float, or a tuple of floats for several rows."""
+
+    def __init__(self, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+                 origin: int = 0):
         self.nodes, self.values, self.slopes = nodes, values, slopes
         self.lo, self.hi = float(nodes[0]), float(nodes[-1])
         self.step = float(nodes[1] - nodes[0])
+        self.origin, self.base = origin, float(nodes[origin])
+        self._rows = list(zip(values.reshape(-1, nodes.size), slopes.reshape(-1, nodes.size)))
 
     def cell(self, x):
         """For each x, clipped and flattened: the index k of the node at or
         below it and its distance past that node in steps, s in [0, 1]."""
         x = np.clip(np.ravel(np.asarray(x, dtype=float)), self.lo, self.hi)
-        k = np.minimum(((x - self.lo) / self.step).astype(np.intp), self.nodes.size - 2)
+        k = np.floor((x - self.base) / self.step).astype(np.intp) + self.origin
+        np.clip(k, 0, self.nodes.size - 2, out=k)
         return k, (x - self.nodes.take(k)) / self.step
 
+    def _at(self, x: float):
+        x = min(max(x, self.lo), self.hi)
+        k = min(max(math.floor((x - self.base) / self.step) + self.origin, 0),
+                self.nodes.size - 2)
+        s = (x - self.nodes.item(k)) / self.step
+        t = 1.0 - s
+        a = s * s * (3.0 - 2.0 * s)
+        b = self.step * s * t
+        out = tuple(v.item(k) + a * (v.item(k + 1) - v.item(k))
+                    + b * (t * m.item(k) - s * m.item(k + 1)) for v, m in self._rows)
+        return out if self.values.ndim > 1 else out[0]
+
     def __call__(self, x):
+        if isinstance(x, float) and x == x:
+            return self._at(x)
         k, s = self.cell(x)
         t = 1.0 - s
         v, m = self.values, self.slopes
@@ -410,18 +435,25 @@ def _tail_cutoff(model: DiffusionModel, side: int) -> float:
             raise DivergenceError("invariant mass tail did not fall off; model not ergodic?")
 
 
+def _support(model: DiffusionModel) -> tuple[float, float]:
+    """[lo, hi] of the model's distribution table: beyond each end the
+    invariant law holds less than _TAIL_MASS."""
+    cached = model._cache.get("support")
+    if cached is None:
+        cached = model._cache["support"] = (_tail_cutoff(model, -1), _tail_cutoff(model, +1))
+    return cached
+
+
 def _cdf_table(model: DiffusionModel) -> _Hermite:
-    """The model's distribution table: _CDF_PANELS + 1 nodes over [lo, hi],
-    beyond which each tail holds less than _TAIL_MASS, with the rows F and
-    1 - F and their exact slopes f and -f. F is summed from the left tail
-    and 1 - F from the right, so each keeps its relative accuracy in its
-    own tail."""
+    """The model's distribution table: _CDF_PANELS + 1 nodes over its
+    support [lo, hi] (:func:`_support`), with the rows F and 1 - F and their
+    exact slopes f and -f. F is summed from the left tail and 1 - F from
+    the right, so each keeps its relative accuracy in its own tail."""
     cached = model._cache.get("cdf_table")
     if cached is not None:
         return cached
     g = normalizing_constant(model)
-    lo = _tail_cutoff(model, -1)
-    hi = _tail_cutoff(model, +1)
+    lo, hi = _support(model)
     nodes = np.linspace(lo, hi, _CDF_PANELS + 1)
     panels, f = _table_panels("CDF table", model.label, _density_integrand(model), nodes,
                               _PANEL_SPEC)
@@ -436,9 +468,12 @@ def _cdf_table(model: DiffusionModel) -> _Hermite:
 
 
 def _cdf_pair(model: DiffusionModel, xs):
-    """F_S and 1 - F_S at xs (a float or an array), clamped to [0, 1], from
-    the distribution table; stacked as the two rows of one array."""
+    """F_S and 1 - F_S at xs, clamped to [0, 1], from the distribution
+    table: a tuple of two floats for a float, else the two rows of one
+    array."""
     pair = _cdf_table(model)(xs)
+    if isinstance(pair, tuple):
+        return tuple(min(max(v, 0.0), 1.0) for v in pair)
     return np.clip(pair, 0.0, 1.0, out=pair)
 
 

@@ -7,15 +7,17 @@ draws everything from a PCG64 stream seeded with its own seed: first one
 uniform for a stationary start (the invariant law's quantile transform),
 then its increments dW_i ~ Normal(0, dt), burn-in steps first.
 
-``simulate_block`` is the one simulator. It steps the paths of a block as
+``stream_block`` is the one simulator. It steps the paths of a block as
 one numpy vector, drawing each path's increments from its own stream in
-chunks of ``_CHUNK_STEPS`` steps, so row j of a block is bit-identical to
-the path of seeds[j] alone. A block of one, and every block of a model
-whose drift or diffusion does not map a state vector to the values of its
-scalar calls (one written with ``math.exp``, say), steps a Python float
-per path instead. ``block_size`` caps a block's path array at
-``_BLOCK_BYTES``. A path that leaves the finite numbers stays non-finite,
-so a block marks it at its first non-finite step, the step index that
+chunks of ``_CHUNK_STEPS`` steps, and hands each chunk of states to a
+consumer: a curve accumulator, which keeps per-cell sums and no path, or
+``simulate_block``, which stores the rows, so row j of a block is
+bit-identical to the path of seeds[j] alone. A block of one, and every
+block of a model whose drift or diffusion does not map a state vector to
+the values of its scalar calls (one written with ``math.exp``, say),
+steps a Python float per path instead and hands that path over in the
+same chunks. A path that leaves the finite numbers stays non-finite, so a
+block marks it at its first non-finite step, the step index that
 ``simulate_path`` reports, while the other paths run on.
 """
 
@@ -134,19 +136,12 @@ def _initial_value(model: DiffusionModel, cfg: SimConfig, rng: np.random.Generat
     return float(cfg.init)
 
 
-# Bytes of path values one block may hold: at T = 100, dt = 0.005 a block
-# is 16 paths.
-_BLOCK_BYTES = 5 * 2**19
-# Steps of increments a vector block draws at a time.
+# Steps of increments a vector block draws at a time, and of states it
+# hands a consumer at a time.
 _CHUNK_STEPS = 512
 # Points between the start points at which a block checks that drift and
 # diffusion vectorize.
 _PROBE_POINTS = 1024
-
-
-def block_size(n_steps: int) -> int:
-    """Paths per block whose (paths, n_steps + 1) array fits _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
 
 
 @dataclass(frozen=True)
@@ -177,32 +172,65 @@ class PathBlock:
                     seed_used=self.seeds[j])
 
 
+def _burn_steps(cfg: SimConfig) -> int:
+    return round(cfg.burn_in_T / cfg.dt) if cfg.burn_in_T > 0.0 else 0
+
+
+def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable) -> np.ndarray:
+    """Simulate one path per seed with cfg's horizon, step and
+    initialization, storing none of them; returns each path's first
+    non-finite step (burn-in steps first) or -1.
+
+    The states after burn-in go to ``consume(cols, start, states, dw)``
+    chunk by chunk: ``states`` has shape (steps + 1, paths), its rows the
+    states at steps start, ..., start + steps of the block's paths ``cols``,
+    and ``dw`` holds the increments between them. A chunk covers steps
+    [start, start + _CHUNK_STEPS) of every path at once, or, where drift
+    and diffusion do not vectorize, of one path at a time; an exploded
+    path's states are not finite from its explosion on.
+    """
+    seeds = tuple(int(s) for s in seeds)
+    n = cfg.n_steps
+    n_burn = _burn_steps(cfg)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    x0 = [_initial_value(model, cfg, rng) for rng in rngs]
+    if len(seeds) > 1 and _vectorizes(model, np.array(x0)):
+        return _step_vector(model, np.array(x0), cfg.dt, rngs, n_burn, n, consume)
+    sd = math.sqrt(cfg.dt)
+    exploded = np.empty(len(seeds), dtype=np.int64)
+    row = np.empty(n + 1)
+    for j, rng in enumerate(rngs):
+        dw_all = rng.normal(0.0, sd, size=n_burn + n)
+        exploded[j] = _step_scalar(model, x0[j], cfg.dt, dw_all.tolist(), n_burn, row)
+        if exploded[j] >= 0:
+            continue
+        for start in range(0, n, _CHUNK_STEPS):
+            stop = min(start + _CHUNK_STEPS, n)
+            consume(slice(j, j + 1), start, row[start:stop + 1, None],
+                    dw_all[n_burn + start:n_burn + stop, None])
+    return exploded
+
+
 def simulate_block(model: DiffusionModel, cfg: SimConfig, seeds) -> PathBlock:
-    """Simulate one path per seed with cfg's horizon, step and initialization.
+    """Simulate one path per seed with cfg's horizon, step and initialization,
+    storing the rows :func:`stream_block` hands over.
 
     Row j is bit-identical to ``simulate_path(model, replace(cfg,
     seed=seeds[j]))``; an exploding path is marked, not raised, and the
     other rows are unaffected.
     """
     seeds = tuple(int(s) for s in seeds)
-    n = cfg.n_steps
-    n_burn = round(cfg.burn_in_T / cfg.dt) if cfg.burn_in_T > 0.0 else 0
-    rngs = [np.random.default_rng(s) for s in seeds]
-    x0 = [_initial_value(model, cfg, rng) for rng in rngs]
-    values = np.empty((len(seeds), n + 1))
-    wiener = np.empty((len(seeds), n)) if cfg.store_wiener else None
-    if len(seeds) > 1 and _vectorizes(model, np.array(x0)):
-        exploded = _step_vector(model, np.array(x0), cfg.dt, rngs, n_burn, values, wiener)
-    else:
-        sd = math.sqrt(cfg.dt)
-        exploded = np.empty(len(seeds), dtype=np.int64)
-        for j, rng in enumerate(rngs):
-            dw_all = rng.normal(0.0, sd, size=n_burn + n)
-            exploded[j] = _step_scalar(model, x0[j], cfg.dt, dw_all.tolist(), n_burn, values[j])
-            if wiener is not None:
-                wiener[j] = dw_all[n_burn:]
+    values = np.empty((len(seeds), cfg.n_steps + 1))
+    wiener = np.empty((len(seeds), cfg.n_steps)) if cfg.store_wiener else None
+
+    def store(cols, start, states, dw):
+        values[cols, start:start + len(states)] = states.T
+        if wiener is not None:
+            wiener[cols, start:start + len(dw)] = dw.T
+
+    exploded = stream_block(model, cfg, seeds, store)
     return PathBlock(dt=cfg.dt, values=values, exploded=exploded, seeds=seeds,
-                     n_burn=n_burn, wiener_increments=wiener)
+                     n_burn=_burn_steps(cfg), wiener_increments=wiener)
 
 
 def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
@@ -250,37 +278,35 @@ def _step_scalar(model: DiffusionModel, x: float, dt: float, dw_list: list,
 
 
 def _step_vector(model: DiffusionModel, x: np.ndarray, dt: float, rngs: list,
-                 n_burn: int, values: np.ndarray, wiener: np.ndarray | None) -> np.ndarray:
-    """All paths of a block as one vector; returns each one's first
-    non-finite step or -1. Column g of a chunk is global step g (burn-in
-    first); path column g - n_burn + 1 holds the state after it."""
+                 n_burn: int, n: int, consume: Callable) -> np.ndarray:
+    """All paths of a block as one vector, burn-in steps first; returns
+    each one's first non-finite step or -1. Chunks restart at the end of
+    burn-in, so the chunks handed to ``consume`` start at multiples of
+    _CHUNK_STEPS."""
     drift = model.drift
     sigma = model.diffusion
     sd = math.sqrt(dt)
     m = len(rngs)
-    total = n_burn + values.shape[1] - 1
+    cols = slice(0, m)
     exploded = np.full(m, -1, dtype=np.int64)
     dw = np.empty((_CHUNK_STEPS, m))
-    out = np.empty((_CHUNK_STEPS, m))
-    if n_burn == 0:
-        values[:, 0] = x
+    states = np.empty((_CHUNK_STEPS + 1, m))
+    states[0] = x
     with np.errstate(all="ignore"):
-        for start in range(0, total, _CHUNK_STEPS):
-            c = min(_CHUNK_STEPS, total - start)
-            for j, rng in enumerate(rngs):
-                dw[:c, j] = rng.normal(0.0, sd, size=c)
-            for k in range(c):
-                x = x + drift(x) * dt + sigma(x) * dw[k]
-                out[k] = x
-            bad = ~np.isfinite(out[:c])
-            new = bad.any(axis=0) & (exploded < 0)
-            exploded[new] = start + bad.argmax(axis=0)[new]
-            first = max(start, n_burn - 1)
-            if first < start + c:
-                values[:, first - n_burn + 1:start + c - n_burn + 1] = out[first - start:c].T
-            first = max(start, n_burn)
-            if wiener is not None and first < start + c:
-                wiener[:, first - n_burn:start + c - n_burn] = dw[first - start:c].T
+        for first, total in ((0, n_burn), (n_burn, n)):
+            for start in range(0, total, _CHUNK_STEPS):
+                c = min(_CHUNK_STEPS, total - start)
+                for j, rng in enumerate(rngs):
+                    dw[:c, j] = rng.normal(0.0, sd, size=c)
+                for k in range(c):
+                    x = x + drift(x) * dt + sigma(x) * dw[k]
+                    states[k + 1] = x
+                bad = ~np.isfinite(states[1:c + 1])
+                new = bad.any(axis=0) & (exploded < 0)
+                exploded[new] = first + start + bad.argmax(axis=0)[new]
+                if first == n_burn:
+                    consume(cols, start, states[:c + 1], dw[:c])
+                states[0] = states[c]
     return exploded
 
 

@@ -5,9 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ergodist import efficiency, simulate
+from ergodist import efficiency
 from ergodist.errors import ConfigError, RiskRunError
-from ergodist.estimators import constant_weight, dx_weight, exponential_weight, polynomial_weight
+from ergodist.estimators import (
+    as_estimator,
+    constant_weight,
+    dx_weight,
+    exponential_weight,
+    polynomial_weight,
+)
 from ergodist.efficiency import (
     boundary_derivative_closed,
     boundary_derivative_direct,
@@ -30,7 +36,12 @@ from ergodist.efficiency import (
     weight_primitive,
 )
 from ergodist.harness import cli_main
-from ergodist.model import invariant_cdf, invariant_density, stationary_expectation
+from ergodist.model import (
+    DiffusionModel,
+    invariant_cdf,
+    invariant_density,
+    stationary_expectation,
+)
 from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
 from oracles import (
@@ -476,23 +487,45 @@ class TestEmpiricalRisk:
                 assert np.array_equal(getattr(rep, field), getattr(one, field))
             assert rep.path_seeds == one.path_seeds
 
-    def test_blocks_respect_byte_budget(self, ou, monkeypatch):
-        # a budget of three paths splits seven replications into blocks of
-        # 3, 3 and 1, with every number unchanged
+    def test_errors_do_not_depend_on_block_split(self, ou):
+        # seven replications as one block and as blocks of 3, 3 and 1 give
+        # the same error curves bit for bit, and 1 or 3 workers the same
+        # report
         sim = SimConfig(horizon_T=1.0, dt=0.01, seed=8)
-        whole = empirical_risk(ou, "unbiased:exp:delta=1", nu_gaussian(0, 1), sim, 7,
-                               self.grid())
-        sizes = []
-        real = efficiency.simulate_block
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * (sim.n_steps + 1))
-        monkeypatch.setattr(efficiency, "simulate_block",
-                            lambda m, cfg, seeds: sizes.append(len(seeds)) or real(m, cfg, seeds))
-        split = empirical_risk(ou, "unbiased:exp:delta=1", nu_gaussian(0, 1), sim, 7,
-                               self.grid())
-        assert sizes == [3, 3, 1]
-        assert split.scaled_risk == whole.scaled_risk
-        assert np.array_equal(split.bias, whole.bias)
-        assert np.array_equal(split.scaled_variance, whole.scaled_variance)
+        specs = ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"]
+        grid = self.grid()
+        ctx = efficiency._RiskContext(
+            model=ou, choices=tuple(as_estimator(s) for s in specs), sim=sim, eval_xs=grid,
+            truth=np.array([invariant_cdf(ou, float(x)) for x in grid]))
+        whole = efficiency._block_errors(ctx, range(7))
+        split = [e for reps in (range(0, 3), range(3, 6), range(6, 7))
+                 for e in efficiency._block_errors(ctx, reps)]
+        assert len(whole) == len(split) == 7
+        for a, b in zip(whole, split):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        one = empirical_risk(ou, specs, nu_gaussian(0, 1), sim, 7, grid, workers=1)
+        three = empirical_risk(ou, specs, nu_gaussian(0, 1), sim, 7, grid, workers=3)
+        for a, b in zip(one, three):
+            assert a.scaled_risk == b.scaled_risk
+            assert np.array_equal(a.bias, b.bias)
+            assert np.array_equal(a.scaled_variance, b.scaled_variance)
+
+    def test_exploded_path_is_dropped_mid_chunk(self):
+        # x' = x^3 from 0 with these seeds throws the fourth path off at
+        # step 32 of 40, inside the first chunk; its replication has no
+        # curves and the other three keep theirs bit for bit
+        blowup = DiffusionModel(drift=lambda x: x * x * x, diffusion=lambda x: 1.0,
+                                diffusion_sq=lambda x: 1.0, sigma_const=1.0, label="blowup")
+        grid = np.linspace(-1.0, 1.0, 5)
+        ctx = efficiency._RiskContext(
+            model=blowup, choices=(as_estimator("edf"), as_estimator("unbiased:exp:delta=1")),
+            sim=SimConfig(horizon_T=2.0, dt=0.05, seed=0, init=0.0), eval_xs=grid,
+            truth=np.zeros(grid.size))
+        four = efficiency._block_errors(ctx, range(4))
+        assert four[3] is None
+        for a, b in zip(four[:3], efficiency._block_errors(ctx, range(3))):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+            assert all(np.all(np.isfinite(u)) for u in a)
 
     def test_report_dict_schema(self, ou):
         sim = SimConfig(horizon_T=1.0, dt=0.01, seed=3)

@@ -7,6 +7,8 @@ from scipy.integrate import quad
 from ergodist import estimators
 from ergodist.errors import EvaluationError
 from ergodist.estimators import (
+    CurveAccumulator,
+    as_estimator,
     check_weight_conditions,
     constant_weight,
     custom_weight,
@@ -14,6 +16,7 @@ from ergodist.estimators import (
     dx_weight,
     edf,
     estimate_curve,
+    estimate_curves,
     exponential_weight,
     kernel,
     parse_estimator,
@@ -21,11 +24,18 @@ from ergodist.estimators import (
     primitive,
     unbiased_estimate,
 )
-from ergodist.model import invariant_cdf, stationary_expectation
+from ergodist.model import DiffusionModel, invariant_cdf, stationary_expectation
 from ergodist.numerics import QuadratureSpec
 
 from test_model import unconverged_ranges
-from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
+from ergodist.simulate import (
+    Path,
+    SimConfig,
+    derive_substream_seed,
+    simulate_block,
+    simulate_path,
+    stream_block,
+)
 
 
 def em_path_from_increments(model, x0, dt, dws):
@@ -406,3 +416,98 @@ class TestWeightConditions:
         rep = check_weight_conditions(wf_exp, ou, 0.0)
         assert len(rep.tail_values) == 7
         assert rep.tail_values[-1] < 1e-10
+
+    # sq_moment and abs_moment as each threshold's integrand was evaluated
+    # one float at a time, one kernel quadrature per node
+    FLOAT_ROUTE = {
+        ("custom_ou", "unbiased:exp:delta=1", 0.0): (0.3924057755399105, 0.19215482790353705),
+        ("custom_ou", "unbiased:exp:delta=1", 0.7): (1.137153902922004, 0.4490858009479922),
+        ("custom_ou", "unbiased:poly:p=1", 0.0): (3.351675868130354, 0.378936078070656),
+        ("custom_ou", "unbiased:poly:p=1", 0.7): (10.411403305441477, 0.7675342369960825),
+        ("quartic", "unbiased:exp:delta=1", 0.0): (0.4099482720092093, 0.2014287901103106),
+        ("quartic", "unbiased:exp:delta=1", 0.7): (1.139869380720168, 0.44211371645788383),
+        ("quartic", "unbiased:poly:p=1", 0.0): (2.4575898821703213, 0.3802737457871984),
+        ("quartic", "unbiased:poly:p=1", 0.7): (8.40179842970209, 0.7760946527810124),
+    }
+
+    @pytest.mark.parametrize("label,spec,x", sorted(FLOAT_ROUTE))
+    def test_array_forms_match_the_float_route(self, label, spec, x, quartic):
+        m = quartic if label == "quartic" else custom_ou()
+        wf = parse_estimator(spec).weight
+        rep = check_weight_conditions(wf, m, x)
+        sq, ab = self.FLOAT_ROUTE[(label, spec, x)]
+        assert rep.sq_moment == pytest.approx(sq, rel=1e-10)
+        assert rep.abs_moment == pytest.approx(ab, rel=1e-10)
+        assert rep.all_ok()
+
+    @pytest.mark.parametrize("spec", ["unbiased:exp:delta=1", "unbiased:poly:p=2"])
+    def test_coefficients_on_arrays_match_floats(self, spec):
+        m = custom_ou()
+        wf = parse_estimator(spec).weight
+        ys = np.array([-6.0, -2.5, -0.3, 0.0, 0.4, 0.4, 1.0, 3.0])
+        for fn in (dx_weight, dt_weight, lambda wf, m, x, y: kernel(wf, m, x, y)):
+            got = fn(wf, m, 0.4, ys)
+            assert got.shape == ys.shape
+            want = [fn(wf, m, 0.4, float(y)) for y in ys]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.all(dx_weight(wf, m, 0.4, ys)[ys >= 0.4] == 0.0)
+
+
+def custom_ou():
+    """OU(1, 1) without the catalog fast paths: every kernel is quadrature."""
+    return DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                          diffusion_sq=lambda x: 1.0, label="custom_ou")
+
+
+def wavy_model():
+    return DiffusionModel(
+        drift=lambda x: -np.tanh(x) - 0.5 * x,
+        diffusion=lambda x: 1.0 + 0.25 * np.cos(x),
+        diffusion_sq=lambda x: (1.0 + 0.25 * np.cos(x)) ** 2,
+        label="wavy",
+    )
+
+
+class TestCurveAccumulator:
+    def test_streamed_block_matches_materialized_rows(self):
+        # 1200 steps span three chunks; sigma is not constant, so both
+        # weights read tabulated primitives
+        model = wavy_model()
+        cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0)
+        seeds = [derive_substream_seed(17, r) for r in range(4)]
+        xs = np.linspace(-2.0, 2.0, 21)
+        choices = [as_estimator(c) for c in (
+            "edf", custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u),
+            "unbiased:exp:delta=1")]
+        acc = CurveAccumulator(xs, choices, model, len(seeds), cfg.n_steps, cfg.dt)
+        assert np.all(stream_block(model, cfg, seeds, acc.add) == -1)
+        streamed = acc.curves()
+        block = simulate_block(model, cfg, seeds)
+        for j in range(len(seeds)):
+            for rows, curve in zip(streamed, estimate_curves(block.path(j), xs, choices, model)):
+                assert np.array_equal(rows[j], curve.values)
+
+    def test_widening_keeps_primitive_values(self, ou):
+        # a path past the support (|y| <= 16 for OU) widens the table; its
+        # node values and the values between them stay bit-identical
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        narrow = primitive(wf, ou, -1.0, 1.0)
+        ys = np.random.default_rng(3).uniform(narrow.lo, narrow.hi, 2000)
+        before, nodes = narrow(ys), narrow.values.copy()
+        path = Path(dt=0.01, values=np.array([0.0, 5.0, 20.0, -3.0, 1.0]))
+        curve = estimate_curve(path, [0.5, 25.0], wf, ou)
+        wide = primitive(wf, ou, -1.0, 1.0)
+        assert wide.hi >= 20.0 and wide is not narrow
+        assert np.array_equal(wide(ys), before)
+        shift = wide.origin - narrow.origin
+        assert np.array_equal(wide.values[shift:shift + nodes.size], nodes)
+        want = unbiased_estimate(path, wf, ou, 25.0)
+        assert curve.values[1] == pytest.approx(want, rel=1e-12)
+
+    def test_unweightable_step_of_a_kept_path_raises(self, ou):
+        # h(u) = u is not positive at the path's first point; a path that
+        # does not explode cannot drop it
+        bad = custom_weight(h=lambda u: u, h_prime=lambda u: 1.0 + 0.0 * u)
+        path = Path(dt=0.1, values=np.array([-1.0, -0.5, 0.5]))
+        with pytest.raises(EvaluationError, match="must be positive"):
+            estimate_curve(path, [0.0, 1.0], bad, ou)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from ergodist import efficiency, harness, simulate
+from ergodist import efficiency, harness
 from ergodist.errors import ConfigError
 from ergodist.harness import (
     DEFAULT_GRID,
@@ -128,9 +128,10 @@ class TestRunExperiment:
 
     def test_each_replication_simulated_once(self, tmp_path, monkeypatch):
         simulated = []
-        real = efficiency.simulate_block
-        monkeypatch.setattr(efficiency, "simulate_block",
-                            lambda m, cfg, seeds: simulated.extend(seeds) or real(m, cfg, seeds))
+        real = efficiency.stream_block
+        monkeypatch.setattr(efficiency, "stream_block",
+                            lambda m, cfg, seeds, consume:
+                            simulated.extend(seeds) or real(m, cfg, seeds, consume))
         cfg = ExperimentConfig.from_dict(make_config(
             tmp_path, replications=5,
             estimators=["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"]))
@@ -170,21 +171,23 @@ _PINNED = {
 # sha256 of the files written with numpy 2.4.6 by the code whose truth
 # curve, quantile starts and bound read one per-model distribution table
 # (node values from the G7/K15 panel integrator, cubic Hermite between
-# nodes); result.json is hashed without the reports' "aborted" keys, which
-# the test checks are 0.
+# nodes) and whose curves are read off per-cell sums streamed in chunks of
+# 512 steps; result.json is hashed without the reports' "aborted" keys,
+# which the test checks are 0. "blocks_of_5" runs the replications in
+# blocks of 5, and must give the same bytes as one block per worker.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_SHA256 = {
     "ou": {
         "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
-        "risk_unbiased_exp.csv": "fd654c5633e122c6e62d0b96af9b608ac6c16f68ce32ef64022f26f02474f38d",
-        "risk_unbiased_poly.csv": "70c33e78b5a3f3bf15647d5f31ec9f78332e7393a7a3599a654f6fa54b8bc65d",
-        "result.json": "fc0748fcd78f0eacbfc864081bb8d17aafbfe26d3af7b0233d530761f2055df5",
+        "risk_unbiased_exp.csv": "041600803682ac73cc44db7f61ef5ec364dd58c34cf54ffec56aa55957bef44a",
+        "risk_unbiased_poly.csv": "f610e2fcaf04807f4df6ea495e304d1b234cb417d85bb3f04c8b4ea5228cd5c9",
+        "result.json": "76fcc20c0c953b04aadf73a1a12c6dfa6eb4a9fef2b07fccc1c836fb0fc329be",
     },
     "quartic": {
         "risk_edf.csv": "30d0acf8fa4accf170eca2bc4320ea5da1b7aa0332b017a3f2dd243640167676",
-        "risk_unbiased_exp.csv": "5dc2996cfe61e962d879e94946f96f705cff45622b1d26b7d3b5b78d1911497f",
-        "risk_unbiased_poly.csv": "81a4ba0ec972ed4ebbfa88706ca0d028494319837af5fac71e4d8fab24dc22b0",
-        "result.json": "672f2e9dc1cd132a0492a219fcca0acfc4f0cd2a2d4f30d5c39ffa9feaec8f5e",
+        "risk_unbiased_exp.csv": "a1e5fd12300a6ed0df76580529862bf2ca517568ce59f97075f6ef1319da3c78",
+        "risk_unbiased_poly.csv": "27f8a93853922d4806fa1db5a69d892ee0293c8e533935d62ad8aeb250572ba1",
+        "result.json": "d58b669f29476608bbe2208afb19221472f154bdf77c16af8433422f86545864",
     },
 }
 
@@ -206,8 +209,14 @@ class TestByteIdentity:
             pytest.skip(f"digests pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
         raw = {**_PINNED[name], "output_dir": "byte_identity"}
         if blocks == "blocks_of_5":
-            n_steps = round(raw["sim"]["T"] / raw["sim"]["dt"])
-            monkeypatch.setattr(simulate, "_BLOCK_BYTES", 5 * 8 * (n_steps + 1))
+            real = efficiency._run_blocks
+
+            def blocks_of_5(ctx, blocks, workers):
+                reps = [r for b in blocks for r in b]
+                return real(ctx, [range(a, min(a + 5, len(reps)))
+                                  for a in range(0, len(reps), 5)], workers)
+
+            monkeypatch.setattr(efficiency, "_run_blocks", blocks_of_5)
         monkeypatch.chdir(tmp_path)
         run_experiment(ExperimentConfig.from_dict(raw))
         got = {}

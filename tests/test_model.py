@@ -291,6 +291,30 @@ class TestExponentTable:
             model_module._exponent_table(m, 2.0 * model_module._EXP_MAX_HALFWIDTH)
 
 
+class TestScalarTableReads:
+    def test_float_reads_match_array_reads_bit_for_bit(self):
+        # both rows of the distribution table and the exponent table on 10^4
+        # random points, some past each end (where they clip), plus the ends
+        # and some nodes; and a primitive table (cells counted from its
+        # node at 0, queried inside it only)
+        from ergodist.estimators import custom_weight, primitive
+
+        m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                           diffusion_sq=lambda x: 1.0, label="custom")
+        tables = [(model_module._cdf_table(m), 2.0), (model_module._exponent_table(m, 8.0), 2.0),
+                  (primitive(custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u), m, -1, 1),
+                   0.0)]
+        rng = np.random.default_rng(11)
+        for t, past in tables:
+            ends = [t.lo, t.hi] + ([-np.inf, np.inf] if past else [])
+            xs = np.concatenate([rng.uniform(t.lo - past, t.hi + past, 10_000), ends,
+                                 t.nodes[::997]])
+            rows = np.atleast_2d(t(xs))
+            got = np.array([np.atleast_1d(t(float(x))) for x in xs]).T
+            assert isinstance(t(0.5), tuple if t.values.ndim > 1 else float)
+            assert np.array_equal(got, rows)
+
+
 class TestTableConvergence:
     @staticmethod
     def kinked(label):

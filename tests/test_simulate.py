@@ -17,11 +17,11 @@ from ergodist.model import (
 from ergodist.simulate import (
     Path,
     SimConfig,
-    block_size,
     derive_substream_seed,
     occupation_mean,
     simulate_block,
     simulate_path,
+    stream_block,
     write_path_csv,
 )
 
@@ -243,14 +243,27 @@ class TestSimulateBlock:
         assert np.all(block.exploded == -1)
         assert_rows_match_paths(model, cfg, seeds, block)
 
-    @pytest.mark.parametrize("n_steps", [1, 100, 20_000, 400_000, 10**8])
-    def test_block_size_respects_byte_budget(self, n_steps):
-        size = block_size(n_steps)
-        row = 8 * (n_steps + 1)
-        assert size >= 1
-        assert size == 1 or size * row <= simulate._BLOCK_BYTES
-        assert (size + 1) * row > simulate._BLOCK_BYTES
-        assert block_size(20_000) == 16
+    @pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
+    def test_stream_hands_bounded_chunks(self, ou, vector, monkeypatch):
+        # 1200 steps after 300 of burn-in: every chunk starts at a multiple
+        # of _CHUNK_STEPS and holds at most that many steps, and the chunks
+        # of a block split 3 + 2 put together the rows of the whole block
+        cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0, init=0.5, burn_in_T=3.0)
+        seeds = [derive_substream_seed(5, r) for r in range(5)]
+        if not vector:
+            monkeypatch.setattr(simulate, "_vectorizes", lambda model, x0: False)
+        whole = simulate_block(ou, cfg, seeds)
+        rows = np.full((5, cfg.n_steps + 1), np.nan)
+        for part in (range(0, 3), range(3, 5)):
+            def record(cols, start, states, dw, part=part):
+                steps = len(states) - 1
+                assert start % simulate._CHUNK_STEPS == 0
+                assert 1 <= steps <= simulate._CHUNK_STEPS and dw.shape[0] == steps
+                rows[part.start + cols.start:part.start + cols.stop,
+                     start:start + steps + 1] = states.T
+            exploded = stream_block(ou, cfg, [seeds[r] for r in part], record)
+            assert np.all(exploded == -1)
+        assert np.array_equal(rows, whole.values)
 
 
 class TestOccupationMean:
