@@ -265,6 +265,39 @@ class TestSimulateBlock:
             assert np.all(exploded == -1)
         assert np.array_equal(rows, whole.values)
 
+    @pytest.mark.parametrize("n_steps", [1, 100, 20_000, 400_000, 10**8])
+    def test_block_size_respects_byte_budget(self, ou, n_steps):
+        # a streamed block of m paths holds one chunk buffer of
+        # (_CHUNK_STEPS + 1) x m states whatever the step count: the
+        # consumer gets views of it, refilled in place, and the stream is
+        # stopped after two chunks
+        m = 4
+        cfg = SimConfig(horizon_T=0.5 * n_steps, dt=0.5, seed=0, init=0.5)
+        seeds = [derive_substream_seed(3, r) for r in range(m)]
+        chunks = []
+
+        class Enough(Exception):
+            pass
+
+        def record(cols, start, states, dw):
+            chunks.append((start, states))
+            if len(chunks) == 2:
+                raise Enough
+
+        if n_steps <= simulate._CHUNK_STEPS:
+            stream_block(ou, cfg, seeds, record)
+        else:
+            with pytest.raises(Enough):
+                stream_block(ou, cfg, seeds, record)
+        budget = 8 * (simulate._CHUNK_STEPS + 1) * m
+        for k, (start, states) in enumerate(chunks):
+            assert start == k * simulate._CHUNK_STEPS
+            assert states.shape == (min(n_steps - start, simulate._CHUNK_STEPS) + 1, m)
+            assert states.base is not None and states.base.nbytes <= budget
+        assert len(chunks) == min(2, -(-n_steps // simulate._CHUNK_STEPS))
+        if len(chunks) == 2:
+            assert chunks[1][1].base is chunks[0][1].base
+
 
 class TestOccupationMean:
     def test_constant_path_identity(self):
