@@ -154,14 +154,20 @@ class TestRunExperiment:
         assert data["reports"]["edf"]["aborted"] == 1
 
 
-# Experiments whose outputs are pinned to digests: an OU run in one worker
-# and a quartic run in two, written into the relative directory
-# "byte_identity" (result.json echoes output_dir).
+# Experiments whose outputs are pinned to digests: an OU run in one worker,
+# the same run with a point-mass nu whose atoms lie off the grid (so curves
+# are read on a non-uniform grid), and a quartic run in two, written into
+# the relative directory "byte_identity" (result.json echoes output_dir).
 _PINNED = {
     "ou": {"model": {"family": "ou", "params": {"theta": 1.0, "s": 1.0}},
            "estimators": ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"],
            "sim": {"T": 5.0, "dt": 0.01, "seed": 7}, "replications": 12,
            "nu": "gauss:0,1", "grid": {"lo": -5.0, "hi": 5.0, "count": 21}, "workers": 1},
+    "ou_point": {"model": {"family": "ou", "params": {"theta": 1.0, "s": 1.0}},
+                 "estimators": ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"],
+                 "sim": {"T": 5.0, "dt": 0.01, "seed": 7}, "replications": 12,
+                 "nu": "point:-0.7=0.25;0.1=0.5;1.3=0.25",
+                 "grid": {"lo": -5.0, "hi": 5.0, "count": 21}, "workers": 1},
     "quartic": {"model": {"family": "quartic", "params": {}},
                 "estimators": ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=2"],
                 "sim": {"T": 5.0, "dt": 0.01, "seed": 7}, "replications": 12,
@@ -182,6 +188,12 @@ _PINNED_SHA256 = {
         "risk_unbiased_exp.csv": "041600803682ac73cc44db7f61ef5ec364dd58c34cf54ffec56aa55957bef44a",
         "risk_unbiased_poly.csv": "f610e2fcaf04807f4df6ea495e304d1b234cb417d85bb3f04c8b4ea5228cd5c9",
         "result.json": "76fcc20c0c953b04aadf73a1a12c6dfa6eb4a9fef2b07fccc1c836fb0fc329be",
+    },
+    "ou_point": {
+        "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
+        "risk_unbiased_exp.csv": "672940bc578854a4d740faec68026d107e0c2ad40d74d5ffb86ab05603c5cfde",
+        "risk_unbiased_poly.csv": "3a321e0f2d1c2c7b71e32135ff5ee2f3e0abd2a13906ebac3510a3b77869294f",
+        "result.json": "355274798f31fdc6bba9fe8417bd4f0b543b1bd1540c372ce33b7b2f323c98b8",
     },
     "quartic": {
         "risk_edf.csv": "30d0acf8fa4accf170eca2bc4320ea5da1b7aa0332b017a3f2dd243640167676",
