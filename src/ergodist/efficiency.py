@@ -364,14 +364,6 @@ def compensator(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -
     return kernel(wf, model, x, y) * bracket - fx
 
 
-def martingale_weight(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
-    """Coefficient of dW in the raw error representation:
-    2 * 1{y<x} h(y) K_x(y) sigma(y)."""
-    if y >= x:
-        return 0.0
-    return 2.0 * float(wf.h(y)) * kernel(wf, model, x, y) * float(model.diffusion(y))
-
-
 def boundary_derivative_closed(wf: WeightFunction, model: DiffusionModel,
                                x: float, z: float) -> float:
     """Closed form of the boundary-function derivative:

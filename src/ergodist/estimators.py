@@ -391,10 +391,18 @@ class CurveAccumulator:
     A curve value at x sums, over the steps whose left endpoint X_i lies
     below x, a term per step: 1 for the EDF; h dX, P h dX, h' sigma^2 and
     P h' sigma^2 for each weight (P its kernel primitive). A chunk puts
-    each X_i in its cell, ``searchsorted(xs, X_i, side="right")``, sums
-    each term per (path, cell) with one weighted ``bincount`` and adds
-    that into the (statistic, path, cell) sums in step order; one
-    cumulative sum over the cells gives every curve. A tabulated
+    each X_i in its cell, the number of nodes at or below it
+    (``searchsorted(xs, X_i, side="right")``). The grid's affine map
+    guesses the cell; ext[c] <= X_i < ext[c + 1], on the grid padded with
+    -inf and +inf, confirms the guess, and only the points that fail it
+    (NaN, and points by the atoms of a point-mass grid) are searched, so
+    the cells are exact on any strictly increasing grid. Each term is
+    summed per (path, cell) with one weighted ``bincount`` and added into
+    the (statistic, path, cell) sums by one slice add per statistic: a
+    streamed chunk's columns are distinct paths, so each sum takes one
+    addition per chunk, and the columns of a stored path are added in
+    step order. One cumulative sum over the cells gives every curve. The
+    per-point work arrays are kept from chunk to chunk. A tabulated
     primitive is built before the first chunk and widened, moving none of
     its values, up to _PRIMITIVE_REACH times the model's support.
 
@@ -413,6 +421,13 @@ class CurveAccumulator:
             raise ValueError("weight-function estimators need the model (sigma^2)")
         # row 0 counts the steps (exact in floats), then 4 rows per weight
         self.sums = np.zeros((1 + 4 * len(self.weights), paths, xs.size + 1))
+        # the affine map of a uniform grid onto its nodes, and the grid
+        # padded with -inf and +inf, which bounds every cell
+        self._x0 = float(xs[0])
+        self._scale = (xs.size - 1) / float(xs[-1] - xs[0]) if xs.size > 1 else 0.0
+        self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
+        self._work = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp),
+                      np.empty(0, dtype=bool))
         self.failures: dict[int, float] = {}
         self.reach = math.inf
         for wf in self.weights:
@@ -425,7 +440,7 @@ class CurveAccumulator:
         """The consumer of :func:`stream_block`: the steps between
         consecutive rows of ``states``, shape (steps + 1, paths), of the
         block's paths ``cols``."""
-        self._add(np.arange(cols.start, cols.stop), states[:-1], states[1:])
+        self._add(cols, states[:-1], states[1:])
 
     def add_path(self, j: int, values: np.ndarray) -> None:
         """Stored path ``values`` as path j, in the chunks of steps a
@@ -441,39 +456,92 @@ class CurveAccumulator:
         if full < n:
             self._add(j, values[full:n, None], values[full + 1:, None])
 
-    def _add(self, owner, before: np.ndarray, after: np.ndarray) -> None:
+    def _scratch(self, n: int) -> list[np.ndarray]:
+        """Work arrays of n points (two float, one index, one flag), kept
+        from chunk to chunk so that a chunk allocates few temporaries."""
+        if self._work[0].size < n:
+            self._work = (np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
+                          np.empty(n, dtype=bool))
+        return [a[:n] for a in self._work]
+
+    def _cells(self, X: np.ndarray) -> np.ndarray:
+        """``searchsorted(xs, X, side="right")``, in the index work array:
+        the grid's affine map, clamped to the cells 0..n, where
+        ext[c] <= X < ext[c + 1] confirms it, and a search elsewhere (NaN,
+        and points by the nodes of a non-uniform grid)."""
+        g, _, cell, ok = self._scratch(X.size)
+        np.subtract(X, self._x0, out=g)
+        g *= self._scale
+        g += 1.0
+        np.fmax(g, 0.0, out=g)
+        np.fmin(g, self.xs.size, out=g)
+        np.copyto(cell, g, casting="unsafe")
+        np.less_equal(np.take(self._ext, cell, out=g, mode="clip"), X, out=ok)
+        ok &= np.less(X, np.take(self._ext[1:], cell, out=g, mode="clip"))
+        if not ok.all():
+            miss = np.flatnonzero(~ok)
+            cell[miss] = np.searchsorted(self.xs, X[miss], side="right")
+        return cell
+
+    def _add(self, cols, before: np.ndarray, after: np.ndarray) -> None:
         """Column i of ``before`` and ``after`` (shape (steps, columns)) is
-        a chunk of path ``owner[i]`` (or of path ``owner``); a step that
-        cannot be weighted is read at X = 0, dX = 0 (see the class)."""
+        a chunk of path ``cols.start + i``, or of path ``cols`` for an int,
+        whose columns are then added in step order; a step that cannot be
+        weighted is read at X = 0, dX = 0 (see the class)."""
         k, cells = before.shape[1], self.sums.shape[2]
-        owner = np.broadcast_to(owner, k)
-        idx = (np.searchsorted(self.xs, before, side="right") + cells * np.arange(k)).ravel()
-        np.add.at(self.sums[0], owner, np.bincount(idx, minlength=k * cells).reshape(k, cells))
+        f1, f2, _, _ = self._scratch(before.size)
+        X = before.ravel()
+        idx = self._cells(X)
+        idx.reshape(-1, k)[...] += cells * np.arange(k)
+
+        def put(row, term=None):
+            # a streamed chunk's sums take one addition per (path, cell); a
+            # stored path's columns are added in step order
+            cell_sums = np.bincount(idx, term, minlength=k * cells).reshape(k, cells)
+            if isinstance(cols, slice):
+                self.sums[row, cols] += cell_sums
+            else:
+                for part in cell_sums:
+                    self.sums[row, cols] += part
+
+        put(0)
         if not self.weights:
             return
-        X = before.ravel()
-        dX = (after - before).ravel()
         with np.errstate(all="ignore"):
-            bad = ~np.isfinite(dX) | (np.abs(X) > self.reach)
+            dX = np.subtract(after, before, out=f1.reshape(before.shape)).ravel()
             hs = [_vec_call(wf.h, X) for wf in self.weights]
-            for h in hs:
-                bad |= ~(h > 0.0)
-        if bad.any():
-            at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
-            cols, first = np.unique(at % k, return_index=True)
-            for j, x in zip(owner[cols].tolist(), X[at[first]].tolist()):
-                self.failures.setdefault(j, x)
-            X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
-            hs = [_vec_call(wf.h, X) for wf in self.weights]
+            lo, hi = float(X.min()), float(X.max())
+            # every step weightable, the common case, shown by reductions
+            if not (-self.reach <= lo and hi <= self.reach and math.isfinite(dX.sum())
+                    and all(h.min() > 0.0 for h in hs)):
+                X, dX, hs = self._drop_unweightable(cols, k, X, dX, hs)
+                lo, hi = float(X.min()), float(X.max())
         s2 = _vec_call(self.model.diffusion_sq, X)
-        lo, hi = float(X.min()), float(X.max())
         for w, (wf, h) in enumerate(zip(self.weights, hs)):
             PX = np.asarray(primitive(wf, self.model, lo, hi)(X), dtype=float)
-            a = h * dX
-            c = _vec_call(wf.h_prime, X) * s2
-            for r, term in enumerate((a, PX * a, c, PX * c)):
-                np.add.at(self.sums[1 + 4 * w + r], owner,
-                          np.bincount(idx, term, minlength=k * cells).reshape(k, cells))
+            # the rows h dX, P h dX, h' sigma^2 and P h' sigma^2; a term
+            # times P in place is the same product as P times the term
+            term = np.multiply(h, dX, out=f2)
+            put(1 + 4 * w, term)
+            put(2 + 4 * w, np.multiply(term, PX, out=term))
+            term = np.multiply(_vec_call(wf.h_prime, X), s2, out=f2)
+            put(3 + 4 * w, term)
+            put(4 + 4 * w, np.multiply(term, PX, out=term))
+
+    def _drop_unweightable(self, cols, k: int, X: np.ndarray, dX: np.ndarray, hs: list):
+        """Record the first step of each of the k columns that cannot be
+        weighted (see the class); X, dX and h with such steps read at
+        X = 0, dX = 0."""
+        bad = ~np.isfinite(dX) | (np.abs(X) > self.reach)
+        for h in hs:
+            bad |= ~(h > 0.0)
+        at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
+        at_cols, first = np.unique(at % k, return_index=True)
+        paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
+        for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
+            self.failures.setdefault(j, x)
+        X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
+        return X, dX, [_vec_call(wf.h, X) for wf in self.weights]
 
     def curves(self, dropped=None) -> list[np.ndarray]:
         """Each estimator's curves on xs, one row per path; a path marked

@@ -64,7 +64,10 @@ class DiffusionModel:
     ``sigma_const`` and ``scale_exponent_closed`` are optional fast paths:
     catalog models carry the constant diffusion value and the closed-form
     scale exponent 2*int_0^y S/sigma^2; custom models fall back to
-    quadrature. ``spec`` echoes the catalog family/params for provenance.
+    quadrature. ``sigma_const``, when set, must equal ``diffusion(x)`` at
+    every x: the simulator then scales the increments by it in place of
+    calling ``diffusion``, and the kernels read it in closed form. ``spec``
+    echoes the catalog family/params for provenance.
     """
 
     drift: Callable[[Any], Any]

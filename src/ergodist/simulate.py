@@ -16,9 +16,14 @@ bit-identical to the path of seeds[j] alone. A block of one, and every
 block of a model whose drift or diffusion does not map a state vector to
 the values of its scalar calls (one written with ``math.exp``, say),
 steps a Python float per path instead and hands that path over in the
-same chunks. A path that leaves the finite numbers stays non-finite, so a
-block marks it at its first non-finite step, the step index that
-``simulate_path`` reports, while the other paths run on.
+same chunks. A model with ``sigma_const`` set has its increments scaled
+by it once per chunk (once per path on the float route), not by a call to
+sigma each step: sigma_const * dW_i is the same IEEE product either way,
+so both routes stay bit-identical to each other and to a model without
+it. A vector step writes its states straight into the chunk's rows. A
+path that leaves the finite numbers stays non-finite, so a block marks it
+at its first non-finite step, the step index that ``simulate_path``
+reports, while the other paths run on.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, SimulationError
-from .model import DiffusionModel, _vec_call, invariant_quantile, normalizing_constant
+from .errors import ConfigError, SimulationError
+from .model import DiffusionModel, invariant_quantile, normalizing_constant
 
 _MASK64 = (1 << 64) - 1
 
@@ -201,7 +206,8 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
     row = np.empty(n + 1)
     for j, rng in enumerate(rngs):
         dw_all = rng.normal(0.0, sd, size=n_burn + n)
-        exploded[j] = _step_scalar(model, x0[j], cfg.dt, dw_all.tolist(), n_burn, row)
+        incs = dw_all if model.sigma_const is None else dw_all * model.sigma_const
+        exploded[j] = _step_scalar(model, x0[j], cfg.dt, incs.tolist(), n_burn, row)
         if exploded[j] >= 0:
             continue
         for start in range(0, n, _CHUNK_STEPS):
@@ -252,23 +258,27 @@ def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
     return True
 
 
-def _step_scalar(model: DiffusionModel, x: float, dt: float, dw_list: list,
+def _step_scalar(model: DiffusionModel, x: float, dt: float, incs: list,
                  n_burn: int, values: np.ndarray) -> int:
-    """One path as a Python float; returns its first non-finite step or -1."""
+    """One path as a Python float, from its increments sigma dW_i when
+    ``model.sigma_const`` is set and dW_i otherwise; returns its first
+    non-finite step or -1."""
     drift = model.drift
-    sigma = model.diffusion
+    sigma = None if model.sigma_const is not None else model.diffusion
     n = len(values) - 1
     for i in range(n_burn):
         try:
-            x = x + float(drift(x)) * dt + float(sigma(x)) * dw_list[i]
+            x = x + float(drift(x)) * dt + (incs[i] if sigma is None
+                                            else float(sigma(x)) * incs[i])
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
             return i
     values[0] = x
     for i in range(n):
+        inc = incs[n_burn + i]
         try:
-            x = x + float(drift(x)) * dt + float(sigma(x)) * dw_list[n_burn + i]
+            x = x + float(drift(x)) * dt + (inc if sigma is None else float(sigma(x)) * inc)
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
@@ -282,14 +292,17 @@ def _step_vector(model: DiffusionModel, x: np.ndarray, dt: float, rngs: list,
     """All paths of a block as one vector, burn-in steps first; returns
     each one's first non-finite step or -1. Chunks restart at the end of
     burn-in, so the chunks handed to ``consume`` start at multiples of
-    _CHUNK_STEPS."""
+    _CHUNK_STEPS. With ``model.sigma_const`` set, a chunk's increments
+    are scaled by it once, not per step by a call to sigma."""
     drift = model.drift
     sigma = model.diffusion
+    s = model.sigma_const
     sd = math.sqrt(dt)
     m = len(rngs)
     cols = slice(0, m)
     exploded = np.full(m, -1, dtype=np.int64)
     dw = np.empty((_CHUNK_STEPS, m))
+    sdw = dw if s is None else np.empty_like(dw)
     states = np.empty((_CHUNK_STEPS + 1, m))
     states[0] = x
     with np.errstate(all="ignore"):
@@ -298,9 +311,10 @@ def _step_vector(model: DiffusionModel, x: np.ndarray, dt: float, rngs: list,
                 c = min(_CHUNK_STEPS, total - start)
                 for j, rng in enumerate(rngs):
                     dw[:c, j] = rng.normal(0.0, sd, size=c)
-                for k in range(c):
-                    x = x + drift(x) * dt + sigma(x) * dw[k]
-                    states[k + 1] = x
+                incs = dw[:c] if s is None else np.multiply(dw[:c], s, out=sdw[:c])
+                for inc, row in zip(incs, states[1:c + 1]):
+                    np.add(x + drift(x) * dt, inc if s is not None else sigma(x) * inc, out=row)
+                    x = row
                 bad = ~np.isfinite(states[1:c + 1])
                 new = bad.any(axis=0) & (exploded < 0)
                 exploded[new] = first + start + bad.argmax(axis=0)[new]
@@ -319,16 +333,6 @@ def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:
     the block of one: its state is a Python float.
     """
     return simulate_block(model, cfg, [cfg.seed]).path(0)
-
-
-def occupation_mean(path: Path, g: Callable[[float], float]) -> float:
-    """Left-endpoint Riemann approximation (1/n) * sum_i g(X_{t_i}), i < n."""
-    left = path.values[:-1]
-    vals = _vec_call(g, left)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmin(np.isfinite(vals)))
-        raise EvaluationError(float(left[bad]), f"g returned {vals[bad]!r} at x={left[bad]!r}")
-    return float(np.mean(vals))
 
 
 def write_path_csv(path: Path, stream: TextIO) -> None:

@@ -4,6 +4,9 @@ Everything here is deliberately computed by a different route than the
 package under test: power series, exact rational arithmetic, dense
 trapezoid rules on closed-form densities, and scipy's own distribution
 functions. Values asserted in the tests were produced by these oracles.
+The last two, ``occupation_mean`` and ``martingale_weight``, are the
+exception: test-only quantities that the package itself never computes,
+built on its evaluators.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from ergodist.errors import EvaluationError
+from ergodist.estimators import kernel
+from ergodist.model import _vec_call
 
 
 def erf_series(x: float) -> float:
@@ -144,3 +151,21 @@ def brownian_bridge_refine(dw: np.ndarray, dt: float, rng: np.random.Generator) 
     out[0::2] = half
     out[1::2] = dw - half
     return out
+
+
+def occupation_mean(path, g) -> float:
+    """Left-endpoint Riemann approximation (1/n) * sum_i g(X_{t_i}), i < n."""
+    left = path.values[:-1]
+    vals = _vec_call(g, left)
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argmin(np.isfinite(vals)))
+        raise EvaluationError(float(left[bad]), f"g returned {vals[bad]!r} at x={left[bad]!r}")
+    return float(np.mean(vals))
+
+
+def martingale_weight(wf, model, x: float, y: float) -> float:
+    """Coefficient of dW in the raw error representation:
+    2 * 1{y<x} h(y) K_x(y) sigma(y)."""
+    if y >= x:
+        return 0.0
+    return 2.0 * float(wf.h(y)) * kernel(wf, model, x, y) * float(model.diffusion(y))

@@ -25,7 +25,6 @@ from ergodist.efficiency import (
     influence_numerator,
     influence_primitive,
     local_variance,
-    martingale_weight,
     nu_gaussian,
     nu_point_masses,
     nu_uniform,
@@ -45,6 +44,7 @@ from ergodist.model import (
 from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
 from oracles import (
+    martingale_weight,
     trapezoid_influence_primitive,
     trapezoid_local_variance,
     trapezoid_ou_bound_gaussian_nu,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergodist import estimators
@@ -468,7 +470,36 @@ def wavy_model():
     )
 
 
+@st.composite
+def grids_and_points(draw):
+    """A linspace grid, with or without off-grid atoms merged in, and
+    points at its nodes, a float away from them, between them, past both
+    ends, and at +-inf and NaN."""
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = lo + draw(st.floats(1e-3, 100.0))
+    xs = np.linspace(lo, hi, draw(st.integers(1, 60)))
+    atoms = draw(st.lists(st.floats(lo - 1.0, hi + 1.0), max_size=4))
+    xs = np.unique(np.concatenate([xs, atoms]))
+    node = st.sampled_from(xs.tolist())
+    point = st.one_of(
+        node,
+        st.tuples(node, st.sampled_from([-np.inf, np.inf])).map(lambda p: np.nextafter(*p)),
+        st.tuples(node, node, st.floats(0.0, 1.0)).map(lambda p: p[0] + (p[1] - p[0]) * p[2]),
+        st.floats(lo - 1e3, hi + 1e3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-np.inf, np.inf, np.nan]),
+    )
+    return xs, np.array(draw(st.lists(point, min_size=1, max_size=200)), dtype=float)
+
+
 class TestCurveAccumulator:
+    @given(grids_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_equal_searchsorted(self, case):
+        xs, X = case
+        acc = CurveAccumulator(xs, [as_estimator("edf")], None, 1, 1, 1.0)
+        assert np.array_equal(acc._cells(X), np.searchsorted(xs, X, side="right"))
+
     def test_streamed_block_matches_materialized_rows(self):
         # 1200 steps span three chunks; sigma is not constant, so both
         # weights read tabulated primitives

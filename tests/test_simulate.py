@@ -7,6 +7,7 @@ import pytest
 
 from ergodist import simulate
 from ergodist.errors import ConfigError, EvaluationError, SimulationError
+from ergodist.estimators import CurveAccumulator, as_estimator
 from ergodist.model import (
     DiffusionModel,
     invariant_cdf,
@@ -18,14 +19,13 @@ from ergodist.simulate import (
     Path,
     SimConfig,
     derive_substream_seed,
-    occupation_mean,
     simulate_block,
     simulate_path,
     stream_block,
     write_path_csv,
 )
 
-from oracles import ks_critical_value, ks_statistic
+from oracles import ks_critical_value, ks_statistic, occupation_mean
 
 
 def frozen_model(x0_scale: float = 1e-12) -> DiffusionModel:
@@ -297,6 +297,35 @@ class TestSimulateBlock:
         assert len(chunks) == min(2, -(-n_steps // simulate._CHUNK_STEPS))
         if len(chunks) == 2:
             assert chunks[1][1].base is chunks[0][1].base
+
+
+class TestConstantSigma:
+    @pytest.mark.parametrize("make", [lambda: ornstein_uhlenbeck(0.7, 1.3), quartic_well],
+                             ids=["ou", "quartic"])
+    def test_sigma_const_changes_no_bits(self, make, monkeypatch):
+        # with sigma_const a chunk's increments are scaled once; without it
+        # sigma is called every step. 100 burn-in steps and 600 steps span
+        # both loops and two chunks of each route.
+        model = make()
+        plain = replace(model, sigma_const=None)
+        cfg = SimConfig(horizon_T=6.0, dt=0.01, seed=0, init=0.5, burn_in_T=1.0,
+                        store_wiener=True)
+        seeds = [derive_substream_seed(41, r) for r in range(4)]
+        fast, slow = (vector_block(monkeypatch, m, cfg, seeds) for m in (model, plain))
+        assert np.array_equal(fast.values, slow.values)
+        assert np.array_equal(fast.wiener_increments, slow.wiener_increments)
+        for seed in seeds:
+            a, b = (simulate_path(m, replace(cfg, seed=seed)) for m in (model, plain))
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.wiener_increments, b.wiener_increments)
+        xs = np.linspace(-2.0, 2.0, 21)
+        choices = [as_estimator(c) for c in ("edf", "unbiased:exp:delta=1", "unbiased:poly:p=1")]
+        sums = []
+        for m in (model, plain):
+            acc = CurveAccumulator(xs, choices, model, len(seeds), cfg.n_steps, cfg.dt)
+            stream_block(m, cfg, seeds, acc.add)
+            sums.append(acc.sums)
+        assert np.array_equal(*sums)
 
 
 class TestOccupationMean:
