@@ -426,8 +426,7 @@ class CurveAccumulator:
         self._x0 = float(xs[0])
         self._scale = (xs.size - 1) / float(xs[-1] - xs[0]) if xs.size > 1 else 0.0
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
-        self._work = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp),
-                      np.empty(0, dtype=bool))
+        self._work: tuple[np.ndarray, ...] = ()
         self.failures: dict[int, float] = {}
         self.reach = math.inf
         for wf in self.weights:
@@ -459,7 +458,7 @@ class CurveAccumulator:
     def _scratch(self, n: int) -> list[np.ndarray]:
         """Work arrays of n points (two float, one index, one flag), kept
         from chunk to chunk so that a chunk allocates few temporaries."""
-        if self._work[0].size < n:
+        if not self._work or self._work[0].size < n:
             self._work = (np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
                           np.empty(n, dtype=bool))
         return [a[:n] for a in self._work]
