@@ -206,8 +206,8 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
     row = np.empty(n + 1)
     for j, rng in enumerate(rngs):
         dw_all = rng.normal(0.0, sd, size=n_burn + n)
-        incs = dw_all if model.sigma_const is None else dw_all * model.sigma_const
-        exploded[j] = _step_scalar(model, x0[j], cfg.dt, incs.tolist(), n_burn, row)
+        incs = (dw_all if model.sigma_const is None else dw_all * model.sigma_const).tolist()
+        exploded[j] = _step_scalar(model, x0[j], cfg.dt, incs, n_burn, row)
         if exploded[j] >= 0:
             continue
         for start in range(0, n, _CHUNK_STEPS):
@@ -302,7 +302,7 @@ def _step_vector(model: DiffusionModel, x: np.ndarray, dt: float, rngs: list,
     cols = slice(0, m)
     exploded = np.full(m, -1, dtype=np.int64)
     dw = np.empty((_CHUNK_STEPS, m))
-    sdw = dw if s is None else np.empty_like(dw)
+    sdw = None if s is None else np.empty_like(dw)
     states = np.empty((_CHUNK_STEPS + 1, m))
     states[0] = x
     with np.errstate(all="ignore"):
