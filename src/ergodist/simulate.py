@@ -17,13 +17,13 @@ block of a model whose drift or diffusion does not map a state vector to
 the values of its scalar calls (one written with ``math.exp``, say),
 steps a Python float per path instead and hands that path over in the
 same chunks. A model with ``sigma_const`` set has its increments scaled
-by it once per chunk (once per path on the float route), not by a call to
-sigma each step: sigma_const * dW_i is the same IEEE product either way,
-so both routes stay bit-identical to each other and to a model without
-it. A vector step writes its states straight into the chunk's rows. A
-path that leaves the finite numbers stays non-finite, so a block marks it
-at its first non-finite step, the step index that ``simulate_path``
-reports, while the other paths run on.
+by it a chunk at a time, not by a call to sigma each step:
+sigma_const * dW_i is the same IEEE product either way, so both routes
+stay bit-identical to each other and to a model without it. A vector
+step writes its states straight into the chunk's rows. A path that
+leaves the finite numbers stays non-finite, so a block marks it at its
+first non-finite step, the step index that ``simulate_path`` reports,
+while the other paths run on.
 """
 
 from __future__ import annotations
@@ -206,7 +206,12 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
     row = np.empty(n + 1)
     for j, rng in enumerate(rngs):
         dw_all = rng.normal(0.0, sd, size=n_burn + n)
-        incs = (dw_all if model.sigma_const is None else dw_all * model.sigma_const).tolist()
+        if model.sigma_const is None:
+            incs = dw_all.tolist()
+        else:  # sigma dW_i a chunk at a time: no second array of the whole path
+            incs = []
+            for a in range(0, dw_all.size, _CHUNK_STEPS):
+                incs += (dw_all[a:a + _CHUNK_STEPS] * model.sigma_const).tolist()
         exploded[j] = _step_scalar(model, x0[j], cfg.dt, incs, n_burn, row)
         if exploded[j] >= 0:
             continue
