@@ -424,7 +424,7 @@ class CurveAccumulator:
         # the affine map of a uniform grid onto its nodes, and the grid
         # padded with -inf and +inf, which bounds every cell
         self._x0 = float(xs[0])
-        self._scale = (xs.size - 1) / float(xs[-1] - xs[0]) if xs.size > 1 else 0.0
+        self._scale = (xs.size - 1) / (float(xs[-1]) - float(xs[0])) if xs.size > 1 else 0.0
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
         self._work: tuple[np.ndarray, ...] = ()
         self.failures: dict[int, float] = {}
@@ -469,9 +469,10 @@ class CurveAccumulator:
         ext[c] <= X < ext[c + 1] confirms it, and a search elsewhere (NaN,
         and points by the nodes of a non-uniform grid)."""
         g, _, cell, ok = self._scratch(X.size)
-        np.subtract(X, self._x0, out=g)
-        g *= self._scale
-        g += 1.0
+        with np.errstate(all="ignore"):  # inf * 0 and overflow: clamped below
+            np.subtract(X, self._x0, out=g)
+            g *= self._scale
+            g += 1.0
         np.fmax(g, 0.0, out=g)
         np.fmin(g, self.xs.size, out=g)
         np.copyto(cell, g, casting="unsafe")

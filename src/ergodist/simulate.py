@@ -272,9 +272,9 @@ def _step_scalar(model: DiffusionModel, x: float, dt: float, incs: list,
     sigma = None if model.sigma_const is not None else model.diffusion
     n = len(values) - 1
     for i in range(n_burn):
+        inc = incs[i]
         try:
-            x = x + float(drift(x)) * dt + (incs[i] if sigma is None
-                                            else float(sigma(x)) * incs[i])
+            x = x + float(drift(x)) * dt + (inc if sigma is None else float(sigma(x)) * inc)
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
