@@ -51,6 +51,9 @@ from .simulate import _CHUNK_STEPS, Path
 _LINEAR_STEP = 2.0**-10
 # full chunks of a stored path the curve accumulator takes at a time
 _PATH_CHUNKS = 64
+# most distance, in cells, of a node from its index under the grid's affine
+# map for the curve accumulator to find cells by the map
+_MAP_SLACK = 1e-6
 # multiple of the model's support halfwidth past which a path is not read
 # through a tabulated primitive
 _PRIMITIVE_REACH = 4.0
@@ -392,11 +395,13 @@ class CurveAccumulator:
     below x, a term per step: 1 for the EDF; h dX, P h dX, h' sigma^2 and
     P h' sigma^2 for each weight (P its kernel primitive). A chunk puts
     each X_i in its cell, the number of nodes at or below it
-    (``searchsorted(xs, X_i, side="right")``). The grid's affine map
-    guesses the cell; ext[c] <= X_i < ext[c + 1], on the grid padded with
-    -inf and +inf, confirms the guess, and only the points that fail it
-    (NaN, and points by the atoms of a point-mass grid) are searched, so
-    the cells are exact on any strictly increasing grid. Each term is
+    (``searchsorted(xs, X_i, side="right")``). On a grid that the affine
+    map onto its node indices fits (a uniform one), the map guesses the
+    cell; ext[c] <= X_i < ext[c + 1], on the grid padded with -inf and
+    +inf, confirms the guess, and only the points that fail it (NaN, +inf
+    and points within rounding of a node) are searched. Any other grid,
+    such as one with a point-mass nu's atoms merged in, on which the map
+    would miss most cells, is searched. Each term is
     summed per (path, cell) with one weighted ``bincount`` and added into
     the (statistic, path, cell) sums by one slice add per statistic: a
     streamed chunk's columns are distinct paths, so each sum takes one
@@ -421,10 +426,15 @@ class CurveAccumulator:
             raise ValueError("weight-function estimators need the model (sigma^2)")
         # row 0 counts the steps (exact in floats), then 4 rows per weight
         self.sums = np.zeros((1 + 4 * len(self.weights), paths, xs.size + 1))
-        # the affine map of a uniform grid onto its nodes, and the grid
-        # padded with -inf and +inf, which bounds every cell
+        # the affine map of the grid onto its node indices, kept only if it
+        # sends every node within _MAP_SLACK of its index (a uniform grid,
+        # not one with point-mass atoms merged in), and the grid padded with
+        # -inf and +inf, which bounds every cell
         self._x0 = float(xs[0])
-        self._scale = (xs.size - 1) / (float(xs[-1]) - float(xs[0])) if xs.size > 1 else 0.0
+        scale = (xs.size - 1) / (float(xs[-1]) - float(xs[0])) if xs.size > 1 else 0.0
+        with np.errstate(all="ignore"):
+            fits = np.all(np.abs((xs - self._x0) * scale - np.arange(xs.size)) < _MAP_SLACK)
+        self._scale = scale if fits else None
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
         self._work: tuple[np.ndarray, ...] = ()
         self.failures: dict[int, float] = {}
@@ -464,10 +474,13 @@ class CurveAccumulator:
         return [a[:n] for a in self._work]
 
     def _cells(self, X: np.ndarray) -> np.ndarray:
-        """``searchsorted(xs, X, side="right")``, in the index work array:
-        the grid's affine map, clamped to the cells 0..n, where
-        ext[c] <= X < ext[c + 1] confirms it, and a search elsewhere (NaN,
-        and points by the nodes of a non-uniform grid)."""
+        """``searchsorted(xs, X, side="right")``: on a grid the affine map
+        fits, the map, clamped to the cells 0..n, where
+        ext[c] <= X < ext[c + 1] confirms it, and a search for the points
+        that fail (NaN, +inf, and points within about _MAP_SLACK of a cell
+        from a node); on any other grid, the search."""
+        if self._scale is None:
+            return np.searchsorted(self.xs, X, side="right")
         g, _, cell, ok = self._scratch(X.size)
         with np.errstate(all="ignore"):  # inf * 0 and overflow: clamped below
             np.subtract(X, self._x0, out=g)
@@ -509,13 +522,20 @@ class CurveAccumulator:
             return
         with np.errstate(all="ignore"):
             dX = np.subtract(after, before, out=f1.reshape(before.shape)).ravel()
+            bad = np.abs(X, out=f2) > self.reach
+            bad |= ~np.isfinite(dX)
             hs = [_vec_call(wf.h, X) for wf in self.weights]
-            lo, hi = float(X.min()), float(X.max())
-            # every step weightable, the common case, shown by reductions
-            if not (-self.reach <= lo and hi <= self.reach and math.isfinite(dX.sum())
-                    and all(h.min() > 0.0 for h in hs)):
-                X, dX, hs = self._drop_unweightable(cols, k, X, dX, hs)
-                lo, hi = float(X.min()), float(X.max())
+            for h in hs:
+                bad |= ~(h > 0.0)
+        if bad.any():
+            at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
+            at_cols, first = np.unique(at % k, return_index=True)
+            paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
+            for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
+                self.failures.setdefault(j, x)
+            X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
+            hs = [_vec_call(wf.h, X) for wf in self.weights]
+        lo, hi = float(X.min()), float(X.max())
         s2 = _vec_call(self.model.diffusion_sq, X)
         for w, (wf, h) in enumerate(zip(self.weights, hs)):
             PX = np.asarray(primitive(wf, self.model, lo, hi)(X), dtype=float)
@@ -527,21 +547,6 @@ class CurveAccumulator:
             term = np.multiply(_vec_call(wf.h_prime, X), s2, out=f2)
             put(3 + 4 * w, term)
             put(4 + 4 * w, np.multiply(term, PX, out=term))
-
-    def _drop_unweightable(self, cols, k: int, X: np.ndarray, dX: np.ndarray, hs: list):
-        """Record the first step of each of the k columns that cannot be
-        weighted (see the class); X, dX and h with such steps read at
-        X = 0, dX = 0."""
-        bad = ~np.isfinite(dX) | (np.abs(X) > self.reach)
-        for h in hs:
-            bad |= ~(h > 0.0)
-        at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
-        at_cols, first = np.unique(at % k, return_index=True)
-        paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
-        for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
-            self.failures.setdefault(j, x)
-        X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
-        return X, dX, [_vec_call(wf.h, X) for wf in self.weights]
 
     def curves(self, dropped=None) -> list[np.ndarray]:
         """Each estimator's curves on xs, one row per path; a path marked

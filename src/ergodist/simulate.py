@@ -16,11 +16,12 @@ bit-identical to the path of seeds[j] alone. A block of one, and every
 block of a model whose drift or diffusion does not map a state vector to
 the values of its scalar calls (one written with ``math.exp``, say),
 steps a Python float per path instead and hands that path over in the
-same chunks. A model with ``sigma_const`` set has its increments scaled
-by it a chunk at a time, not by a call to sigma each step:
-sigma_const * dW_i is the same IEEE product either way, so both routes
-stay bit-identical to each other and to a model without it. A vector
-step writes its states straight into the chunk's rows. A path that
+same chunks. A model with ``sigma_const`` set is not asked for sigma
+each step: a vector block scales each chunk's increments by it once, and
+a Python float path multiplies each increment by it. sigma_const * dW_i
+is the same IEEE product either way, so both routes stay bit-identical
+to each other and to a model without it. A vector step writes its
+states straight into the chunk's rows. A path that
 leaves the finite numbers stays non-finite, so a block marks it at its
 first non-finite step, the step index that ``simulate_path`` reports,
 while the other paths run on.
@@ -206,13 +207,7 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
     row = np.empty(n + 1)
     for j, rng in enumerate(rngs):
         dw_all = rng.normal(0.0, sd, size=n_burn + n)
-        if model.sigma_const is None:
-            incs = dw_all.tolist()
-        else:  # sigma dW_i a chunk at a time: no second array of the whole path
-            incs = []
-            for a in range(0, dw_all.size, _CHUNK_STEPS):
-                incs += (dw_all[a:a + _CHUNK_STEPS] * model.sigma_const).tolist()
-        exploded[j] = _step_scalar(model, x0[j], cfg.dt, incs, n_burn, row)
+        exploded[j] = _step_scalar(model, x0[j], cfg.dt, dw_all.tolist(), n_burn, row)
         if exploded[j] >= 0:
             continue
         for start in range(0, n, _CHUNK_STEPS):
@@ -263,27 +258,27 @@ def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
     return True
 
 
-def _step_scalar(model: DiffusionModel, x: float, dt: float, incs: list,
+def _step_scalar(model: DiffusionModel, x: float, dt: float, dw_list: list,
                  n_burn: int, values: np.ndarray) -> int:
-    """One path as a Python float, from its increments sigma dW_i when
-    ``model.sigma_const`` is set and dW_i otherwise; returns its first
-    non-finite step or -1."""
+    """One path as a Python float; returns its first non-finite step or -1.
+    With ``model.sigma_const`` set, sigma is that constant, not a call."""
     drift = model.drift
-    sigma = None if model.sigma_const is not None else model.diffusion
+    sigma = model.diffusion
+    s = model.sigma_const
     n = len(values) - 1
     for i in range(n_burn):
-        inc = incs[i]
         try:
-            x = x + float(drift(x)) * dt + (inc if sigma is None else float(sigma(x)) * inc)
+            x = (x + float(drift(x)) * dt
+                 + (float(sigma(x)) if s is None else s) * dw_list[i])
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
             return i
     values[0] = x
     for i in range(n):
-        inc = incs[n_burn + i]
         try:
-            x = x + float(drift(x)) * dt + (inc if sigma is None else float(sigma(x)) * inc)
+            x = (x + float(drift(x)) * dt
+                 + (float(sigma(x)) if s is None else s) * dw_list[n_burn + i])
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):

@@ -501,6 +501,15 @@ class TestCurveAccumulator:
         acc = CurveAccumulator(xs, [as_estimator("edf")], None, 1, 1, 1.0)
         assert np.array_equal(acc._cells(X), np.searchsorted(xs, X, side="right"))
 
+    def test_map_kept_only_on_grids_it_fits(self):
+        # a uniform grid's cells come from the map; a grid with off-grid
+        # point-mass atoms merged in is searched whole
+        uniform = np.linspace(-5.0, 5.0, 81)
+        merged = np.unique(np.concatenate([uniform, [-0.7, 0.1, 1.3]]))
+        edf = [as_estimator("edf")]
+        assert CurveAccumulator(uniform, edf, None, 1, 1, 1.0)._scale is not None
+        assert CurveAccumulator(merged, edf, None, 1, 1, 1.0)._scale is None
+
     def test_streamed_block_matches_materialized_rows(self):
         # 1200 steps span three chunks; sigma is not constant, so both
         # weights read tabulated primitives

@@ -303,7 +303,7 @@ class TestConstantSigma:
     @pytest.mark.parametrize("make", [lambda: ornstein_uhlenbeck(0.7, 1.3), quartic_well],
                              ids=["ou", "quartic"])
     def test_sigma_const_changes_no_bits(self, make, monkeypatch):
-        # with sigma_const a chunk's increments are scaled once; without it
+        # with sigma_const the increments are multiplied by it; without it
         # sigma is called every step. 100 burn-in steps and 600 steps span
         # both loops and two chunks of each route.
         model = make()
