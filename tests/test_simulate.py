@@ -111,6 +111,19 @@ class TestSimulatePath:
             simulate_path(blowup, SimConfig(horizon_T=50.0, dt=0.5, seed=3, init=3.0))
         assert err.value.step_index >= 0
 
+    @pytest.mark.parametrize("cfg, step, during_burn_in", [
+        (SimConfig(horizon_T=5.0, dt=0.5, seed=3, init=3.0, burn_in_T=50.0), 6, True),
+        (SimConfig(horizon_T=50.0, dt=0.05, seed=0, init=0.0, burn_in_T=0.5), 28, False),
+    ], ids=["burn_in", "after_burn_in"])
+    def test_explosion_step_and_message(self, cfg, step, during_burn_in):
+        # a burn-in explosion counts burn-in steps; a later one counts from
+        # the end of burn-in
+        with pytest.raises(SimulationError) as err:
+            simulate_path(cubic_blowup(), cfg)
+        assert err.value.step_index == step
+        assert str(err.value).endswith(f"at step {step}")
+        assert ("during burn-in" in str(err.value)) == during_burn_in
+
     def test_wiener_increments_shape_and_variance(self, ou):
         cfg = SimConfig(horizon_T=40.0, dt=0.01, seed=11, init=0.0, store_wiener=True)
         path = simulate_path(ou, cfg)
