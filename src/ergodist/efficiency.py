@@ -35,7 +35,6 @@ from .estimators import (
     EstimatorChoice,
     WeightFunction,
     as_estimator,
-    estimate_curves,
     kernel,
     primitive,
     unbiased_estimate,
@@ -58,7 +57,7 @@ from .numerics import (
     integrate,
     integrate_line,
 )
-from .simulate import Path, SimConfig, derive_substream_seed, simulate_block, stream_block
+from .simulate import Path, SimConfig, derive_substream_seed, stream_block
 
 # relaxed tolerances for condition screens (flags, not truth values)
 _SCREEN_OUTER = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, max_depth=32, tail_tol=1e-9)
@@ -608,27 +607,15 @@ def _block_errors(ctx: _RiskContext, reps: range) -> list[list[np.ndarray] | Non
     estimator's error curve, or None where the path exploded.
 
     The paths stream through one :class:`CurveAccumulator` and are not
-    stored. A custom ``curve_fn`` estimator reads whole paths, so a block
-    with one stores its rows (:func:`simulate_block`, the same stream) and
-    each row goes through :func:`estimate_curves`, which gives the other
-    estimators the same curves bit for bit.
+    stored.
     """
     seeds = [derive_substream_seed(ctx.sim.seed, r) for r in reps]
-    if any(c.kind == "custom" for c in ctx.choices):
-        block = simulate_block(ctx.model, ctx.sim, seeds)
-        exploded = block.exploded
-        rows = [None if exploded[j] >= 0 else
-                [c.values for c in estimate_curves(block.path(j), ctx.eval_xs, ctx.choices,
-                                                   ctx.model)]
-                for j in range(len(seeds))]
-    else:
-        acc = CurveAccumulator(ctx.eval_xs, ctx.choices, ctx.model, len(seeds),
-                               ctx.sim.n_steps, ctx.sim.dt)
-        exploded = stream_block(ctx.model, ctx.sim, seeds, acc.add)
-        curves = acc.curves(exploded >= 0)
-        rows = [None if exploded[j] >= 0 else [v[j] for v in curves]
-                for j in range(len(seeds))]
-    return [None if r is None else [v - ctx.truth for v in r] for r in rows]
+    acc = CurveAccumulator(ctx.eval_xs, ctx.choices, ctx.model, len(seeds),
+                           ctx.sim.n_steps, ctx.sim.dt)
+    exploded = stream_block(ctx.model, ctx.sim, seeds, acc.add)
+    curves = acc.curves(exploded >= 0)
+    return [None if exploded[j] >= 0 else [v[j] - ctx.truth for v in curves]
+            for j in range(len(seeds))]
 
 
 _POOL_CTX: _RiskContext | None = None
@@ -649,8 +636,9 @@ def empirical_risk(
 ) -> RiskReport | list[RiskReport]:
     """Monte Carlo integrated risk of estimators against the bound.
 
-    ``estimator`` is one estimator choice, or a list of them, which gives
-    a list of reports in the same order. Simulates ``replications``
+    ``estimator`` is one estimator (a spec such as "edf", a weight
+    function or an :class:`EstimatorChoice`), or a list of them, which
+    gives a list of reports in the same order. Simulates ``replications``
     stationary paths with deterministic substream seeds, each once, as
     one block of ceil(replications / workers) paths per worker stepped as
     one vector. Every estimator curve on the fixed grid (shared paths and

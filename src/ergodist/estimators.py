@@ -306,12 +306,6 @@ def dt_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
 # path estimators
 # ---------------------------------------------------------------------------
 
-def edf(path: Path, x: float) -> float:
-    """Fraction of left grid points strictly below x; always in [0, 1]."""
-    left = path.values[:-1]
-    return float(np.count_nonzero(left < x)) / len(left)
-
-
 def unbiased_estimate(path: Path, wf: WeightFunction, model: DiffusionModel, x: float) -> float:
     """Left-endpoint discretization of the weight-function estimator at x:
     its :func:`estimate_curves` curve at the one threshold x.
@@ -326,12 +320,17 @@ def unbiased_estimate(path: Path, wf: WeightFunction, model: DiffusionModel, x: 
 
 @dataclass(frozen=True)
 class EstimatorChoice:
-    """Dispatch record: the EDF, a weight-function estimator, or a callable."""
+    """The weight-function estimator of ``weight``, or the EDF for None."""
 
-    kind: str  # "edf" | "unbiased" | "custom"
     weight: WeightFunction | None = None
-    curve_fn: Callable | None = None
-    tag: str = "edf"
+
+    @property
+    def kind(self) -> str:
+        return "edf" if self.weight is None else "unbiased"
+
+    @property
+    def tag(self) -> str:
+        return "edf" if self.weight is None else self.weight.tag
 
 
 def parse_estimator(spec: str) -> EstimatorChoice:
@@ -339,7 +338,7 @@ def parse_estimator(spec: str) -> EstimatorChoice:
     | 'unbiased:const:c=<real>'."""
     spec = spec.strip()
     if spec == "edf":
-        return EstimatorChoice(kind="edf", tag="edf")
+        return EstimatorChoice()
     parts = spec.split(":")
     if len(parts) != 3 or parts[0] != "unbiased":
         raise ValueError(f"bad estimator spec {spec!r}")
@@ -358,7 +357,7 @@ def parse_estimator(spec: str) -> EstimatorChoice:
             raise ValueError(f"bad estimator spec {spec!r}")
     except ValueError as exc:
         raise ValueError(f"bad estimator spec {spec!r}: {exc}") from exc
-    return EstimatorChoice(kind="unbiased", weight=wf, tag=wf.tag)
+    return EstimatorChoice(wf)
 
 
 def as_estimator(choice) -> EstimatorChoice:
@@ -367,9 +366,7 @@ def as_estimator(choice) -> EstimatorChoice:
     if isinstance(choice, str):
         return parse_estimator(choice)
     if isinstance(choice, WeightFunction):
-        return EstimatorChoice(kind="unbiased", weight=choice, tag=choice.tag)
-    if callable(choice):
-        return EstimatorChoice(kind="custom", curve_fn=choice, tag="custom")
+        return EstimatorChoice(choice)
     raise ValueError(f"cannot interpret estimator choice {choice!r}")
 
 
@@ -421,7 +418,7 @@ class CurveAccumulator:
                  paths: int, n_steps: int, dt: float):
         self.xs, self.choices, self.model = xs, choices, model
         self.n_steps, self.dt = n_steps, dt
-        self.weights = [c.weight for c in choices if c.kind == "unbiased"]
+        self.weights = [c.weight for c in choices if c.weight is not None]
         if self.weights and model is None:
             raise ValueError("weight-function estimators need the model (sigma^2)")
         # row 0 counts the steps (exact in floats), then 4 rows per weight
@@ -561,7 +558,7 @@ class CurveAccumulator:
         out = []
         weights = iter(zip(self.weights, sums[1:].reshape(-1, 4, *sums.shape[1:])))
         for choice in self.choices:
-            if choice.kind == "edf":
+            if choice.weight is None:
                 out.append(sums[0] / self.n_steps)
                 continue
             wf, (A, B, C, D) = next(weights)
@@ -575,33 +572,22 @@ def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = N
                     ) -> list[EstimateCurve]:
     """Evaluate estimators on a strictly increasing grid of thresholds.
 
-    The EDF and the weight-function curves come from one
-    :class:`CurveAccumulator` fed the path in the chunks a simulated block
-    takes, so they equal bit for bit the curves of a streamed block; a
-    custom estimator is called on the path.
+    Every curve comes from one :class:`CurveAccumulator` fed the path in
+    the chunks a simulated block takes, so each equals bit for bit the
+    curve of the same path streamed in a block.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and not np.all(np.diff(xs) > 0.0):
         raise ValueError("xs must be sorted strictly increasing")
     choices = [as_estimator(e) for e in estimators]
     if xs.size == 0:
-        return [EstimateCurve(xs=xs, values=np.empty(0), estimator_tag=c.tag,
-                              horizon_T=path.horizon_T) for c in choices]
-    summed = [c for c in choices if c.kind != "custom"]
-    acc = CurveAccumulator(xs, summed, model, 1, path.n_steps, path.dt)
-    acc.add_path(0, np.ascontiguousarray(path.values, dtype=float))
-    rows = iter(acc.curves())
-    curves = []
-    for choice in choices:
-        if choice.kind == "custom":
-            values = np.asarray(choice.curve_fn(path, xs), dtype=float)
-            if values.shape != xs.shape:
-                raise ValueError("custom estimator returned a wrong-shaped curve")
-        else:
-            values = next(rows)[0]
-        curves.append(EstimateCurve(xs=xs, values=values, estimator_tag=choice.tag,
-                                    horizon_T=path.horizon_T))
-    return curves
+        values = [np.empty(0)] * len(choices)
+    else:
+        acc = CurveAccumulator(xs, choices, model, 1, path.n_steps, path.dt)
+        acc.add_path(0, np.ascontiguousarray(path.values, dtype=float))
+        values = [rows[0] for rows in acc.curves()]
+    return [EstimateCurve(xs=xs, values=v, estimator_tag=c.tag, horizon_T=path.horizon_T)
+            for c, v in zip(choices, values)]
 
 
 def estimate_curve(path: Path, xs, estimator, model: DiffusionModel | None = None) -> EstimateCurve:

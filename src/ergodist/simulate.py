@@ -11,20 +11,21 @@ then its increments dW_i ~ Normal(0, dt), burn-in steps first.
 one numpy vector, drawing each path's increments from its own stream in
 chunks of ``_CHUNK_STEPS`` steps, and hands each chunk of states to a
 consumer: a curve accumulator, which keeps per-cell sums and no path, or
-``simulate_block``, which stores the rows, so row j of a block is
-bit-identical to the path of seeds[j] alone. A block of one, and every
-block of a model whose drift or diffusion does not map a state vector to
-the values of its scalar calls (one written with ``math.exp``, say),
-steps a Python float per path instead and hands that path over in the
-same chunks. A model with ``sigma_const`` set is not asked for sigma
+``simulate_path``, which stores the one path of a block of one. A path's
+states do not depend on the other paths of its block, so each is
+bit-identical to ``simulate_path`` of its seed alone. A block of one, and
+every block of a model whose drift or diffusion does not map a state
+vector to the values of its scalar calls (one written with ``math.exp``,
+say), steps a Python float per path instead and hands that path over in
+the same chunks. A model with ``sigma_const`` set is not asked for sigma
 each step: a vector block scales each chunk's increments by it once, and
 a Python float path multiplies each increment by it. sigma_const * dW_i
 is the same IEEE product either way, so both routes stay bit-identical
 to each other and to a model without it. A vector step writes its
-states straight into the chunk's rows. A path that
-leaves the finite numbers stays non-finite, so a block marks it at its
-first non-finite step, the step index that ``simulate_path`` reports,
-while the other paths run on.
+states straight into the chunk's rows. A path that leaves the finite
+numbers stays non-finite, so a block marks it at its first non-finite
+step, from which ``simulate_path`` counts the step it reports, while the
+other paths run on.
 """
 
 from __future__ import annotations
@@ -150,34 +151,6 @@ _CHUNK_STEPS = 512
 _PROBE_POINTS = 1024
 
 
-@dataclass(frozen=True)
-class PathBlock:
-    """Paths of one block: row j of ``values`` is the path of ``seeds[j]``.
-
-    ``exploded[j]`` is the first step at which path j left the finite
-    numbers, counting burn-in steps first, or -1; such a row holds no path.
-    """
-
-    dt: float
-    values: np.ndarray
-    exploded: np.ndarray
-    seeds: tuple[int, ...]
-    n_burn: int = 0
-    wiener_increments: np.ndarray | None = None
-
-    def path(self, j: int) -> Path:
-        """Path j, or the SimulationError of its explosion."""
-        step = int(self.exploded[j])
-        if step >= self.n_burn:
-            raise SimulationError(step - self.n_burn,
-                                  f"trajectory exploded at step {step - self.n_burn}")
-        if step >= 0:
-            raise SimulationError(step, f"trajectory exploded during burn-in at step {step}")
-        dw = None if self.wiener_increments is None else self.wiener_increments[j]
-        return Path(dt=self.dt, values=self.values[j], wiener_increments=dw,
-                    seed_used=self.seeds[j])
-
-
 def _burn_steps(cfg: SimConfig) -> int:
     return round(cfg.burn_in_T / cfg.dt) if cfg.burn_in_T > 0.0 else 0
 
@@ -215,28 +188,6 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
             consume(slice(j, j + 1), start, row[start:stop + 1, None],
                     dw_all[n_burn + start:n_burn + stop, None])
     return exploded
-
-
-def simulate_block(model: DiffusionModel, cfg: SimConfig, seeds) -> PathBlock:
-    """Simulate one path per seed with cfg's horizon, step and initialization,
-    storing the rows :func:`stream_block` hands over.
-
-    Row j is bit-identical to ``simulate_path(model, replace(cfg,
-    seed=seeds[j]))``; an exploding path is marked, not raised, and the
-    other rows are unaffected.
-    """
-    seeds = tuple(int(s) for s in seeds)
-    values = np.empty((len(seeds), cfg.n_steps + 1))
-    wiener = np.empty((len(seeds), cfg.n_steps)) if cfg.store_wiener else None
-
-    def store(cols, start, states, dw):
-        values[cols, start:start + len(states)] = states.T
-        if wiener is not None:
-            wiener[cols, start:start + len(dw)] = dw.T
-
-    exploded = stream_block(model, cfg, seeds, store)
-    return PathBlock(dt=cfg.dt, values=values, exploded=exploded, seeds=seeds,
-                     n_burn=_burn_steps(cfg), wiener_increments=wiener)
 
 
 def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
@@ -330,9 +281,26 @@ def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:
     dW_i ~ Normal(0, dt) from a PCG64 stream seeded with cfg.seed. The same
     (model, cfg) always yields a bit-identical path. Stationary
     initialization consumes one uniform draw before the increments. This is
-    the block of one: its state is a Python float.
+    the block of one, its state a Python float, stored from the chunks
+    :func:`stream_block` hands over. An explosion raises SimulationError
+    with its step: counted from the end of burn-in, or, during burn-in,
+    counted in burn-in steps.
     """
-    return simulate_block(model, cfg, [cfg.seed]).path(0)
+    values = np.empty(cfg.n_steps + 1)
+    wiener = np.empty(cfg.n_steps) if cfg.store_wiener else None
+
+    def store(cols, start, states, dw):
+        values[start:start + len(states)] = states[:, 0]
+        if wiener is not None:
+            wiener[start:start + len(dw)] = dw[:, 0]
+
+    step = int(stream_block(model, cfg, [cfg.seed], store)[0])
+    n_burn = _burn_steps(cfg)
+    if step >= n_burn:
+        raise SimulationError(step - n_burn, f"trajectory exploded at step {step - n_burn}")
+    if step >= 0:
+        raise SimulationError(step, f"trajectory exploded during burn-in at step {step}")
+    return Path(dt=cfg.dt, values=values, wiener_increments=wiener, seed_used=cfg.seed)
 
 
 def write_path_csv(path: Path, stream: TextIO) -> None:

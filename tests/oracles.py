@@ -4,21 +4,25 @@ Everything here is deliberately computed by a different route than the
 package under test: power series, exact rational arithmetic, dense
 trapezoid rules on closed-form densities, and scipy's own distribution
 functions. Values asserted in the tests were produced by these oracles.
-The last two, ``occupation_mean`` and ``martingale_weight``, are the
-exception: test-only quantities that the package itself never computes,
-built on its evaluators.
+The last four are the exception, test-only helpers built on the package:
+``occupation_mean`` and ``martingale_weight``, quantities it never
+computes; ``edf``, the EDF at one threshold straight from its definition;
+and ``stored_block``, which keeps the rows that ``stream_block`` hands
+over.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from ergodist.errors import EvaluationError
 from ergodist.estimators import kernel
 from ergodist.model import _vec_call
+from ergodist.simulate import stream_block
 
 
 def erf_series(x: float) -> float:
@@ -169,3 +173,30 @@ def martingale_weight(wf, model, x: float, y: float) -> float:
     if y >= x:
         return 0.0
     return 2.0 * float(wf.h(y)) * kernel(wf, model, x, y) * float(model.diffusion(y))
+
+
+def edf(path, x: float) -> float:
+    """Fraction of left grid points strictly below x; always in [0, 1]."""
+    left = path.values[:-1]
+    return float(np.count_nonzero(left < x)) / len(left)
+
+
+class StoredBlock(NamedTuple):
+    values: np.ndarray
+    wiener_increments: np.ndarray
+    exploded: np.ndarray
+
+
+def stored_block(model, cfg, seeds) -> StoredBlock:
+    """The states and increments ``stream_block`` hands over, as rows: row
+    j is the path of seeds[j], NaN where it was not handed over, and
+    ``exploded`` is what ``stream_block`` returns."""
+    values = np.full((len(seeds), cfg.n_steps + 1), np.nan)
+    wiener = np.full((len(seeds), cfg.n_steps), np.nan)
+
+    def record(cols, start, states, dw):
+        values[cols, start:start + len(states)] = states.T
+        wiener[cols, start:start + len(dw)] = dw.T
+
+    exploded = stream_block(model, cfg, seeds, record)
+    return StoredBlock(values, wiener, exploded)

@@ -420,13 +420,6 @@ class TestEmpiricalRisk:
     def grid(self):
         return np.linspace(-5.0, 5.0, 21)
 
-    def test_truth_stub_gives_zero_risk(self, ou):
-        truth = lambda path, xs: np.array([invariant_cdf(ou, float(x)) for x in xs])
-        sim = SimConfig(horizon_T=1.0, dt=0.01, seed=3)
-        rep = empirical_risk(ou, truth, nu_gaussian(0, 1), sim, 3, self.grid())
-        assert rep.scaled_risk == 0.0
-        assert rep.ratio == 0.0
-
     def test_point_mass_nu_reduces_to_atom_mse(self, ou):
         from ergodist.estimators import estimate_curve
 

