@@ -50,7 +50,6 @@ from .model import (
 )
 from .simulate import SimConfig, simulate_path, write_path_csv
 
-_WORKERS_ENV = "ERGODIST_WORKERS"
 DEFAULT_GRID = (-5.0, 5.0, 81)
 
 
@@ -110,8 +109,9 @@ class ExperimentConfig:
             raise ConfigError(violations)
 
     def resolved_workers(self) -> int:
+        """The worker count; "auto" is the number of CPUs this process may run on."""
         if self.workers == "auto":
-            return int(os.environ.get(_WORKERS_ENV, "1"))
+            return len(os.sched_getaffinity(0))
         return int(self.workers)
 
     @property

@@ -378,7 +378,7 @@ def _density_integrand(model: DiffusionModel) -> Callable:
     return g
 
 
-def normalizing_constant(model: DiffusionModel, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def normalizing_constant(model: DiffusionModel) -> float:
     """G(S), cached on the model after the first computation.
 
     Raises :class:`DivergenceError` when the integral fails the tail
@@ -389,7 +389,7 @@ def normalizing_constant(model: DiffusionModel, spec: QuadratureSpec = DEFAULT_Q
     if g is not None:
         return g
     try:
-        res = integrate_line(_density_integrand(model), spec)
+        res = integrate_line(_density_integrand(model))
     except ExponentOverflowError as exc:
         raise DivergenceError(
             f"normalizer divergence-suspected: scale exponent overflow at y={exc.abscissa!r}"
@@ -503,11 +503,7 @@ def invariant_quantile(model: DiffusionModel, u: float, tol: float = 1e-10) -> f
                            float(t.nodes[k - 1]), float(t.nodes[k]), tol)
 
 
-def stationary_expectation(
-    model: DiffusionModel,
-    g: Callable[[float], float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def stationary_expectation(model: DiffusionModel, g: Callable[[float], float]) -> float:
     """E[g(xi)] = int g(z) f_S(z) dz for xi with the invariant law.
 
     Raises :class:`DivergenceError` when the moment does not exist: either
@@ -517,7 +513,7 @@ def stationary_expectation(
     G = normalizing_constant(model)
     raw = _density_integrand(model)
     try:
-        return integrate_line(lambda z: np.asarray(g(z), dtype=float) * raw(z) / G, spec).value
+        return integrate_line(lambda z: np.asarray(g(z), dtype=float) * raw(z) / G).value
     except EvaluationError as exc:
         raise DivergenceError(
             f"moment integrand invalid or overflowing at z={exc.abscissa!r}; "

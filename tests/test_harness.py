@@ -68,12 +68,12 @@ class TestExperimentConfig:
     def test_default_grid(self):
         assert DEFAULT_GRID == (-5.0, 5.0, 81)
 
-    def test_workers_auto_reads_environment(self, tmp_path, monkeypatch):
+    def test_workers_auto_is_usable_cpus(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(make_config(tmp_path, workers="auto"))
-        monkeypatch.setenv("ERGODIST_WORKERS", "3")
+        assert cfg.resolved_workers() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         assert cfg.resolved_workers() == 3
-        monkeypatch.delenv("ERGODIST_WORKERS")
-        assert cfg.resolved_workers() == 1
+        assert ExperimentConfig.from_dict(make_config(tmp_path, workers=2)).resolved_workers() == 2
 
 
 class TestRunExperiment:
