@@ -388,18 +388,7 @@ def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
         return 0.0
     g = normalizing_constant(model)
     raw = _density_integrand(model)
-    fx = invariant_cdf(model, x)
-
-    def integrand(v: float) -> float:
-        fv = raw(v) / g
-        if v >= x:
-            cv = -fx
-        else:
-            bracket = (2.0 * float(wf.h(v)) * float(model.drift(v))
-                       + float(wf.h_prime(v)) * float(model.diffusion_sq(v)))
-            cv = kernel(wf, model, x, v) * bracket - fx
-        return cv * fv
-
+    integrand = lambda v: compensator(wf, model, x, v) * (raw(v) / g)
     total = _signed_integral(integrand, table.lo, z, x, spec)
     fz = invariant_density(model, z)
     if fz < 1e-300:

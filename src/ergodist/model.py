@@ -288,21 +288,6 @@ class _Hermite:
 # scale exponent: 2 * int_0^y S/sigma^2
 # ---------------------------------------------------------------------------
 
-def scale_exponent(model: DiffusionModel, y: float) -> float:
-    """Signed exponent 2*int_0^y S(v)/sigma^2(v) dv.
-
-    Uses the model's closed form when present, quadrature otherwise.
-    """
-    if model.scale_exponent_closed is not None:
-        return float(model.scale_exponent_closed(y))
-    if y == 0.0:
-        return 0.0
-    integrand = lambda v: model.drift(v) / _sigma_sq(model, v)
-    if y > 0.0:
-        return 2.0 * integrate(integrand, 0.0, y).value
-    return -2.0 * integrate(integrand, y, 0.0).value
-
-
 def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
     """Scale-exponent table of a custom model on the nodes k/128 of [-w, w],
     w >= halfwidth, with the exact slopes 2S/sigma^2.
@@ -332,7 +317,9 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
     return table
 
 
-def _exponent_scalar(model: DiffusionModel, y: float) -> float:
+def scale_exponent(model: DiffusionModel, y: float) -> float:
+    """Signed exponent 2*int_0^y S(v)/sigma^2(v) dv: the model's closed
+    form when present, else its exponent table."""
     if model.scale_exponent_closed is not None:
         return float(model.scale_exponent_closed(y))
     return float(_exponent_table(model, abs(y))(y))
@@ -404,7 +391,7 @@ def normalizing_constant(model: DiffusionModel) -> float:
 def invariant_density(model: DiffusionModel, y: float) -> float:
     """f_S(y) = exp{scale exponent}/(G(S) * sigma^2(y)); G(S) is cached."""
     g = normalizing_constant(model)
-    e = _exponent_scalar(model, y)
+    e = scale_exponent(model, y)
     if e > _EXP_LIMIT:
         raise ExponentOverflowError(y, f"scale exponent {e!r} saturates exp at y={y!r}")
     return math.exp(e) / (g * _sigma_sq(model, y))

@@ -38,7 +38,7 @@ class TestScaleExponent:
         assert scale_exponent(ou, -2.0) == pytest.approx(-4.0, abs=1e-12)
 
     def test_closed_form_matches_quadrature(self):
-        # custom clone of the same drift goes through the quadrature path
+        # custom clone of the same drift reads the exponent table
         clone = DiffusionModel(
             drift=lambda x: -x,
             diffusion=lambda x: 1.0,
