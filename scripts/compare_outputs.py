@@ -4,9 +4,10 @@
 For every numeric field of result.json (lists element by element) and every
 column of every risk_*.csv, prints the largest absolute move and the
 largest relative move |new - old| / max(|old|, |new|) from OLD_DIR to
-NEW_DIR. ``config.output_dir`` is skipped, since it names the directory and
-so differs between two otherwise identical runs. A non-numeric field is
-listed only when it differs.
+NEW_DIR. ``config.output_dir`` is skipped: outputs written before
+result.json stopped echoing it name their directory there, which differs
+between two otherwise identical runs. A non-numeric field is listed only
+when it differs.
 
 Usage:
     python scripts/compare_outputs.py OLD_DIR NEW_DIR

@@ -126,7 +126,6 @@ class ExperimentConfig:
             "replications": self.replications,
             "nu": self.nu_spec if isinstance(self.nu_spec, (str, dict)) else str(self.nu_spec),
             "grid": {"lo": self.grid_lo, "hi": self.grid_hi, "count": self.grid_count},
-            "output_dir": self.output_dir,
             "workers": self.workers,
         }
 

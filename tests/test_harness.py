@@ -100,12 +100,8 @@ class TestRunExperiment:
         for out in (out1, out2):
             cfg = ExperimentConfig.from_dict(make_config(out))
             run_experiment(cfg)
-        for name in ("risk_edf.csv", "risk_unbiased_exp.csv"):
+        for name in ("result.json", "risk_edf.csv", "risk_unbiased_exp.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        a = json.load(open(out1 / "result.json"))
-        b = json.load(open(out2 / "result.json"))
-        a["config"]["output_dir"] = b["config"]["output_dir"]
-        assert a == b
 
     def test_duplicate_estimators_get_distinct_tags(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -157,7 +153,7 @@ class TestRunExperiment:
 # Experiments whose outputs are pinned to digests: an OU run in one worker,
 # the same run with a point-mass nu whose atoms lie off the grid (so curves
 # are read on a non-uniform grid), and a quartic run in two, written into
-# the relative directory "byte_identity" (result.json echoes output_dir).
+# the relative directory "byte_identity".
 _PINNED = {
     "ou": {"model": {"family": "ou", "params": {"theta": 1.0, "s": 1.0}},
            "estimators": ["edf", "unbiased:exp:delta=1", "unbiased:poly:p=1"],
@@ -187,19 +183,19 @@ _PINNED_SHA256 = {
         "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
         "risk_unbiased_exp.csv": "041600803682ac73cc44db7f61ef5ec364dd58c34cf54ffec56aa55957bef44a",
         "risk_unbiased_poly.csv": "f610e2fcaf04807f4df6ea495e304d1b234cb417d85bb3f04c8b4ea5228cd5c9",
-        "result.json": "76fcc20c0c953b04aadf73a1a12c6dfa6eb4a9fef2b07fccc1c836fb0fc329be",
+        "result.json": "415cec5988413df9a7f083ec569ec311451780ae3beb6c3b2a6011222bd8c899",
     },
     "ou_point": {
         "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
         "risk_unbiased_exp.csv": "672940bc578854a4d740faec68026d107e0c2ad40d74d5ffb86ab05603c5cfde",
         "risk_unbiased_poly.csv": "3a321e0f2d1c2c7b71e32135ff5ee2f3e0abd2a13906ebac3510a3b77869294f",
-        "result.json": "355274798f31fdc6bba9fe8417bd4f0b543b1bd1540c372ce33b7b2f323c98b8",
+        "result.json": "c0f6d08f2377c4c7d0d0162a5928aa02c9eacc72c08a161e81202798ecc30a9c",
     },
     "quartic": {
         "risk_edf.csv": "30d0acf8fa4accf170eca2bc4320ea5da1b7aa0332b017a3f2dd243640167676",
         "risk_unbiased_exp.csv": "a1e5fd12300a6ed0df76580529862bf2ca517568ce59f97075f6ef1319da3c78",
         "risk_unbiased_poly.csv": "27f8a93853922d4806fa1db5a69d892ee0293c8e533935d62ad8aeb250572ba1",
-        "result.json": "d58b669f29476608bbe2208afb19221472f154bdf77c16af8433422f86545864",
+        "result.json": "1b8661dd97f81c3aab77a8dafaed9b53abb6edf6d970f7556610118f2e89b4f6",
     },
 }
 
