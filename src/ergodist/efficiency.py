@@ -44,8 +44,6 @@ from .model import (
     _cdf_pair,
     _cdf_table,
     _density_integrand,
-    _density_vec,
-    _vec_call,
     invariant_cdf,
     invariant_density,
     normalizing_constant,
@@ -56,6 +54,7 @@ from .numerics import (
     compensated_sum,
     integrate,
     integrate_line,
+    on_array,
 )
 from .simulate import Path, SimConfig, derive_substream_seed, stream_block
 
@@ -195,9 +194,9 @@ def _integrands(model: DiffusionModel, ys: np.ndarray):
     """F and Fbar = 1 - F at ys, and the rows F^2 r, F r, Fbar^2 r, Fbar r,
     where r = 1/(sigma^2 f_S) is set to 0 below the ratio floor."""
     F, Fbar = _cdf_pair(model, ys)
-    f = _density_vec(model, ys)
+    f = invariant_density(model, ys)
     r = np.zeros(ys.shape)
-    np.divide(1.0, _vec_call(model.diffusion_sq, ys) * f, out=r, where=f > _RATIO_FLOOR)
+    np.divide(1.0, on_array(model.diffusion_sq, ys) * f, out=r, where=f > _RATIO_FLOOR)
     return F, Fbar, np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
 
 
@@ -328,8 +327,7 @@ def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
     return float(2.0 * (Fbar[0] * (run[1, 1] - run[1, 2]) + F[0] * (run[3, 3] - run[3, 4])))
 
 
-def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
     """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed)."""
 
     def integrand(v: float) -> float:
@@ -337,15 +335,14 @@ def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: flo
             return 0.0
         return 2.0 * kernel(wf, model, x, v) * float(wf.h(v))
 
-    return _signed_integral(integrand, 0.0, y, x, spec)
+    return _signed_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
 
 
-def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: float,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
     """Boundary term of the error decomposition; vanishes at y = 0 exactly."""
     if y == 0.0:
         return 0.0
-    return weight_primitive(wf, model, x, y, spec) + influence_primitive(model, x, y)
+    return weight_primitive(wf, model, x, y) + influence_primitive(model, x, y)
 
 
 def compensator(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
@@ -375,8 +372,7 @@ def boundary_derivative_closed(wf: WeightFunction, model: DiffusionModel,
 
 
 def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
-                               x: float, z: float,
-                               spec: QuadratureSpec = _DIRECT_SPEC) -> float:
+                               x: float, z: float) -> float:
     """Quadrature form of the boundary-function derivative:
     (2 / (f_S(z) sigma^2(z))) * int_{-inf}^z compensator(v) f_S(v) dv.
 
@@ -389,21 +385,22 @@ def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
     g = normalizing_constant(model)
     raw = _density_integrand(model)
     integrand = lambda v: compensator(wf, model, x, v) * (raw(v) / g)
-    total = _signed_integral(integrand, table.lo, z, x, spec)
+    total = _signed_integral(integrand, table.lo, z, x, _DIRECT_SPEC)
     fz = invariant_density(model, z)
     if fz < 1e-300:
         raise TailError(f"invariant density underflows at z={z!r}")
     return 2.0 * total / (fz * float(model.diffusion_sq(z)))
 
 
-def ode_residual(wf: WeightFunction, model: DiffusionModel, x: float, y: float,
-                 step: float = 1e-4) -> float:
-    """Finite-difference residual of M'(y) S(y) + M''(y) sigma^2(y)/2 = c(y).
+def ode_residual(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
+    """Finite-difference residual of M'(y) S(y) + M''(y) sigma^2(y)/2 = c(y)
+    with step h = 1e-4.
 
     The central differences of the boundary function M are formed from its
     one-panel increments (M(y+h) - M(y) is exactly the integral of M' over
     [y, y+h]), which keeps quadrature noise out of the h^-2 amplification.
     """
+    step = 1e-4
     mker = lambda v: boundary_derivative_closed(wf, model, x, v)
     up = integrate(mker, y, y + step, _INCREMENT_SPEC).value
     down = integrate(mker, y - step, y, _INCREMENT_SPEC).value
@@ -424,9 +421,7 @@ def _influence_ratio_vec(model: DiffusionModel, x: float, ys: np.ndarray) -> np.
     fx, sx = _cdf_pair(model, x)
     fy, sy = _cdf_pair(model, ys)
     infl = np.where(ys <= x, fy * sx, fx * sy)
-    dens = _density_vec(model, ys)
-    sig = np.broadcast_to(np.asarray(_vec_call(model.diffusion, ys)), ys.shape)
-    return -2.0 * infl / (sig * dens)
+    return -2.0 * infl / (on_array(model.diffusion, ys) * invariant_density(model, ys))
 
 
 def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionModel,
@@ -485,7 +480,7 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
     ys = table.nodes
     P = primitive(wf, model, table.lo, table.hi)
     Pys = np.asarray(P(ys), dtype=float)
-    hys = np.broadcast_to(np.asarray(_vec_call(wf.h, ys)), ys.shape)
+    hys = on_array(wf.h, ys)
 
     def inner(x: float) -> float:
         if table.lo <= x <= table.hi:

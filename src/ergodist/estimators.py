@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DivergenceError, EvaluationError
 from .model import (
+    _PANEL_SPEC,
     DiffusionModel,
     _density_integrand,
     _Hermite,
@@ -38,11 +39,10 @@ from .model import (
     _sigma_sq,
     _support,
     _table_panels,
-    _vec_call,
     normalizing_constant,
     stationary_expectation,
 )
-from .numerics import QuadratureSpec, integrate, integrate_panels
+from .numerics import integrate, integrate_panels, on_array
 from .simulate import _CHUNK_STEPS, Path
 
 # node step of the primitive table, used for custom weights and for models
@@ -57,16 +57,19 @@ _MAP_SLACK = 1e-6
 # multiple of the model's support halfwidth past which a path is not read
 # through a tabulated primitive
 _PRIMITIVE_REACH = 4.0
-_TABLE_PANEL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=30)
 
 
 @dataclass(frozen=True)
 class WeightFunction:
     """Positive, continuously differentiable weight with its derivative.
 
-    ``inv_h_primitive`` is an optional closed-form antiderivative of 1/h;
-    combined with a constant diffusion coefficient it gives the kernel in
-    closed form, which the per-step estimator loops rely on.
+    ``h`` and ``h_prime`` may be written for floats (``math`` functions,
+    an ``if`` on u) or for numpy arrays: every array read of them goes
+    through :func:`ergodist.numerics.on_array`, which broadcasts a scalar
+    result and falls back to float calls. ``inv_h_primitive`` is an
+    optional closed-form antiderivative of 1/h; combined with a constant
+    diffusion coefficient it gives the kernel in closed form, which the
+    per-step estimator loops rely on.
     """
 
     h: Callable
@@ -166,11 +169,11 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     if not c > 0.0:
         raise ValueError("constant weight requires c > 0 (h must be positive)")
     return WeightFunction(
-        h=lambda u: c * np.ones_like(np.asarray(u, dtype=float)) if np.ndim(u) else c,
-        h_prime=lambda u: np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0,
+        h=lambda u: c,
+        h_prime=lambda u: 0.0,
         kind="const",
         params={"c": c},
-        inv_h_primitive=lambda u: np.asarray(u, dtype=float) / c if np.ndim(u) else u / c,
+        inv_h_primitive=lambda u: u / c,
     )
 
 
@@ -194,7 +197,7 @@ class _PrimitiveTable(_Hermite):
         below = math.ceil(max(-lo, 0.0) / _LINEAR_STEP)
         nodes = np.arange(-below, math.ceil(max(hi, 0.0) / _LINEAR_STEP) + 1) * _LINEAR_STEP
         panels, slopes = _table_panels(f"primitive table of the {wf.kind} weight", model.label,
-                                       _kernel_integrand(wf, model), nodes, _TABLE_PANEL_SPEC)
+                                       _kernel_integrand(wf, model), nodes, _PANEL_SPEC)
         super().__init__(nodes, _running_from(panels, below), slopes, origin=below)
 
     def __call__(self, u):
@@ -271,7 +274,7 @@ def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
         if closed is not None:
             return closed(x) - closed(y)
         pts, at = np.unique(np.append(y, x), return_inverse=True)
-        panels = integrate_panels(_kernel_integrand(wf, model), pts, _TABLE_PANEL_SPEC)[0]
+        panels = integrate_panels(_kernel_integrand(wf, model), pts, _PANEL_SPEC)[0]
         return -_running_from(panels, int(at[-1]))[at[:-1]].reshape(y.shape)
     if closed is not None:
         return float(closed(x)) - float(closed(y))
@@ -293,13 +296,13 @@ def _below(x: float, y, coefficient: Callable):
 
 def dx_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Coefficient of dX in the estimator: 2*1{y<x}*K_x(y)*h(y); 0 for y >= x."""
-    return _below(x, y, lambda v: 2.0 * kernel(wf, model, x, v) * wf.h(v))
+    return _below(x, y, lambda v: 2.0 * kernel(wf, model, x, v) * on_array(wf.h, v))
 
 
 def dt_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Coefficient of dt: 1{y<x}*K_x(y)*h'(y)*sigma^2(y); 0 for y >= x."""
-    return _below(x, y, lambda v: kernel(wf, model, x, v) * wf.h_prime(v)
-                  * model.diffusion_sq(v))
+    return _below(x, y, lambda v: kernel(wf, model, x, v) * on_array(wf.h_prime, v)
+                  * on_array(model.diffusion_sq, v))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +524,7 @@ class CurveAccumulator:
             dX = np.subtract(after, before, out=f1.reshape(before.shape)).ravel()
             bad = np.abs(X, out=f2) > self.reach
             bad |= ~np.isfinite(dX)
-            hs = [_vec_call(wf.h, X) for wf in self.weights]
+            hs = [on_array(wf.h, X) for wf in self.weights]
             for h in hs:
                 bad |= ~(h > 0.0)
         if bad.any():
@@ -531,9 +534,9 @@ class CurveAccumulator:
             for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
                 self.failures.setdefault(j, x)
             X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
-            hs = [_vec_call(wf.h, X) for wf in self.weights]
+            hs = [on_array(wf.h, X) for wf in self.weights]
         lo, hi = float(X.min()), float(X.max())
-        s2 = _vec_call(self.model.diffusion_sq, X)
+        s2 = on_array(self.model.diffusion_sq, X)
         for w, (wf, h) in enumerate(zip(self.weights, hs)):
             PX = np.asarray(primitive(wf, self.model, lo, hi)(X), dtype=float)
             # the rows h dX, P h dX, h' sigma^2 and P h' sigma^2; a term
@@ -541,7 +544,7 @@ class CurveAccumulator:
             term = np.multiply(h, dX, out=f2)
             put(1 + 4 * w, term)
             put(2 + 4 * w, np.multiply(term, PX, out=term))
-            term = np.multiply(_vec_call(wf.h_prime, X), s2, out=f2)
+            term = np.multiply(on_array(wf.h_prime, X), s2, out=f2)
             put(3 + 4 * w, term)
             put(4 + 4 * w, np.multiply(term, PX, out=term))
 
@@ -620,12 +623,8 @@ class WeightConditionReport:
         return self.sq_moment_ok and self.abs_moment_ok and self.tail_vanishes
 
 
-def check_weight_conditions(
-    wf: WeightFunction,
-    model: DiffusionModel,
-    x: float,
-    tail_base: float = 2.0,
-) -> WeightConditionReport:
+def check_weight_conditions(wf: WeightFunction, model: DiffusionModel,
+                            x: float) -> WeightConditionReport:
     sq_ok, sq_val = True, math.nan
     try:
         sq_val = stationary_expectation(
@@ -645,7 +644,7 @@ def check_weight_conditions(
     raw = _density_integrand(model)
     tail_values = []
     for k in range(7):
-        y = -tail_base * 2.0**k
+        y = -2.0 * 2.0**k
         tail_values.append(abs(dx_weight(wf, model, x, y)) * float(model.diffusion_sq(y))
                            * raw(y) / G)
     last3 = tail_values[-3:]

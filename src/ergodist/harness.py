@@ -86,10 +86,14 @@ class ExperimentConfig:
                 parse_estimator(s)
             except ValueError as exc:
                 violations.append(f"estimators: {exc}")
-        if not (self.horizon_T > 0.0 and self.dt > 0.0):
-            violations.append(f"sim: need T > 0 and dt > 0, got T={self.horizon_T!r}, dt={self.dt!r}")
-        elif self.horizon_T / self.dt > 1e8:
-            violations.append(f"sim: T/dt = {self.horizon_T / self.dt!r} exceeds 1e8 (memory guard)")
+        try:
+            SimConfig(horizon_T=self.horizon_T, dt=self.dt, seed=self.seed)
+        except ConfigError as exc:
+            violations.extend(f"sim: {v}" for v in exc.violations)
+        else:
+            if self.horizon_T / self.dt > 1e8:
+                violations.append(
+                    f"sim: T/dt = {self.horizon_T / self.dt!r} exceeds 1e8 (memory guard)")
         if self.replications < 2:
             violations.append(f"replications: must be >= 2, got {self.replications!r}")
         try:
@@ -425,10 +429,9 @@ def _cmd_check_conditions(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    cfg = ExperimentConfig.from_dict(raw)
     if args.output_dir is not None:
-        cfg = ExperimentConfig.from_dict({**raw, "output_dir": args.output_dir})
-    run_experiment(cfg)
+        raw = {**raw, "output_dir": args.output_dir}
+    run_experiment(ExperimentConfig.from_dict(raw))
     return 0
 
 

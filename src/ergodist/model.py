@@ -41,6 +41,7 @@ from .numerics import (
     integrate_line,
     integrate_panels,
     invert_monotone,
+    on_array,
 )
 
 # exp argument beyond which float64 overflows
@@ -61,13 +62,15 @@ _TAIL_MASS = 1e-13
 class DiffusionModel:
     """Drift/diffusion function handles plus metadata.
 
+    The functions may be written for floats (``math`` functions, an ``if``
+    on x) or for numpy arrays: every array read of them goes through
+    :func:`ergodist.numerics.on_array`, which falls back to float calls.
     ``sigma_const`` and ``scale_exponent_closed`` are optional fast paths:
     catalog models carry the constant diffusion value and the closed-form
     scale exponent 2*int_0^y S/sigma^2; custom models fall back to
     quadrature. ``sigma_const``, when set, must equal ``diffusion(x)`` at
     every x: the simulator then scales the increments by it in place of
-    calling ``diffusion``, and the kernels read it in closed form. ``spec``
-    echoes the catalog family/params for provenance.
+    calling ``diffusion``, and the kernels read it in closed form.
     """
 
     drift: Callable[[Any], Any]
@@ -76,7 +79,6 @@ class DiffusionModel:
     label: str = "custom"
     sigma_const: float | None = None
     scale_exponent_closed: Callable[[Any], Any] | None = None
-    spec: dict | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -108,7 +110,6 @@ def ornstein_uhlenbeck(theta: float = 1.0, s: float = 1.0) -> DiffusionModel:
         label=f"ou(theta={theta:g},s={s:g})",
         sigma_const=s,
         scale_exponent_closed=lambda y: (-theta / s2) * y * y,
-        spec={"family": "ou", "params": {"theta": theta, "s": s}},
     )
 
 
@@ -121,7 +122,6 @@ def quartic_well() -> DiffusionModel:
         label="quartic",
         sigma_const=1.0,
         scale_exponent_closed=lambda y: -0.5 * y * y * y * y,
-        spec={"family": "quartic", "params": {}},
     )
 
 
@@ -137,7 +137,6 @@ def shifted_ou(m: float = 1.0) -> DiffusionModel:
         label=f"shifted_ou(m={m:g})",
         sigma_const=1.0,
         scale_exponent_closed=lambda y: y * (2.0 * m - y),
-        spec={"family": "shifted_ou", "params": {"m": m}},
     )
 
 
@@ -168,10 +167,10 @@ def model_from_spec(spec: dict) -> DiffusionModel:
 # scalar helpers
 # ---------------------------------------------------------------------------
 
-def _positive(fn: Callable, y, name: str):
-    """``fn`` at a float or on an array; EvaluationError where it is not
-    positive and finite."""
-    v = _vec_call(fn, y) if isinstance(y, np.ndarray) else float(fn(y))
+def _positive(fn: Callable, y, name: str) -> np.ndarray:
+    """``fn`` on a float or an array by :func:`on_array`; EvaluationError
+    where it is not positive and finite."""
+    v = on_array(fn, y)
     ok = np.logical_and(v > 0.0, np.isfinite(v))
     if not ok.all():
         i = int(np.argmin(ok))
@@ -182,17 +181,6 @@ def _positive(fn: Callable, y, name: str):
 
 def _sigma_sq(model: DiffusionModel, y):
     return _positive(model.diffusion_sq, y, "sigma^2")
-
-
-def _vec_call(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vector callable on an array, broadcasting scalars."""
-    out = fn(arr)
-    out = np.asarray(out, dtype=float)
-    if out.shape == arr.shape:
-        return out
-    if out.ndim == 0:
-        return np.broadcast_to(out, arr.shape)
-    return np.array([float(fn(float(t))) for t in arr])
 
 
 def _checked_exp(e: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -309,7 +297,7 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
         w = min(max(w, 2.0 * cached.hi), _EXP_MAX_HALFWIDTH)
     n = math.ceil(w / _EXP_STEP)
     nodes = np.arange(-n, n + 1) * _EXP_STEP
-    integrand = lambda v: model.drift(v) / _sigma_sq(model, v)
+    integrand = lambda v: on_array(model.drift, v) / _sigma_sq(model, v)
     panels, slopes = _table_panels("scale exponent table", model.label, integrand, nodes,
                                    _PANEL_SPEC)
     table = _Hermite(nodes, _running_from(2.0 * panels, n), 2.0 * slopes)  # node n is 0.0
@@ -317,19 +305,16 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
     return table
 
 
-def scale_exponent(model: DiffusionModel, y: float) -> float:
-    """Signed exponent 2*int_0^y S(v)/sigma^2(v) dv: the model's closed
-    form when present, else its exponent table."""
+def scale_exponent(model: DiffusionModel, y):
+    """Signed exponent 2*int_0^y S(v)/sigma^2(v) dv at a float (a float) or
+    on an array (an array of its shape): the model's closed form when
+    present, else its exponent table."""
+    ys = np.asarray(y, dtype=float)
     if model.scale_exponent_closed is not None:
-        return float(model.scale_exponent_closed(y))
-    return float(_exponent_table(model, abs(y))(y))
-
-
-def _exponent_vec(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
-    if model.scale_exponent_closed is not None:
-        return _vec_call(model.scale_exponent_closed, ys)
-    halfwidth = float(np.max(np.abs(ys))) if ys.size else 1.0
-    return _exponent_table(model, halfwidth)(ys)
+        e = on_array(model.scale_exponent_closed, ys)
+    else:
+        e = _exponent_table(model, float(np.max(np.abs(ys), initial=0.0)))(ys)
+    return e if isinstance(y, np.ndarray) else float(e)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +326,7 @@ def scale_function(model: DiffusionModel, x: float) -> float:
 
     def integrand(y):
         y = np.asarray(y, dtype=float)
-        return _checked_exp(-_exponent_vec(model, y), y)
+        return _checked_exp(-scale_exponent(model, y), y)
 
     if x == 0.0:
         return 0.0
@@ -360,7 +345,7 @@ def _density_integrand(model: DiffusionModel) -> Callable:
 
     def g(y):
         y = np.asarray(y, dtype=float)
-        return _checked_exp(_exponent_vec(model, y), y) / _sigma_sq(model, y)
+        return _checked_exp(scale_exponent(model, y), y) / _sigma_sq(model, y)
 
     return g
 
@@ -388,25 +373,11 @@ def normalizing_constant(model: DiffusionModel) -> float:
     return value
 
 
-def invariant_density(model: DiffusionModel, y: float) -> float:
-    """f_S(y) = exp{scale exponent}/(G(S) * sigma^2(y)); G(S) is cached."""
+def invariant_density(model: DiffusionModel, y):
+    """f_S(y) = exp{scale exponent}/(sigma^2(y) G(S)) at a float or on an
+    array: the tables' unnormalized density over the cached G(S)."""
     g = normalizing_constant(model)
-    e = scale_exponent(model, y)
-    if e > _EXP_LIMIT:
-        raise ExponentOverflowError(y, f"scale exponent {e!r} saturates exp at y={y!r}")
-    return math.exp(e) / (g * _sigma_sq(model, y))
-
-
-def _density_vec(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
-    g = normalizing_constant(model)
-    e = _exponent_vec(model, ys)
-    with np.errstate(over="raise"):
-        try:
-            num = np.exp(e)
-        except FloatingPointError as exc:
-            bad = float(ys[int(np.argmax(e))])
-            raise ExponentOverflowError(bad, f"scale exponent overflow at y={bad!r}") from exc
-    return num / (g * _vec_call(model.diffusion_sq, ys))
+    return _density_integrand(model)(y) / g
 
 
 def _tail_cutoff(model: DiffusionModel, side: int) -> float:
@@ -473,8 +444,8 @@ def invariant_cdf(model: DiffusionModel, x: float) -> float:
     return float(_cdf_pair(model, x)[0])
 
 
-def invariant_quantile(model: DiffusionModel, u: float, tol: float = 1e-10) -> float:
-    """x with |F_S(x) - u| <= tol: bracketed by two nodes of the
+def invariant_quantile(model: DiffusionModel, u: float) -> float:
+    """x with |F_S(x) - u| <= 1e-10: bracketed by two nodes of the
     distribution table, then inverted on its F."""
     if not (0.0 < u < 1.0):
         raise ValueError(f"quantile level must lie in (0, 1), got {u!r}")
@@ -487,7 +458,7 @@ def invariant_quantile(model: DiffusionModel, u: float, tol: float = 1e-10) -> f
         )
     k = min(max(int(np.searchsorted(F, u)), 1), F.size - 1)
     return invert_monotone(lambda x: invariant_cdf(model, x), u,
-                           float(t.nodes[k - 1]), float(t.nodes[k]), tol)
+                           float(t.nodes[k - 1]), float(t.nodes[k]), 1e-10)
 
 
 def stationary_expectation(model: DiffusionModel, g: Callable[[float], float]) -> float:

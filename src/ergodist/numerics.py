@@ -12,12 +12,12 @@ subinterval of every panel on its 15 Kronrod nodes in one integrand call
 when that is within its share of its panel's width times the panel's
 tolerance ``max(abs_tol, rel_tol * |estimate|)``; the others are bisected.
 
-An integrand is called with a 1-D array of abscissae and returns an array
-of the same shape or a scalar (broadcast). If the array call raises
-TypeError, ValueError or OverflowError, or returns another shape, the
-nodes go through float calls one at a time, so integrands written with
-``math`` functions or ``if`` still work. An OverflowError there, or any
-non-finite value, raises EvaluationError with the abscissa.
+An integrand is read on a 1-D array of abscissae by :func:`on_array`, the
+one array-call contract of the package: an array of the same shape or a
+scalar (broadcast), with float calls one at a time when the array call
+fails, so integrands written with ``math`` functions or ``if`` still work.
+An OverflowError there, or any non-finite value, raises EvaluationError
+with the abscissa.
 """
 
 from __future__ import annotations
@@ -100,22 +100,37 @@ _CHUNK_INTERVALS = 512
 _FIRST_SPLIT = 4
 
 
-def _evaluate(f: Func, x: np.ndarray) -> np.ndarray:
-    """``f`` on the abscissae ``x`` under the integrand contract (module
-    docstring); EvaluationError at the first non-finite value."""
+def on_array(f: Func, x) -> np.ndarray:
+    """``f`` on the array ``x`` (any shape, 0-d included) as a float array
+    of x's shape.
+
+    One array call; a scalar result is broadcast as a read-only view. If
+    that call raises TypeError, ValueError or OverflowError, or returns
+    another shape, each element goes through a float call, so functions
+    written with ``math`` functions or an ``if`` on x still work. An
+    OverflowError in a float call raises EvaluationError with the abscissa.
+    """
+    x = np.asarray(x, dtype=float)
     try:
         y = np.asarray(f(x), dtype=float)
     except (TypeError, ValueError, OverflowError):
         y = None
     if y is not None and y.shape != x.shape:
-        y = np.full(x.shape, float(y)) if y.ndim == 0 else None
+        y = np.broadcast_to(y, x.shape) if y.ndim == 0 else None
     if y is None:
-        y = np.empty(x.size)
-        for i, t in enumerate(x.tolist()):
+        y = np.empty(x.shape)
+        for i, t in enumerate(x.ravel().tolist()):
             try:
-                y[i] = f(t)
+                y.flat[i] = f(t)
             except OverflowError as exc:
-                raise EvaluationError(t, f"integrand overflowed at x={t!r}") from exc
+                raise EvaluationError(t, f"function overflowed at x={t!r}") from exc
+    return y
+
+
+def _evaluate(f: Func, x: np.ndarray) -> np.ndarray:
+    """``f`` on the abscissae ``x`` by :func:`on_array`; EvaluationError at
+    the first non-finite value."""
+    y = on_array(f, x)
     bad = ~np.isfinite(y)
     if bad.any():
         i = int(np.argmax(bad))

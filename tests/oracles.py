@@ -21,7 +21,7 @@ import numpy as np
 
 from ergodist.errors import EvaluationError
 from ergodist.estimators import kernel
-from ergodist.model import _vec_call
+from ergodist.numerics import on_array
 from ergodist.simulate import stream_block
 
 
@@ -160,7 +160,7 @@ def brownian_bridge_refine(dw: np.ndarray, dt: float, rng: np.random.Generator) 
 def occupation_mean(path, g) -> float:
     """Left-endpoint Riemann approximation (1/n) * sum_i g(X_{t_i}), i < n."""
     left = path.values[:-1]
-    vals = _vec_call(g, left)
+    vals = on_array(g, left)
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmin(np.isfinite(vals)))
         raise EvaluationError(float(left[bad]), f"g returned {vals[bad]!r} at x={left[bad]!r}")

@@ -10,6 +10,7 @@ from ergodist.errors import ConfigError, RiskRunError
 from ergodist.estimators import (
     as_estimator,
     constant_weight,
+    custom_weight,
     dx_weight,
     exponential_weight,
     polynomial_weight,
@@ -529,3 +530,38 @@ class TestEmpiricalRisk:
         assert d["aborted"] == 0
         assert len(d["xs"]) == len(d["local_bound"]) == 21
         assert d["bound"] > 0.0
+
+
+def wavy_model(lib):
+    """The custom model of tests/test_simulate.py (state-dependent sigma),
+    written with ``lib`` = numpy for arrays or ``lib`` = math for floats."""
+    return DiffusionModel(
+        drift=lambda x: -lib.tanh(x) - 0.5 * x,
+        diffusion=lambda x: 1.0 + 0.25 * lib.cos(x),
+        diffusion_sq=lambda x: (1.0 + 0.25 * lib.cos(x)) ** 2,
+        label=f"wavy_{lib.__name__}",
+    )
+
+
+class TestFloatWrittenFunctions:
+    def test_math_twin_matches_numpy_twin(self):
+        # a model and a weight written with math functions are read on
+        # arrays through their float calls, and give the numbers of their
+        # numpy-written twins
+        def run(lib):
+            model = wavy_model(lib)
+            nu = nu_gaussian(0.0, 1.0)
+            weight = custom_weight(lambda u: lib.exp(0.5 * u), lambda u: 0.5 * lib.exp(0.5 * u))
+            sim = SimConfig(horizon_T=2.0, dt=0.01, seed=4)
+            reports = empirical_risk(model, ["edf", "unbiased:exp:delta=1", weight], nu, sim, 3,
+                                     np.linspace(-5.0, 5.0, 21))
+            values = [local_variance(model, np.linspace(-3.0, 3.0, 13)),
+                      [efficiency_bound(model, nu)],
+                      [influence_moment_finite(model, nu)[1]],
+                      [weight_moment_finite(weight, model, nu)[1]]]
+            for rep in reports:
+                values += [rep.bias, rep.scaled_variance, [rep.scaled_risk, rep.bound]]
+            return values
+
+        for got, expect in zip(run(math), run(np), strict=True):
+            np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0.0)

@@ -124,7 +124,7 @@ class TestKernel:
             assert P(u) == pytest.approx(expect, abs=1e-11)
 
     def test_unconverged_primitive_table_warns(self, ou, monkeypatch):
-        monkeypatch.setattr(estimators, "_TABLE_PANEL_SPEC",
+        monkeypatch.setattr(estimators, "_PANEL_SPEC",
                             QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=1))
         # the kink of h at 1/3 lies inside a 1e-3 table panel
         wf = custom_weight(h=lambda u: 1.0 + np.abs(u - 1.0 / 3.0),

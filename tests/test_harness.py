@@ -65,6 +65,20 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(raw).validate()
         assert "1e8" in str(err.value) or "exceeds" in str(err.value)
 
+    def test_sim_faults_are_simconfig_faults(self, tmp_path):
+        # T is no multiple of dt: listed next to the bad estimator, and
+        # alone it stops run_experiment before output_dir is created
+        raw = make_config(tmp_path, sim={"T": 1.0, "dt": 0.3, "seed": 0},
+                          estimators=["unbiased:banana:z=1"])
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw).validate()
+        assert [v.split(":")[0] for v in err.value.violations] == ["estimators", "sim"]
+        out = tmp_path / "never"
+        raw = make_config(out, sim={"T": 1.0, "dt": 0.3, "seed": 0})
+        with pytest.raises(ConfigError, match="integer multiple of dt"):
+            run_experiment(ExperimentConfig.from_dict(raw))
+        assert not out.exists()
+
     def test_default_grid(self):
         assert DEFAULT_GRID == (-5.0, 5.0, 81)
 

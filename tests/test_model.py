@@ -224,7 +224,7 @@ class TestCatalog:
     def test_model_from_spec_round_trip(self):
         model = model_from_spec({"family": "ou", "params": {"theta": 2.0, "s": 0.5}})
         assert model.sigma_const == 0.5
-        assert model.spec == {"family": "ou", "params": {"theta": 2.0, "s": 0.5}}
+        assert model.label == "ou(theta=2,s=0.5)"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
