@@ -68,8 +68,10 @@ class WeightFunction:
     through :func:`ergodist.numerics.on_array`, which broadcasts a scalar
     result and falls back to float calls. ``inv_h_primitive`` is an
     optional closed-form antiderivative of 1/h; combined with a constant
-    diffusion coefficient it gives the kernel in closed form, which the
-    per-step estimator loops rely on.
+    diffusion coefficient it gives the kernel in closed form, so the curve
+    accumulator reads a chunk's primitive without a table. ``h_pair`` is
+    an optional evaluator of h and h' together on an array, set by the
+    built-in factories, whose ``h`` and ``h_prime`` are its two parts.
     """
 
     h: Callable
@@ -77,26 +79,56 @@ class WeightFunction:
     kind: str
     params: dict
     inv_h_primitive: Callable | None = None
+    h_pair: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def tag(self) -> str:
         return f"unbiased_{self.kind}"
 
+    def h_and_prime(self, u: np.ndarray) -> tuple:
+        """h and h' on the array u in one pass (``h_pair``), or else two
+        :func:`ergodist.numerics.on_array` reads; a constant may come back
+        as a scalar."""
+        if self.h_pair is not None:
+            return self.h_pair(u)
+        return on_array(self.h, u), on_array(self.h_prime, u)
+
 
 def polynomial_weight(p: int = 1) -> WeightFunction:
     """h(u) = 1 + u^(2p). The kernel has a closed form for every p: the
-    arctangent for p = 1, partial fractions for p >= 2."""
+    arctangent for p = 1, partial fractions for p >= 2.
+
+    h and h' share r = u^(2p-1), formed by multiplication (u times p - 1
+    factors u^2): h = 1 + r u and h' = 2p r, with no call to libm ``pow``.
+    At p = 1 that is 1 + u u and 2 u, the bits of numpy's ``1 + u**2`` and
+    ``2 * u``; at p >= 2 each is within 2p ulp of numpy's ``power``.
+    """
     p = int(p)
     if p < 1:
         raise ValueError("polynomial weight requires p >= 1")
     two_p = 2 * p
+
+    def odd(u):  # u^(2p-1)
+        if p == 1:
+            return u
+        sq = u * u
+        r = u * sq
+        for _ in range(p - 2):
+            r = r * sq
+        return r
+
+    def pair(u):
+        r = odd(u)
+        return 1.0 + r * u, two_p * r
+
     return WeightFunction(
-        h=lambda u: 1.0 + u**two_p,
-        h_prime=lambda u: two_p * u ** (two_p - 1),
+        h=lambda u: 1.0 + odd(u) * u,
+        h_prime=lambda u: two_p * odd(u),
         kind="poly",
         params={"p": p},
         inv_h_primitive=np.arctan if p == 1 else _poly_inv_h_primitive(p),
+        h_pair=pair,
     )
 
 
@@ -153,6 +185,11 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
     delta = float(delta)
     if not delta > 0.0:
         raise ValueError("exponential weight requires delta > 0")
+
+    def pair(u):
+        h = np.exp(delta * u)
+        return h, delta * h
+
     return WeightFunction(
         h=lambda u: np.exp(delta * u),
         h_prime=lambda u: delta * np.exp(delta * u),
@@ -160,6 +197,7 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
         params={"delta": delta},
         # normalized so the primitive vanishes at 0
         inv_h_primitive=lambda u: -np.expm1(-delta * u) / delta,
+        h_pair=pair,
     )
 
 
@@ -174,6 +212,7 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
         kind="const",
         params={"c": c},
         inv_h_primitive=lambda u: u / c,
+        h_pair=lambda u: (c, 0.0),
     )
 
 
@@ -524,9 +563,9 @@ class CurveAccumulator:
             dX = np.subtract(after, before, out=f1.reshape(before.shape)).ravel()
             bad = np.abs(X, out=f2) > self.reach
             bad |= ~np.isfinite(dX)
-            hs = [on_array(wf.h, X) for wf in self.weights]
-            for h in hs:
-                bad |= ~(h > 0.0)
+            vals = [wf.h_and_prime(X) for wf in self.weights]
+            for h, _ in vals:
+                bad |= np.logical_not(h > 0.0)
         if bad.any():
             at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
             at_cols, first = np.unique(at % k, return_index=True)
@@ -534,17 +573,17 @@ class CurveAccumulator:
             for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
                 self.failures.setdefault(j, x)
             X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
-            hs = [on_array(wf.h, X) for wf in self.weights]
+            vals = [wf.h_and_prime(X) for wf in self.weights]
         lo, hi = float(X.min()), float(X.max())
         s2 = on_array(self.model.diffusion_sq, X)
-        for w, (wf, h) in enumerate(zip(self.weights, hs)):
+        for w, (wf, (h, hp)) in enumerate(zip(self.weights, vals)):
             PX = np.asarray(primitive(wf, self.model, lo, hi)(X), dtype=float)
             # the rows h dX, P h dX, h' sigma^2 and P h' sigma^2; a term
             # times P in place is the same product as P times the term
             term = np.multiply(h, dX, out=f2)
             put(1 + 4 * w, term)
             put(2 + 4 * w, np.multiply(term, PX, out=term))
-            term = np.multiply(on_array(wf.h_prime, X), s2, out=f2)
+            term = np.multiply(hp, s2, out=f2)
             put(3 + 4 * w, term)
             put(4 + 4 * w, np.multiply(term, PX, out=term))
 
@@ -628,7 +667,7 @@ def check_weight_conditions(wf: WeightFunction, model: DiffusionModel,
     sq_ok, sq_val = True, math.nan
     try:
         sq_val = stationary_expectation(
-            model, lambda y: dx_weight(wf, model, x, y) ** 2 * float(model.diffusion_sq(y))
+            model, lambda y: dx_weight(wf, model, x, y) ** 2 * on_array(model.diffusion_sq, y)
         )
         sq_ok = math.isfinite(sq_val)
     except DivergenceError:

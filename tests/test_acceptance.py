@@ -8,16 +8,16 @@ every number here is reproducible bit for bit.
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ergodist.estimators import (
+    CurveAccumulator,
+    as_estimator,
     constant_weight,
     check_weight_conditions,
     dx_weight,
-    estimate_curve,
     exponential_weight,
     kernel,
     polynomial_weight,
@@ -42,7 +42,7 @@ from ergodist.model import (
     stationary_expectation,
 )
 from ergodist.numerics import QuadratureSpec, integrate
-from ergodist.simulate import SimConfig, derive_substream_seed, simulate_path
+from ergodist.simulate import SimConfig, derive_substream_seed, simulate_path, stream_block
 
 from oracles import ou_invariant_cdf
 
@@ -145,6 +145,17 @@ def test_criterion_04_proof_identity_suite():
            f"regroup {worst_regroup:.2e}, {elapsed:.1f} s")
 
 
+def streamed_curves(model, sim, n_rep, xs, estimators):
+    """Each estimator's curves (one row per replication) of the paths with
+    seeds derive_substream_seed(sim.seed, r), r < n_rep, streamed as one
+    block; equal bit for bit to simulate_path and estimate_curve per seed."""
+    seeds = [derive_substream_seed(sim.seed, r) for r in range(n_rep)]
+    acc = CurveAccumulator(xs, [as_estimator(e) for e in estimators], model, n_rep,
+                           sim.n_steps, sim.dt)
+    assert np.all(stream_block(model, sim, seeds, acc.add) == -1)
+    return acc.curves()
+
+
 def test_criterion_05_unbiasedness():
     t0 = time.perf_counter()
     ou = ornstein_uhlenbeck()
@@ -153,11 +164,7 @@ def test_criterion_05_unbiasedness():
     master = 1
     sim = SimConfig(horizon_T=50.0, dt=0.01, seed=master)
     n_rep = 400
-    est = np.empty((n_rep, 3))
-    for r in range(n_rep):
-        cfg = replace(sim, seed=derive_substream_seed(master, r))
-        path = simulate_path(ou, cfg)
-        est[r] = estimate_curve(path, xs, "unbiased:exp:delta=1", ou).values
+    (est,) = streamed_curves(ou, sim, n_rep, xs, ["unbiased:exp:delta=1"])
     mean = est.mean(axis=0)
     se = est.std(axis=0, ddof=1) / math.sqrt(n_rep)
     z = np.abs(mean - truth) / se
@@ -178,13 +185,8 @@ def test_criterion_06_asymptotic_variance():
     master = 7
     sim = SimConfig(horizon_T=100.0, dt=0.005, seed=master)
     n_rep = 400
-    e_unb = np.empty((n_rep, 3))
-    e_edf = np.empty((n_rep, 3))
-    for r in range(n_rep):
-        cfg = replace(sim, seed=derive_substream_seed(master, r))
-        path = simulate_path(ou, cfg)
-        e_unb[r] = estimate_curve(path, xs, "unbiased:exp:delta=2", ou).values - truth
-        e_edf[r] = estimate_curve(path, xs, "edf", ou).values - truth
+    e_unb, e_edf = (c - truth for c in
+                    streamed_curves(ou, sim, n_rep, xs, ["unbiased:exp:delta=2", "edf"]))
     ratios = {}
     for name, errs in (("unbiased", e_unb), ("edf", e_edf)):
         ratios[name] = 100.0 * errs.var(axis=0, ddof=1) / R

@@ -26,7 +26,7 @@ from ergodist.estimators import (
     unbiased_estimate,
 )
 from ergodist.model import DiffusionModel, invariant_cdf, stationary_expectation
-from ergodist.numerics import QuadratureSpec
+from ergodist.numerics import QuadratureSpec, on_array
 
 from oracles import edf, stored_block
 from test_model import unconverged_ranges
@@ -80,6 +80,80 @@ class TestWeightConstruction:
         path = Path(dt=0.1, values=np.array([-1.0, -0.5, 0.5]))
         with pytest.raises(EvaluationError):
             unbiased_estimate(path, bad, ou, 1.0)
+
+
+def _ordered_bits(a):
+    """float64 bit patterns mapped so that adjacent doubles differ by 1."""
+    i = np.asarray(a, dtype=float).view(np.int64)
+    return np.where(i < 0, np.int64(-(2**63)) - i, i)
+
+
+class TestWeightValues:
+    # ordinary values, then 0, +-1e-200 (u^2 underflows to 0), +-1e80 (u^(2p)
+    # overflows to inf), +-inf and nan
+    U = np.concatenate([
+        np.random.default_rng(11).normal(0.0, 3.0, 4000),
+        np.logspace(-60.0, 30.0, 181), -np.logspace(-60.0, 30.0, 181),
+        [0.0, -0.0, 1e-200, -1e-200, 1e80, -1e80, np.inf, -np.inf, np.nan],
+    ])
+
+    def pairs(self, wf):
+        """h and h' by the one-pass pair, by the two array reads, and by
+        the two functions on each float."""
+        with np.errstate(all="ignore"):
+            yield wf.h_and_prime(self.U)
+            yield on_array(wf.h, self.U), on_array(wf.h_prime, self.U)
+            yield (np.array([wf.h(u) for u in self.U.tolist()]),
+                   np.array([wf.h_prime(u) for u in self.U.tolist()]))
+
+    def test_poly_1_is_numpy_square_bit_for_bit(self):
+        u = self.U
+        with np.errstate(all="ignore"):
+            want = (1.0 + u**2, 2 * u)
+        for got in self.pairs(polynomial_weight(1)):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_poly_within_2p_ulp_of_power(self, p):
+        u = self.U
+        with np.errstate(all="ignore"):
+            want = (1.0 + np.power(u, 2 * p), 2 * p * np.power(u, 2 * p - 1))
+        for got in self.pairs(polynomial_weight(p)):
+            for g, w in zip(got, want):
+                finite = np.isfinite(w)
+                assert np.array_equal(np.isfinite(g), finite)
+                assert np.array_equal(g[~finite], w[~finite], equal_nan=True)
+                ulps = np.abs(_ordered_bits(g[finite]) - _ordered_bits(w[finite]))
+                assert ulps.max() <= 2 * p
+
+    def test_exp_pair_is_h_and_h_prime_bit_for_bit(self):
+        wf = exponential_weight(0.7)
+        with np.errstate(all="ignore"):
+            want = (wf.h(self.U), wf.h_prime(self.U))
+        for got in self.pairs(wf):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+
+    def test_accumulator_marks_the_same_unweightable_steps(self, ou):
+        # one chunk of 6 paths x 5 steps on OU (closed primitives, so no
+        # reach): exp(-800) = 0 makes h = 0; a non-finite state makes its
+        # step's dX, and the next step's X, non-finite; poly h = inf is
+        # positive, so it is kept
+        states = np.tile(np.linspace(-1.0, 1.0, 6)[:, None], (1, 6))
+        states[2, 1] = -800.0
+        states[3, 2] = np.inf
+        states[1, 3] = np.nan
+        states[4, 4] = 1e80
+        states[5, 5] = -np.inf  # the last state is no step's left endpoint
+        acc = CurveAccumulator(np.linspace(-2.0, 2.0, 5),
+                               [as_estimator(c) for c in ("unbiased:exp:delta=1",
+                                                          "unbiased:poly:p=2",
+                                                          "unbiased:const:c=1")],
+                               ou, 6, 5, 0.1)
+        with np.errstate(all="ignore"):
+            acc.add(slice(0, 6), 0, states)
+        assert acc.failures == {1: -800.0, 2: states[2, 2], 3: states[0, 3], 5: states[4, 5]}
 
 
 class TestKernel:
@@ -434,6 +508,30 @@ class TestWeightConditions:
         sq, ab = self.FLOAT_ROUTE[(label, spec, x)]
         assert rep.sq_moment == pytest.approx(sq, rel=1e-10)
         assert rep.abs_moment == pytest.approx(ab, rel=1e-10)
+        assert rep.all_ok()
+
+    # sq_moment on the wavy model (state-dependent sigma) as its integrand
+    # was evaluated one float at a time
+    WAVY_FLOAT_ROUTE = {
+        ("unbiased:exp:delta=1", 0.0): 0.27759720652254627,
+        ("unbiased:exp:delta=1", 0.7): 0.739464249524256,
+        ("unbiased:poly:p=1", 0.7): 6.489157507303821,
+    }
+
+    @pytest.mark.parametrize("spec,x", sorted(WAVY_FLOAT_ROUTE))
+    def test_state_dependent_sigma_takes_the_array_route(self, spec, x, monkeypatch):
+        floats = []
+        real = estimators.dx_weight
+
+        def counting(wf, m, x, y):
+            if np.ndim(y) == 0:
+                floats.append(y)
+            return real(wf, m, x, y)
+
+        monkeypatch.setattr(estimators, "dx_weight", counting)
+        rep = check_weight_conditions(parse_estimator(spec).weight, wavy_model(), x)
+        assert len(floats) == 7  # the tail values only
+        assert rep.sq_moment == pytest.approx(self.WAVY_FLOAT_ROUTE[(spec, x)], rel=1e-12)
         assert rep.all_ok()
 
     @pytest.mark.parametrize("spec", ["unbiased:exp:delta=1", "unbiased:poly:p=2"])

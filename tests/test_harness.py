@@ -188,7 +188,8 @@ _PINNED = {
 # curve, quantile starts and bound read one per-model distribution table
 # (node values from the G7/K15 panel integrator, cubic Hermite between
 # nodes) and whose curves are read off per-cell sums streamed in chunks of
-# 512 steps; result.json is hashed without the reports' "aborted" keys,
+# 512 steps, with the poly weights' h and h' formed by multiplication (no
+# libm pow); result.json is hashed without the reports' "aborted" keys,
 # which the test checks are 0. "blocks_of_5" runs the replications in
 # blocks of 5, and must give the same bytes as one block per worker.
 _PINNED_NUMPY = "2.4.6"
@@ -208,8 +209,8 @@ _PINNED_SHA256 = {
     "quartic": {
         "risk_edf.csv": "30d0acf8fa4accf170eca2bc4320ea5da1b7aa0332b017a3f2dd243640167676",
         "risk_unbiased_exp.csv": "a1e5fd12300a6ed0df76580529862bf2ca517568ce59f97075f6ef1319da3c78",
-        "risk_unbiased_poly.csv": "27f8a93853922d4806fa1db5a69d892ee0293c8e533935d62ad8aeb250572ba1",
-        "result.json": "1b8661dd97f81c3aab77a8dafaed9b53abb6edf6d970f7556610118f2e89b4f6",
+        "risk_unbiased_poly.csv": "b097951ba0533e8124fbbb471f6a53398aa12098ed646ccc52bec034ab72eff9",
+        "result.json": "44259e2ccc41f6290acc45b709cf61915efa684c0c63f4707540cdce6c4c8d95",
     },
 }
 
