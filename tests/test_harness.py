@@ -213,6 +213,9 @@ _PINNED_SHA256 = {
         "result.json": "44259e2ccc41f6290acc45b709cf61915efa684c0c63f4707540cdce6c4c8d95",
     },
 }
+# sha256 of the CSV that `simulate` writes for one OU path from x0 = 1.5
+# (see test_simulate_csv_matches_pinned_digest), with numpy 2.4.6.
+_PINNED_SIMULATE_SHA256 = "8b6180dfdc006563ab9c33c5a228652be691ab76b02c22a5d053526f63f97278"
 
 
 class TestImport:
@@ -252,6 +255,17 @@ class TestByteIdentity:
                 blob = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
             got[fname] = hashlib.sha256(blob).hexdigest()
         assert got == _PINNED_SHA256[name]
+
+    def test_simulate_csv_matches_pinned_digest(self, tmp_path):
+        # one Python float path: 600 burn-in steps and 4 000 steps cross
+        # chunks of 512 in both phases, with the increments written too
+        if np.__version__ != _PINNED_NUMPY:
+            pytest.skip(f"digests pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
+        out = tmp_path / "path.csv"
+        rc = cli_main(["simulate", "--model", "ou:theta=2,s=0.5", "--T", "20", "--dt", "0.005",
+                       "--x0", "1.5", "--burn-in", "3", "--store-wiener", "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SIMULATE_SHA256
 
 
 class TestRiskCsvFormat:
