@@ -52,8 +52,10 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     compensated_sum,
+    _FIRST_SPLIT,
     integrate,
     integrate_line,
+    integrate_panels,
     on_array,
 )
 from .simulate import Path, SimConfig, derive_substream_seed, stream_block
@@ -297,21 +299,15 @@ def efficiency_bound(model: DiffusionModel, nu: NuMeasure) -> float:
 # error-decomposition machinery (executable identities)
 # ---------------------------------------------------------------------------
 
-def _split_points(a: float, b: float, x: float) -> list[tuple[float, float]]:
-    """Oriented [a, b] split at the indicator kink x when it lies inside."""
-    if a < x < b:
-        return [(a, x), (x, b)]
-    return [(a, b)]
-
-
-def _signed_integral(f: Callable[[float], float], a: float, b: float,
-                     x_kink: float, spec: QuadratureSpec) -> float:
+def kinked_integral(f: Callable[[float], float], a: float, b: float,
+                    kink: float, spec: QuadratureSpec) -> float:
+    """int_a^b f (signed), in one panel, or in two split at the indicator
+    kink where it lies between a and b."""
     if a == b:
         return 0.0
     lo, hi = (a, b) if a < b else (b, a)
-    total = 0.0
-    for p, q in _split_points(lo, hi, x_kink):
-        total += integrate(f, p, q, spec).value
+    edges = [lo, kink, hi] if lo < kink < hi else [lo, hi]
+    total = float(integrate_panels(f, edges, spec, _FIRST_SPLIT)[0].sum())
     return total if b >= a else -total
 
 
@@ -335,7 +331,7 @@ def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: flo
             return 0.0
         return 2.0 * kernel(wf, model, x, v) * float(wf.h(v))
 
-    return _signed_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
+    return kinked_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
 
 
 def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
@@ -385,7 +381,7 @@ def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
     g = normalizing_constant(model)
     raw = _density_integrand(model)
     integrand = lambda v: compensator(wf, model, x, v) * (raw(v) / g)
-    total = _signed_integral(integrand, table.lo, z, x, _DIRECT_SPEC)
+    total = kinked_integral(integrand, table.lo, z, x, _DIRECT_SPEC)
     fz = invariant_density(model, z)
     if fz < 1e-300:
         raise TailError(f"invariant density underflows at z={z!r}")

@@ -32,12 +32,11 @@ from .efficiency import (
     boundary_derivative_closed,
     boundary_derivative_direct,
     boundary_function,
-    influence_primitive,
+    kinked_integral,
     ode_residual,
     parse_nu,
     representation_discrepancy,
     weight_moment_finite,
-    weight_primitive,
 )
 from .errors import ConfigError, DivergenceError, RiskRunError, SimulationError
 from .estimators import as_estimator, check_weight_conditions, parse_estimator
@@ -48,6 +47,7 @@ from .model import (
     invariant_density,
     model_from_spec,
 )
+from .numerics import QuadratureSpec
 from .simulate import SimConfig, simulate_path, write_path_csv
 
 DEFAULT_GRID = (-5.0, 5.0, 81)
@@ -435,6 +435,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# Tolerances of the integral of the closed-form boundary derivative that
+# the regroup check compares with the boundary function's primitives.
+_REGROUP_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+
+
 def _cmd_identity_checks(args) -> int:
     model = _model_from_arg(args.model)
     choice = parse_estimator(args.estimator)
@@ -452,9 +457,9 @@ def _cmd_identity_checks(args) -> int:
             closed = boundary_derivative_closed(wf, model, x, float(z))
             m_rel = max(m_rel, abs(direct - closed) / max(abs(closed), 1e-12))
             total = boundary_function(wf, model, x, float(z))
-            parts = (weight_primitive(wf, model, x, float(z))
-                     + influence_primitive(model, x, float(z)))
-            regroup = max(regroup, abs(total - parts))
+            single = kinked_integral(lambda v: boundary_derivative_closed(wf, model, x, v),
+                                     0.0, float(z), x, _REGROUP_SPEC)
+            regroup = max(regroup, abs(total - single))
             if abs(z) > 1e-9:
                 resid = max(resid, abs(ode_residual(wf, model, x, float(z))))
     rms = None

@@ -7,25 +7,25 @@ draws everything from a PCG64 stream seeded with its own seed: first one
 uniform for a stationary start (the invariant law's quantile transform),
 then its increments dW_i ~ Normal(0, dt), burn-in steps first.
 
-``stream_block`` is the one simulator. It steps the paths of a block as
-one numpy vector, drawing each path's increments from its own stream in
-chunks of ``_CHUNK_STEPS`` steps, and hands each chunk of states to a
-consumer: a curve accumulator, which keeps per-cell sums and no path, or
-``simulate_path``, which stores the one path of a block of one. A path's
-states do not depend on the other paths of its block, so each is
-bit-identical to ``simulate_path`` of its seed alone. A block of one, and
-every block of a model whose drift or diffusion does not map a state
-vector to the values of its scalar calls (one written with ``math.exp``,
-say), steps a Python float per path instead and hands that path over in
-the same chunks. A model with ``sigma_const`` set is not asked for sigma
-each step: a vector block scales each chunk's increments by it once, and
-a Python float path multiplies each increment by it. sigma_const * dW_i
-is the same IEEE product either way, so both routes stay bit-identical
-to each other and to a model without it. A vector step writes its
-states straight into the chunk's rows. A path that leaves the finite
-numbers stays non-finite, so a block marks it at its first non-finite
-step, from which ``simulate_path`` counts the step it reports, while the
-other paths run on.
+``stream_block`` is the one simulator, and it has one chunk loop. Per
+chunk of ``_CHUNK_STEPS`` steps, burn-in first, it draws each path's
+increments from its own stream, scales them by ``sigma_const`` once when
+the model sets it (not asking for sigma each step), has a step kernel
+fill the chunk's states, marks each path's first non-finite step, and
+hands the chunk after burn-in to a consumer: a curve accumulator, which
+keeps per-cell sums and no path, or ``simulate_path``, which stores the
+one path of a block of one. The vector kernel steps every path of a
+block as one numpy vector. The float kernel steps one path as a Python
+float and stops at its first non-finite state; it runs a block of one,
+and each path of a block of a model whose drift or diffusion does not
+map a state vector to the values of its scalar calls (one written with
+``math.exp``, say). sigma_const * dW_i is the same IEEE product as the
+scalar call's, so a path's states depend neither on its block nor on the
+kernel, and each is bit-identical to ``simulate_path`` of its seed
+alone. A path stays non-finite once it leaves the finite numbers, and
+the step it leaves them at is the one ``simulate_path`` reports. A stream
+stops, before handing over the chunk, once all its paths have exploded;
+until then a vector block hands its exploded paths over with the others.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def _initial_value(model: DiffusionModel, cfg: SimConfig, rng: np.random.Generat
     return float(cfg.init)
 
 
-# Steps of increments a vector block draws at a time, and of states it
-# hands a consumer at a time.
+# Steps of increments a block draws at a time, and of states it hands a
+# consumer at a time.
 _CHUNK_STEPS = 512
 # Points between the start points at which a block checks that drift and
 # diffusion vectorize.
@@ -164,30 +164,17 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
     chunk by chunk: ``states`` has shape (steps + 1, paths), its rows the
     states at steps start, ..., start + steps of the block's paths ``cols``,
     and ``dw`` holds the increments between them. A chunk covers steps
-    [start, start + _CHUNK_STEPS) of every path at once, or, where drift
-    and diffusion do not vectorize, of one path at a time; an exploded
-    path's states are not finite from its explosion on.
+    [start, start + _CHUNK_STEPS) of every path at once, or, in a block of
+    one or where drift and diffusion do not vectorize, of one path at a
+    time; an exploded path's states are not finite from its explosion on.
     """
-    seeds = tuple(int(s) for s in seeds)
-    n = cfg.n_steps
-    n_burn = _burn_steps(cfg)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    x0 = [_initial_value(model, cfg, rng) for rng in rngs]
-    if len(seeds) > 1 and _vectorizes(model, np.array(x0)):
-        return _step_vector(model, np.array(x0), cfg.dt, rngs, n_burn, n, consume)
-    sd = math.sqrt(cfg.dt)
-    exploded = np.empty(len(seeds), dtype=np.int64)
-    row = np.empty(n + 1)
-    for j, rng in enumerate(rngs):
-        dw_all = rng.normal(0.0, sd, size=n_burn + n)
-        exploded[j] = _step_scalar(model, x0[j], cfg.dt, dw_all.tolist(), n_burn, row)
-        if exploded[j] >= 0:
-            continue
-        for start in range(0, n, _CHUNK_STEPS):
-            stop = min(start + _CHUNK_STEPS, n)
-            consume(slice(j, j + 1), start, row[start:stop + 1, None],
-                    dw_all[n_burn + start:n_burn + stop, None])
-    return exploded
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    x0 = np.array([_initial_value(model, cfg, rng) for rng in rngs])
+    if len(rngs) > 1 and _vectorizes(model, x0):
+        return _stream(model, cfg, _step_vector, x0, rngs, slice(0, len(rngs)), consume)
+    return np.array([_stream(model, cfg, _step_float, x0[j:j + 1], rngs[j:j + 1],
+                             slice(j, j + 1), consume)[0] for j in range(len(rngs))],
+                    dtype=np.int64)
 
 
 def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
@@ -209,70 +196,70 @@ def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
     return True
 
 
-def _step_scalar(model: DiffusionModel, x: float, dt: float, dw_list: list,
-                 n_burn: int, values: np.ndarray) -> int:
-    """One path as a Python float; returns its first non-finite step or -1.
-    With ``model.sigma_const`` set, sigma is that constant, not a call."""
-    drift = model.drift
-    sigma = model.diffusion
-    s = model.sigma_const
-    n = len(values) - 1
-    for i in range(n_burn):
-        try:
-            x = (x + float(drift(x)) * dt
-                 + (float(sigma(x)) if s is None else s) * dw_list[i])
-        except OverflowError:
-            x = math.inf
-        if not math.isfinite(x):
-            return i
-    values[0] = x
-    for i in range(n):
-        try:
-            x = (x + float(drift(x)) * dt
-                 + (float(sigma(x)) if s is None else s) * dw_list[n_burn + i])
-        except OverflowError:
-            x = math.inf
-        if not math.isfinite(x):
-            return n_burn + i
-        values[i + 1] = x
-    return -1
-
-
-def _step_vector(model: DiffusionModel, x: np.ndarray, dt: float, rngs: list,
-                 n_burn: int, n: int, consume: Callable) -> np.ndarray:
-    """All paths of a block as one vector, burn-in steps first; returns
+def _stream(model: DiffusionModel, cfg: SimConfig, step: Callable, x: np.ndarray,
+            rngs: list, cols: slice, consume: Callable) -> np.ndarray:
+    """The paths ``cols`` of a block from start points x, burn-in steps
+    first, in chunks of _CHUNK_STEPS steps that ``step`` fills; returns
     each one's first non-finite step or -1. Chunks restart at the end of
     burn-in, so the chunks handed to ``consume`` start at multiples of
-    _CHUNK_STEPS. With ``model.sigma_const`` set, a chunk's increments
-    are scaled by it once, not per step by a call to sigma."""
-    drift = model.drift
-    sigma = model.diffusion
+    _CHUNK_STEPS. With ``model.sigma_const`` set, a chunk's increments are
+    scaled by it once, not per step by a call to sigma. Once every path
+    has exploded, the stream stops before handing over that chunk."""
     s = model.sigma_const
-    sd = math.sqrt(dt)
-    m = len(rngs)
-    cols = slice(0, m)
-    exploded = np.full(m, -1, dtype=np.int64)
-    dw = np.empty((_CHUNK_STEPS, m))
+    sd = math.sqrt(cfg.dt)
+    n_burn = _burn_steps(cfg)
+    exploded = np.full(len(rngs), -1, dtype=np.int64)
+    dw = np.empty((_CHUNK_STEPS, len(rngs)))
     sdw = None if s is None else np.empty_like(dw)
-    states = np.empty((_CHUNK_STEPS + 1, m))
+    states = np.empty((_CHUNK_STEPS + 1, len(rngs)))
     states[0] = x
     with np.errstate(all="ignore"):
-        for first, total in ((0, n_burn), (n_burn, n)):
+        for first, total in ((0, n_burn), (n_burn, cfg.n_steps)):
             for start in range(0, total, _CHUNK_STEPS):
                 c = min(_CHUNK_STEPS, total - start)
                 for j, rng in enumerate(rngs):
                     dw[:c, j] = rng.normal(0.0, sd, size=c)
-                incs = dw[:c] if s is None else np.multiply(dw[:c], s, out=sdw[:c])
-                for inc, row in zip(incs, states[1:c + 1]):
-                    np.add(x + drift(x) * dt, inc if s is not None else sigma(x) * inc, out=row)
-                    x = row
+                step(model, cfg.dt, states[:c + 1],
+                     dw[:c] if s is None else np.multiply(dw[:c], s, out=sdw[:c]))
                 bad = ~np.isfinite(states[1:c + 1])
                 new = bad.any(axis=0) & (exploded < 0)
                 exploded[new] = first + start + bad.argmax(axis=0)[new]
+                if exploded.min() >= 0:
+                    return exploded
                 if first == n_burn:
                     consume(cols, start, states[:c + 1], dw[:c])
                 states[0] = states[c]
     return exploded
+
+
+def _step_vector(model: DiffusionModel, dt: float, states: np.ndarray, incs: np.ndarray) -> None:
+    """Fill rows 1.. of ``states`` from row 0, every column at once; incs
+    are sigma_const * dW when that is set, else dW."""
+    drift = model.drift
+    sigma = None if model.sigma_const is not None else model.diffusion
+    x = states[0]
+    for inc, row in zip(incs, states[1:]):
+        np.add(x + drift(x) * dt, inc if sigma is None else sigma(x) * inc, out=row)
+        x = row
+
+
+def _step_float(model: DiffusionModel, dt: float, states: np.ndarray, incs: np.ndarray) -> None:
+    """Fill rows 1.. of the one column of ``states`` from row 0, stepping
+    a Python float, up to the first non-finite state; incs as for
+    :func:`_step_vector`."""
+    drift = model.drift
+    sigma = None if model.sigma_const is not None else model.diffusion
+    x = float(states[0, 0])
+    rows = []
+    for inc in incs[:, 0].tolist():
+        try:
+            x = x + float(drift(x)) * dt + (inc if sigma is None else float(sigma(x)) * inc)
+        except OverflowError:
+            x = math.inf
+        rows.append(x)
+        if not math.isfinite(x):
+            break
+    states[1:len(rows) + 1, 0] = rows
 
 
 def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:

@@ -424,5 +424,21 @@ class TestCli:
         assert rc == 0
         data = json.load(open(out))
         assert data["derivative_identity_max_rel"] < 1e-6
+        assert data["regroup_identity_max_abs"] < 1e-9
         assert data["ode_residual_max_abs"] < 1e-3
         assert data["representation_rms"] < 0.1
+
+    def test_regroup_identity_sees_a_wrong_primitive(self, tmp_path, monkeypatch):
+        # the boundary function's primitives, shifted by 1e-6, no longer
+        # integrate its closed-form derivative (z = 0, where the boundary
+        # function is 0 by definition, is left off the grid)
+        real = efficiency.influence_primitive
+        for module in (efficiency, harness):
+            monkeypatch.setattr(module, "influence_primitive",
+                                lambda model, x, y: real(model, x, y) + 1e-6, raising=False)
+        out = tmp_path / "idc.json"
+        rc = cli_main(["identity-checks", "--model", "ou", "--estimator",
+                       "unbiased:exp:delta=1", "--x", "0", "--z-grid", "-2:2:4",
+                       "--out", str(out)])
+        assert rc == 0
+        assert json.load(open(out))["regroup_identity_max_abs"] > 1e-7

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestSimulatePath:
         assert str(err.value).endswith(f"at step {step}")
         assert ("during burn-in" in str(err.value)) == during_burn_in
 
+    def test_long_path_memory_is_its_stored_arrays(self):
+        # 4 000 burn-in steps and 400 000 steps: besides the stored states
+        # and increments, a path holds one chunk at a time
+        cfg = SimConfig(horizon_T=2000.0, dt=0.005, seed=3, init=1.5, store_wiener=True,
+                        burn_in_T=20.0)
+        tracemalloc.start()
+        try:
+            path = simulate_path(ornstein_uhlenbeck(2.0, 0.5), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.n_steps == 400_000
+        assert peak <= path.values.nbytes + path.wiener_increments.nbytes + 10**6
+
     def test_wiener_increments_shape_and_variance(self, ou):
         cfg = SimConfig(horizon_T=40.0, dt=0.01, seed=11, init=0.0, store_wiener=True)
         path = simulate_path(ou, cfg)
@@ -175,11 +190,11 @@ def cubic_blowup() -> DiffusionModel:
 
 
 def vector_block(monkeypatch, model, cfg, seeds):
-    """stored_block, failing if the block runs the scalar loop."""
+    """stored_block, failing if the block runs the float kernel."""
     def scalar(*args):
-        raise AssertionError("block ran the scalar loop")
+        raise AssertionError("block ran the float kernel")
     with monkeypatch.context() as m:
-        m.setattr(simulate, "_step_scalar", scalar)
+        m.setattr(simulate, "_step_float", scalar)
         return stored_block(model, cfg, seeds)
 
 
@@ -213,11 +228,18 @@ class TestSimulateBlock:
         assert block.wiener_increments.shape == (3, 600)
         assert_rows_match_paths(ou, cfg, seeds, block)
 
-    def test_exploding_column(self, monkeypatch):
+    @pytest.mark.parametrize("vector", [True, False], ids=["vector", "float"])
+    def test_exploding_column(self, vector, monkeypatch):
+        # the float route stops the exploding path, the vector route runs
+        # it on with the others; both report the same first step
         model = cubic_blowup()
         cfg = SimConfig(horizon_T=2.0, dt=0.05, seed=0, init=0.0)
         seeds = [derive_substream_seed(0, r) for r in range(4)]
-        block = vector_block(monkeypatch, model, cfg, seeds)
+        if vector:
+            block = vector_block(monkeypatch, model, cfg, seeds)
+        else:
+            monkeypatch.setattr(simulate, "_vectorizes", lambda model, x0: False)
+            block = stored_block(model, cfg, seeds)
         assert list(block.exploded) == [-1, -1, -1, 32]
         assert_rows_match_paths(model, cfg, seeds[:3], block)
         with pytest.raises(SimulationError) as from_path:
@@ -234,9 +256,9 @@ class TestSimulateBlock:
         cfg = SimConfig(horizon_T=2.0, dt=0.01, seed=0)
         seeds = [9, 10, 11, 12]
         rows = []
-        real_scalar = simulate._step_scalar
+        real_scalar = simulate._step_float
         with monkeypatch.context() as m:
-            m.setattr(simulate, "_step_scalar", lambda *a: rows.append(1) or real_scalar(*a))
+            m.setattr(simulate, "_step_float", lambda *a: rows.append(1) or real_scalar(*a))
             block = stored_block(model, cfg, seeds)
         x0 = block.values[:, 0]
         assert np.array_equal(-x0**3, [-(v**3) for v in x0.tolist()])
@@ -275,13 +297,20 @@ class TestSimulateBlock:
             assert np.all(exploded == -1)
         assert np.array_equal(rows, whole.values)
 
-    @pytest.mark.parametrize("n_steps", [1, 100, 20_000, 400_000, 10**8])
-    def test_block_size_respects_byte_budget(self, ou, n_steps):
+    @pytest.mark.parametrize("vector, n_steps", [
+        *(pytest.param(True, n, id=f"vector-{n}") for n in (1, 100, 20_000, 400_000, 10**8)),
+        *(pytest.param(False, n, id=f"float-{n}") for n in (1, 100, 20_000, 400_000)),
+    ])
+    def test_block_size_respects_byte_budget(self, ou, vector, n_steps, monkeypatch):
         # a streamed block of m paths holds one chunk buffer of
-        # (_CHUNK_STEPS + 1) x m states whatever the step count: the
-        # consumer gets views of it, refilled in place, and the stream is
-        # stopped after two chunks
+        # (_CHUNK_STEPS + 1) x m states whatever the step count, and a
+        # float path one of (_CHUNK_STEPS + 1) x 1: the consumer gets views
+        # of it, refilled in place, and the stream is stopped after the
+        # first path's second chunk
         m = 4
+        width = m if vector else 1
+        if not vector:
+            monkeypatch.setattr(simulate, "_vectorizes", lambda model, x0: False)
         cfg = SimConfig(horizon_T=0.5 * n_steps, dt=0.5, seed=0, init=0.5)
         seeds = [derive_substream_seed(3, r) for r in range(m)]
         chunks = []
@@ -290,6 +319,8 @@ class TestSimulateBlock:
             pass
 
         def record(cols, start, states, dw):
+            if cols.start > 0:
+                return
             chunks.append((start, states))
             if len(chunks) == 2:
                 raise Enough
@@ -299,10 +330,10 @@ class TestSimulateBlock:
         else:
             with pytest.raises(Enough):
                 stream_block(ou, cfg, seeds, record)
-        budget = 8 * (simulate._CHUNK_STEPS + 1) * m
+        budget = 8 * (simulate._CHUNK_STEPS + 1) * width
         for k, (start, states) in enumerate(chunks):
             assert start == k * simulate._CHUNK_STEPS
-            assert states.shape == (min(n_steps - start, simulate._CHUNK_STEPS) + 1, m)
+            assert states.shape == (min(n_steps - start, simulate._CHUNK_STEPS) + 1, width)
             assert states.base is not None and states.base.nbytes <= budget
         assert len(chunks) == min(2, -(-n_steps // simulate._CHUNK_STEPS))
         if len(chunks) == 2:
