@@ -50,9 +50,9 @@ from .model import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
+    _FIRST_SPLIT,
     QuadratureSpec,
     compensated_sum,
-    _FIRST_SPLIT,
     integrate,
     integrate_line,
     integrate_panels,
