@@ -14,16 +14,17 @@ whose nu-integral is the asymptotic lower bound for the scaled integrated
 mean square error of any estimator. R, the bound, the influence primitive
 and its moment screen are all read off four running integrals that each
 model tabulates once on the nodes of its distribution table (see
-``_GridPack``). The module also implements, as executable identities, the
-decomposition of the scaled estimation error into a vanishing boundary
-term plus a stochastic integral with the influence ratio as integrand, and
-numerical screens of the moment conditions under which that decomposition
-applies.
+``_influence_table``). The module also implements, as executable
+identities, the decomposition of the scaled estimation error into a
+vanishing boundary term plus a stochastic integral with the influence
+ratio as integrand, and numerical screens of the moment conditions under
+which that decomposition applies.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, RiskRunError, TailError
 from .estimators import (
+    _PATH_CHUNKS,
     CurveAccumulator,
     EstimatorChoice,
     WeightFunction,
@@ -44,9 +46,11 @@ from .model import (
     _cdf_pair,
     _cdf_table,
     _density_integrand,
+    _Hermite,
     invariant_cdf,
     invariant_density,
     normalizing_constant,
+    scale_exponent,
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -58,7 +62,7 @@ from .numerics import (
     integrate_panels,
     on_array,
 )
-from .simulate import Path, SimConfig, derive_substream_seed, stream_block
+from .simulate import _CHUNK_STEPS, Path, SimConfig, derive_substream_seed, stream_block
 
 # relaxed tolerances for condition screens (flags, not truth values)
 _SCREEN_OUTER = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6, max_depth=32, tail_tol=1e-9)
@@ -177,89 +181,72 @@ def parse_nu(spec) -> NuMeasure:
 # running integrals of the influence layer, tabulated once per model
 # ---------------------------------------------------------------------------
 
-# Below this density the influence-ratio integrands are taken as 0, so that
-# 1/(sigma^2 f) cannot overflow; F and Fbar, accumulated from their own
-# tails, keep their ratios to f accurate down to it.
+# Where r = 1/(sigma^2 f_S) would exceed 1/_RATIO_FLOOR, the influence-ratio
+# integrands are taken as 0, so r cannot overflow; F and Fbar, summed from
+# their own tails, keep their ratios to f_S accurate down to the floor.
 _RATIO_FLOOR = 1e-280
-# panels of the fixed Simpson rule for the gaussian- and uniform-nu bound
-_BOUND_PANELS = 2048
 
 
-def _simpson_weights(panels: int, h: float) -> np.ndarray:
-    w = np.full(panels + 1, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    return w
-
-
-def _integrands(model: DiffusionModel, ys: np.ndarray):
-    """F and Fbar = 1 - F at ys, and the rows F^2 r, F r, Fbar^2 r, Fbar r,
-    where r = 1/(sigma^2 f_S) is set to 0 below the ratio floor."""
+def _integrands(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
+    """The rows F^2 r, F r, Fbar^2 r, Fbar r at ys, Fbar = 1 - F, where
+    r = 1/(sigma^2 f_S) = G(S) exp(-scale exponent) is set to 0 where it
+    would exceed 1/_RATIO_FLOOR."""
     F, Fbar = _cdf_pair(model, ys)
-    f = invariant_density(model, ys)
-    r = np.zeros(ys.shape)
-    np.divide(1.0, on_array(model.diffusion_sq, ys) * f, out=r, where=f > _RATIO_FLOOR)
-    return F, Fbar, np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
+    with np.errstate(over="ignore"):
+        r = normalizing_constant(model) * np.exp(-scale_exponent(model, ys))
+    r[~(r <= 1.0 / _RATIO_FLOOR)] = 0.0
+    return np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
 
 
-@dataclass
-class _GridPack:
-    """On the nodes of the model's distribution table: the Simpson mass
-    and, as rows of ``cum``, A = int_lo^t F^2 r, C1 = int_lo^t F r,
-    B = int_t^hi Fbar^2 r, C2 = int_t^hi Fbar r (r as in
-    :func:`_integrands`), each accumulated from the tail where it is small."""
-
-    mass: np.ndarray  # Simpson weight times f: sum(mass * g) is E[g(xi)] on the nodes
-    cum: np.ndarray
-
-
-def _grid_pack(model: DiffusionModel) -> _GridPack:
-    pack = model._cache.get("eff_grid")
-    if pack is not None:
-        return pack
+def _influence_table(model: DiffusionModel) -> _Hermite:
+    """The model's influence table, on the nodes of its distribution
+    table: the rows A = int_lo^t F^2 r, C1 = int_lo^t F r,
+    B = int_t^hi Fbar^2 r and C2 = int_t^hi Fbar r (r as in
+    :func:`_integrands`), each summed from the tail where it is small over
+    Simpson panels between nodes, with the exact slopes F^2 r, F r,
+    -Fbar^2 r and -Fbar r."""
+    cached = model._cache.get("influence_table")
+    if cached is not None:
+        return cached
     t = _cdf_table(model)
     ys, h = t.nodes, t.step
-    panels = ys.size - 1
-    vals = _integrands(model, ys)[2]
-    mid_vals = _integrands(model, ys[:-1] + 0.5 * h)[2]
-    steps = (h / 6.0) * (vals[:, :-1] + 4.0 * mid_vals + vals[:, 1:])
-    pack = _GridPack(mass=_simpson_weights(panels, h) * t.slopes[0],  # slopes[0] is f
-                     cum=np.zeros((4, panels + 1)))
-    np.cumsum(steps[:2], axis=1, out=pack.cum[:2, 1:])
-    np.cumsum(steps[2:, ::-1], axis=1, out=pack.cum[2:, -2::-1])
-    model._cache["eff_grid"] = pack
-    return pack
+    rows = _integrands(model, ys)
+    steps = (h / 6.0) * (rows[:, :-1] + 4.0 * _integrands(model, ys[:-1] + 0.5 * h)
+                         + rows[:, 1:])
+    cum = np.zeros(rows.shape)
+    np.cumsum(steps[:2], axis=1, out=cum[:2, 1:])
+    np.cumsum(steps[2:, ::-1], axis=1, out=cum[2:, -2::-1])
+    rows[2:] *= -1.0
+    table = _Hermite(ys, cum, rows)
+    model._cache["influence_table"] = table
+    return table
 
 
 def _running(model: DiffusionModel, ts):
     """F, Fbar and the running integrals A, C1, B, C2 at each point of ts
-    (clipped to the table): the node value below t plus a Simpson partial
-    panel from that node to t."""
-    p = _grid_pack(model)
-    table = _cdf_table(model)
-    t = np.clip(np.asarray(ts, dtype=float), table.lo, table.hi)
-    k, s = table.cell(t)
-    d = s * table.step
-    node = table.nodes[k]
-    # the partial panel's Simpson points t, its midpoint and its node in one pass
-    F, Fbar, rows = _integrands(model, np.concatenate([t, node + 0.5 * d, node]))
-    end, mid, start = np.split(rows, 3, axis=1)
-    part = (d / 6.0) * (start + 4.0 * mid + end)
-    part[2:] *= -1.0
-    return F[:t.size], Fbar[:t.size], p.cum[:, k] + part
+    (clipped to the tables), read off the distribution and influence
+    tables."""
+    F, Fbar = _cdf_pair(model, ts)
+    return F, Fbar, _influence_table(model)(ts)
 
 
 # ---------------------------------------------------------------------------
 # influence numerator and the variance bound
 # ---------------------------------------------------------------------------
 
-def influence_numerator(model: DiffusionModel, x: float, y: float) -> float:
-    """F_S(min(x, y)) - F_S(x) * F_S(y).
+def influence_numerator(model: DiffusionModel, x: float, y):
+    """F_S(min(x, y)) - F_S(x) * F_S(y) at a float y (a float) or on an
+    array of y (an array of its shape).
 
     Evaluated as F(y) * (1 - F(x)) for y <= x and F(x) * (1 - F(y))
     otherwise, with 1 - F read from the distribution table's right-tail
     sums, so the value keeps relative accuracy deep in both tails."""
-    return float(_cdf_pair(model, float(min(x, y)))[0] * _cdf_pair(model, float(max(x, y)))[1])
+    fx, sx = _cdf_pair(model, float(x))
+    if isinstance(y, np.ndarray):
+        fy, sy = _cdf_pair(model, y)
+        return np.where(y <= x, fy * sx, fx * sy)
+    fy, sy = _cdf_pair(model, float(y))
+    return fy * sx if y <= x else fx * sy
 
 
 def local_variance(model: DiffusionModel, x):
@@ -267,12 +254,12 @@ def local_variance(model: DiffusionModel, x):
     at a scalar x (a float) or a 1-d array of x (an array).
 
     Splitting the integral at y = x gives 4 [Fbar(x)^2 A(x) + F(x)^2 B(x)]
-    with the running integrals A and B of the model's grid pack, so no
-    kink lies inside a panel. R is 0 outside the distribution table's
+    with the running integrals A and B of the model's influence table, so
+    no kink lies inside a panel. R is 0 outside the distribution table's
     support.
     """
     F, Fbar, (A, _, B, _) = _running(model, np.atleast_1d(np.asarray(x, dtype=float)))
-    # a partial panel deep in a tail can overshoot its running integral
+    # a table read deep in a tail can undershoot its running integral
     R = np.maximum(4.0 * (Fbar * Fbar * A + F * F * B), 0.0)
     return float(R[0]) if np.ndim(x) == 0 else R
 
@@ -280,19 +267,27 @@ def local_variance(model: DiffusionModel, x):
 def efficiency_bound(model: DiffusionModel, nu: NuMeasure) -> float:
     """Global bound: the nu-integral of the local variance R(x, x).
 
-    Exact weighted sum for point masses. For gaussian and uniform nu, a
-    fixed Simpson sum of R (from :func:`local_variance`) times the nu
-    density over the nu support (a gaussian cut at mean +/- 10 sd) within
-    the distribution table, outside which R is 0.
+    Exact weighted sum for point masses. For gaussian and uniform nu, one
+    adaptive G7/K15 integral of R (from :func:`local_variance`) times the
+    nu density over the nu support (a gaussian cut at mean +/- 10 sd)
+    within the distribution table, outside which R is 0; a RuntimeWarning
+    names the model and nu when it did not converge.
     """
     if nu.kind == "point_masses":
         return compensated_sum(w * local_variance(model, x) for x, w in nu.atoms)
     half = 10.0 * nu.sd
     a, b = (nu.a, nu.b) if nu.kind == "uniform" else (nu.mean - half, nu.mean + half)
     t = _cdf_table(model)
-    xs = np.linspace(max(a, t.lo), min(b, t.hi), _BOUND_PANELS + 1)
-    w = _simpson_weights(_BOUND_PANELS, float(xs[1] - xs[0]))
-    return float((w * local_variance(model, xs) * nu.density(xs)).sum())
+    lo = max(a, t.lo)
+    edges = [lo, max(lo, min(b, t.hi))]
+    value, error, converged = integrate_panels(
+        lambda x: local_variance(model, x) * nu.density(x), edges, DEFAULT_QUADRATURE,
+        _FIRST_SPLIT)
+    if not converged[0]:
+        warnings.warn(f"efficiency bound of {model.label} under {nu!r}: quadrature did not "
+                      f"converge on {edges!r} (error estimate {float(error[0])!r})",
+                      RuntimeWarning, stacklevel=2)
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +312,7 @@ def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
     The indicator in infl splits the integral at v = x into
     2 [Fbar(x) (C1(min(y, x)) - C1(min(0, x)))
        + F(x) (C2(max(0, x)) - C2(max(y, x)))]
-    with the running integrals C1 and C2 of the model's grid pack.
+    with the running integrals C1 and C2 of the model's influence table.
     """
     F, Fbar, run = _running(model, [x, min(y, x), min(0.0, x), max(0.0, x), max(y, x)])
     return float(2.0 * (Fbar[0] * (run[1, 1] - run[1, 2]) + F[0] * (run[3, 3] - run[3, 4])))
@@ -413,11 +408,9 @@ def ode_residual(wf: WeightFunction, model: DiffusionModel, x: float, y: float) 
 def _influence_ratio_vec(model: DiffusionModel, x: float, ys: np.ndarray) -> np.ndarray:
     """2 * (F(x) F(y) - F(min(x, y))) / (sigma(y) f_S(y)) on an array.
 
-    The numerator is -infl(x, y), evaluated in the stable product form."""
-    fx, sx = _cdf_pair(model, x)
-    fy, sy = _cdf_pair(model, ys)
-    infl = np.where(ys <= x, fy * sx, fx * sy)
-    return -2.0 * infl / (on_array(model.diffusion, ys) * invariant_density(model, ys))
+    The numerator is -infl(x, y), from :func:`influence_numerator`."""
+    return (-2.0 * influence_numerator(model, x, ys)
+            / (on_array(model.diffusion, ys) * invariant_density(model, ys)))
 
 
 def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionModel,
@@ -427,7 +420,9 @@ def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionM
     Left side: sqrt(T) * (estimate(x) - F_S(x)). Right side: the boundary
     increment (M(X_T) - M(X_0))/sqrt(T) plus the discretized stochastic
     integral of the influence ratio against the stored Wiener increments.
-    The residual is the discretization error, O(sqrt(dt)).
+    The residual is the discretization error, O(sqrt(dt)). The influence
+    ratio is read one span of :meth:`CurveAccumulator.add_path` at a time,
+    so the table reads hold one span's temporaries.
     """
     if path.wiener_increments is None:
         raise ValueError("representation check requires a path with stored Wiener increments")
@@ -436,8 +431,12 @@ def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionM
     lhs = math.sqrt(T) * (est - invariant_cdf(model, x))
     m_end = boundary_function(wf, model, x, float(path.values[-1]))
     m_start = boundary_function(wf, model, x, float(path.values[0]))
-    psi = _influence_ratio_vec(model, x, path.values[:-1])
-    mart = compensated_sum(psi * path.wiener_increments)
+    terms = np.empty(path.wiener_increments.size)
+    for a in range(0, terms.size, _CHUNK_STEPS * _PATH_CHUNKS):
+        b = min(a + _CHUNK_STEPS * _PATH_CHUNKS, terms.size)
+        np.multiply(_influence_ratio_vec(model, x, path.values[a:b]),
+                    path.wiener_increments[a:b], out=terms[a:b])
+    mart = compensated_sum(terms)
     rhs = (m_end - m_start) / math.sqrt(T) + mart / math.sqrt(T)
     return abs(lhs - rhs)
 
@@ -449,21 +448,21 @@ def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionM
 def influence_moment_finite(model: DiffusionModel, nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(influence primitive at xi)^2] converges.
 
-    The primitive at every grid node is read off the running integrals C1
+    The primitive at every table node is read off the running integrals C1
     and C2 (see :func:`influence_primitive`). Divergence is declared only
     via the tail-doubling criterion of the outer quadrature, so a very
     slowly diverging integral may pass; this is a screen, not a proof.
     """
-    pack = _grid_pack(model)
-    ys = _cdf_table(model).nodes
-    C1, C2 = pack.cum[1], pack.cum[3]
+    table = _influence_table(model)
+    ys, mass = table.nodes, _trapezoid_weights(_cdf_table(model).values[0])
+    C1, C2 = table.values[1], table.values[3]
 
     def inner(x: float) -> float:
         F, Fbar, run = _running(model, [x, min(0.0, x), max(0.0, x)])
         c1 = np.where(ys <= x, C1, run[1, 0]) - run[1, 1]
         c2 = run[3, 2] - np.where(ys > x, C2, run[3, 0])
         g = 2.0 * (Fbar[0] * c1 + F[0] * c2)
-        return float((pack.mass * g * g).sum())
+        return float((mass * g * g).sum())
 
     return _nu_weighted_screen(inner, nu)
 
@@ -471,9 +470,8 @@ def influence_moment_finite(model: DiffusionModel, nu: NuMeasure) -> tuple[bool,
 def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
                          nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(weight primitive at xi)^2] converges."""
-    pack = _grid_pack(model)
     table = _cdf_table(model)
-    ys = table.nodes
+    ys, mass = table.nodes, _trapezoid_weights(table.values[0])
     P = primitive(wf, model, table.lo, table.hi)
     Pys = np.asarray(P(ys), dtype=float)
     hys = on_array(wf.h, ys)
@@ -488,7 +486,7 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
         vals = np.where(ys < x, 2.0 * (px - Pys) * hys, 0.0)
         g = np.concatenate([[0.0], np.cumsum(0.5 * table.step * (vals[1:] + vals[:-1]))])
         g -= np.interp(0.0, ys, g)
-        return float((pack.mass * g * g).sum())
+        return float((mass * g * g).sum())
 
     return _nu_weighted_screen(inner, nu)
 
@@ -554,10 +552,10 @@ class RiskReport:
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(grid)
-    w[1:] += 0.5 * np.diff(grid)
-    w[:-1] += 0.5 * np.diff(grid)
-    return w
+    """Half of each step of ``grid`` to each of its two ends. On a table's
+    F these are its node masses: half of each panel's probability to each
+    of its nodes, so sum(mass * g) is E[g(xi)] on the nodes."""
+    return np.convolve(np.diff(grid), [0.5, 0.5])
 
 
 def _nu_quad_weights(nu: NuMeasure, grid: np.ndarray) -> np.ndarray:

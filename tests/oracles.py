@@ -128,6 +128,54 @@ def trapezoid_influence_primitive(x: float, y: float, n: int = 2_000_001) -> flo
     return val if y >= 0.0 else -val
 
 
+def gaussian_log_law(sd: float):
+    """(log F, log(1 - F), log f) of the centered gaussian with sd ``sd``,
+    from scipy's normal distribution: the invariant law of OU(theta, s)
+    with sd = s / sqrt(2 theta)."""
+    from scipy.stats import norm
+
+    return lambda y: (norm.logcdf(y, scale=sd), norm.logsf(y, scale=sd),
+                      norm.logpdf(y, scale=sd))
+
+
+def quartic_log_law(y: np.ndarray):
+    """(log F, log(1 - F), log f) of the quartic well's invariant law, with
+    density exp(-y^4/2) / G and G = 2^(-3/4) Gamma(1/4).
+
+    int_|y|^inf exp(-t^4/2) dt = 2^(-7/4) Gamma(1/4, y^4/2), so the tail
+    beyond |y| holds Q(1/4, y^4/2) / 2, with Q the regularized upper
+    incomplete gamma function of scipy.special."""
+    from scipy.special import gammaincc
+
+    tail = 0.5 * gammaincc(0.25, 0.5 * y ** 4)
+    small, large = np.log(tail), np.log1p(-tail)
+    right = y >= 0.0
+    logf = -0.5 * y ** 4 - math.log(2.0 ** -0.75 * math.gamma(0.25))
+    return np.where(right, large, small), np.where(right, small, large), logf
+
+
+def trapezoid_local_variance_grid(log_law, sigma2: float, halfwidth: float,
+                                  n: int = 400_001) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, R(y, y)) on n uniform nodes of [-halfwidth, halfwidth] for a law
+    with constant diffusion sigma2, given by ``log_law`` (as above):
+
+        R(y, y) = 4 [(1 - F(y))^2 int_{-hw}^y F^2/(sigma2 f)
+                     + F(y)^2 int_y^{hw} (1 - F)^2/(sigma2 f)]
+
+    Each one-sided integral is a cumulative trapezoid sum from its own
+    tail, and its integrand is formed from logs, so nothing cancels or
+    overflows."""
+    ys = np.linspace(-halfwidth, halfwidth, n)
+    logF, logS, logf = log_law(ys)
+    left = np.exp(2.0 * logF - logf) / sigma2
+    right = np.exp(2.0 * logS - logf) / sigma2
+    half = 0.5 * (ys[1] - ys[0])
+    below = np.concatenate([[0.0], np.cumsum(half * (left[1:] + left[:-1]))])
+    above = np.concatenate([np.cumsum((half * (right[1:] + right[:-1]))[::-1])[::-1], [0.0]])
+    F, S = np.exp(logF), np.exp(logS)
+    return ys, 4.0 * (S * S * below + F * F * above)
+
+
 def ks_statistic(sample: np.ndarray, cdf) -> float:
     """Two-sided Kolmogorov-Smirnov distance between a sample and a CDF."""
     s = np.sort(np.asarray(sample, dtype=float))

@@ -40,14 +40,20 @@ from ergodist.model import (
     DiffusionModel,
     invariant_cdf,
     invariant_density,
+    ornstein_uhlenbeck,
+    quartic_well,
     stationary_expectation,
 )
+from ergodist.numerics import QuadratureSpec
 from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
 from oracles import (
+    gaussian_log_law,
     martingale_weight,
+    quartic_log_law,
     trapezoid_influence_primitive,
     trapezoid_local_variance,
+    trapezoid_local_variance_grid,
     trapezoid_ou_bound_gaussian_nu,
 )
 
@@ -135,6 +141,16 @@ class TestInfluenceNumerator:
         got = np.array([influence_numerator(ou, 0.0, float(y)) for y in ys])
         assert np.max(np.abs(got / ref - 1.0)) <= 5e-8
 
+    @pytest.mark.parametrize("name", ["ou", "quartic"])
+    def test_array_matches_float_calls_bitwise(self, ou, quartic, name):
+        model = {"ou": ou, "quartic": quartic}[name]
+        ys = np.concatenate([np.linspace(-20.0, 20.0, 2001), [-0.0, 0.7, 1e-300, -1e-300]])
+        for x in (-3.0, 0.0, 0.7, 5.0):
+            got = influence_numerator(model, x, ys)
+            expect = np.array([influence_numerator(model, x, float(y)) for y in ys])
+            assert got.shape == ys.shape
+            assert np.array_equal(got, expect)
+
 
 class TestLocalVariance:
     def test_matches_trapezoid_oracle(self, ou):
@@ -162,6 +178,23 @@ class TestLocalVariance:
     def test_tails_match_trapezoid_oracle(self, ou, x):
         assert local_variance(ou, x) == pytest.approx(trapezoid_local_variance(x), rel=1e-5)
 
+    # (model, its law for the oracle, sigma^2, oracle halfwidth, README's
+    # relative accuracy wherever R is at least 1e-9 of its peak)
+    @pytest.mark.parametrize("model, law, sigma2, halfwidth, rel", [
+        (ornstein_uhlenbeck(1.0, 1.0), gaussian_log_law(math.sqrt(0.5)), 1.0,
+         12.0 * math.sqrt(0.5), 1.8e-8),
+        (quartic_well(), quartic_log_law, 1.0, 4.0, 4.7e-7),
+        (ornstein_uhlenbeck(5.0, 0.2), gaussian_log_law(0.2 / math.sqrt(10.0)), 0.04,
+         12.0 * 0.2 / math.sqrt(10.0), 1.1e-4),
+    ], ids=["ou", "quartic", "ou_narrow"])
+    def test_matches_dense_trapezoid_oracle_where_R_matters(self, model, law, sigma2,
+                                                           halfwidth, rel):
+        ys, R = trapezoid_local_variance_grid(law, sigma2, halfwidth)
+        xs, Rx = ys[::100], R[::100]
+        keep = Rx >= 1e-9 * R.max()
+        got = local_variance(model, xs[keep])
+        assert np.max(np.abs(got / Rx[keep] - 1.0)) <= rel
+
     def test_risk_and_cli_local_bound_are_local_variance(self, ou, tmp_path):
         xs = np.linspace(-5.0, 5.0, 21)
         sim = SimConfig(horizon_T=1.0, dt=0.01, seed=3)
@@ -187,6 +220,15 @@ class TestEfficiencyBound:
         live = trapezoid_ou_bound_gaussian_nu(n_x=801, n_y=100_001)
         assert live == pytest.approx(RHO_GAUSS, rel=1e-7)
         assert efficiency_bound(ou, nu_gaussian(0.0, 1.0)) == pytest.approx(live, rel=1e-5)
+
+    def test_unconverged_bound_warns(self, ou, monkeypatch):
+        monkeypatch.setattr(efficiency, "DEFAULT_QUADRATURE",
+                            QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_depth=1))
+        nu = nu_gaussian(0.0, 1.0)
+        with pytest.warns(RuntimeWarning, match="did not converge") as record:
+            efficiency_bound(ou, nu)
+        [warning] = record
+        assert ou.label in str(warning.message) and repr(nu) in str(warning.message)
 
     def test_uniform_nu(self, ou):
         val = efficiency_bound(ou, nu_uniform(-1.0, 1.0))

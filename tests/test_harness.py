@@ -189,28 +189,31 @@ _PINNED = {
 # (node values from the G7/K15 panel integrator, cubic Hermite between
 # nodes) and whose curves are read off per-cell sums streamed in chunks of
 # 512 steps, with the poly weights' h and h' formed by multiplication (no
-# libm pow); result.json is hashed without the reports' "aborted" keys,
-# which the test checks are 0. "blocks_of_5" runs the replications in
-# blocks of 5, and must give the same bytes as one block per worker.
+# libm pow), and whose R is read off a cubic Hermite influence table (with
+# 1/(sigma^2 f) formed as G(S) exp(-scale exponent)) and the gaussian or
+# uniform bound is one G7/K15 integral of it; result.json is hashed without
+# the reports' "aborted" keys, which the test checks are 0. "blocks_of_5"
+# runs the replications in blocks of 5, and must give the same bytes as one
+# block per worker.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_SHA256 = {
     "ou": {
-        "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
-        "risk_unbiased_exp.csv": "041600803682ac73cc44db7f61ef5ec364dd58c34cf54ffec56aa55957bef44a",
-        "risk_unbiased_poly.csv": "f610e2fcaf04807f4df6ea495e304d1b234cb417d85bb3f04c8b4ea5228cd5c9",
-        "result.json": "415cec5988413df9a7f083ec569ec311451780ae3beb6c3b2a6011222bd8c899",
+        "risk_edf.csv": "1015e34a2670b63c6b29ea8df727fca6c48ae5c98a888f5c3e4576ae37b3dfba",
+        "risk_unbiased_exp.csv": "ffd1b98b2dea553fe6c1392c0aae8afbed452340da944c133e3ed90a6bf0a0a3",
+        "risk_unbiased_poly.csv": "033abe4e1e6c2591584def6c21d72c266efa38f52745b380f101743c8348ce44",
+        "result.json": "190ccda71196437fea76e1e005214a9b2a175a938f29f26de25375f08d255a4f",
     },
     "ou_point": {
-        "risk_edf.csv": "dc8a5e3051a246121c19a20324be3c9463928f438c228f2e77e6e0f0762f85e1",
-        "risk_unbiased_exp.csv": "672940bc578854a4d740faec68026d107e0c2ad40d74d5ffb86ab05603c5cfde",
-        "risk_unbiased_poly.csv": "3a321e0f2d1c2c7b71e32135ff5ee2f3e0abd2a13906ebac3510a3b77869294f",
-        "result.json": "c0f6d08f2377c4c7d0d0162a5928aa02c9eacc72c08a161e81202798ecc30a9c",
+        "risk_edf.csv": "1015e34a2670b63c6b29ea8df727fca6c48ae5c98a888f5c3e4576ae37b3dfba",
+        "risk_unbiased_exp.csv": "5f330cd3cd706c74e469b252737f132ba7a71160ddabef6f4facc75455f28a03",
+        "risk_unbiased_poly.csv": "5e508db7756dc435f222f035c7505f400f60ca2cf19d54c0fd77bd228b499e53",
+        "result.json": "376c9cd368ec571d854f5aeec3e82e2c54413762555aa68ea94ead2e4611ffbe",
     },
     "quartic": {
-        "risk_edf.csv": "30d0acf8fa4accf170eca2bc4320ea5da1b7aa0332b017a3f2dd243640167676",
-        "risk_unbiased_exp.csv": "a1e5fd12300a6ed0df76580529862bf2ca517568ce59f97075f6ef1319da3c78",
-        "risk_unbiased_poly.csv": "b097951ba0533e8124fbbb471f6a53398aa12098ed646ccc52bec034ab72eff9",
-        "result.json": "44259e2ccc41f6290acc45b709cf61915efa684c0c63f4707540cdce6c4c8d95",
+        "risk_edf.csv": "a81ae522be6528b8ccfb03cadc98e8cf83a7d526736097b0fb6cfd7a6abd668f",
+        "risk_unbiased_exp.csv": "c68b008553b2b56066b792f4e46a09e1109d01b5dc6dd867628d3274f01c773c",
+        "risk_unbiased_poly.csv": "92ee5aabf72c528a899f85dd9c8672d28181b2f72e4a2a849b1924a117e1b361",
+        "result.json": "91e611561115e84d5c55e3418bfb96fb60039c9e9a3e34c8eb55002cd389a3d6",
     },
 }
 # sha256 of the CSV that `simulate` writes for one OU path from x0 = 1.5
