@@ -7,7 +7,9 @@ largest relative move |new - old| / max(|old|, |new|) from OLD_DIR to
 NEW_DIR. ``config.output_dir`` is skipped: outputs written before
 result.json stopped echoing it name their directory there, which differs
 between two otherwise identical runs. A non-numeric field is listed only
-when it differs.
+when it differs. Each file's line of sha256 digests says whether its two
+sides are byte-identical, and a last line counts the identical files, so a
+change meant to move no byte is shown by one command.
 
 Usage:
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import glob
+import hashlib
 import json
 import math
 import os
@@ -90,6 +93,11 @@ def _csv_columns(path: str) -> dict:
     return {col: [float(r[col]) for r in rows] for col in (rows[0] if rows else {})}
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(os.path.isdir(d) for d in argv):
         print(__doc__.strip(), file=sys.stderr)
@@ -98,14 +106,21 @@ def main(argv: list[str]) -> int:
     problems: list[str] = []
     names = sorted({os.path.basename(p) for d in argv
                     for p in glob.glob(os.path.join(d, "risk_*.csv"))})
-    for fname, read in [("result.json", _result_fields)] + [(n, _csv_columns) for n in names]:
+    files = [("result.json", _result_fields)] + [(n, _csv_columns) for n in names]
+    identical = 0
+    for fname, read in files:
         paths = [os.path.join(d, fname) for d in argv]
         if not all(os.path.isfile(p) for p in paths):
             problems.append(f"{fname}: present in one run only")
             continue
         _compare(fname, read(paths[0]), read(paths[1]), problems)
+        old_sha, new_sha = (_sha256(p) for p in paths)
+        identical += old_sha == new_sha
+        print(f"{fname:26s} sha256 {old_sha[:16]} {new_sha[:16]} "
+              f"{'byte-identical' if old_sha == new_sha else 'BYTES DIFFER'}")
     for line in problems:
         print(f"MISMATCH {line}")
+    print(f"{identical} of {len(files)} files byte-identical")
     return 1 if problems else 0
 
 

@@ -709,14 +709,15 @@ def empirical_risk(
 
 
 def _run_blocks(ctx: _RiskContext, blocks: list[range], workers: int) -> list:
-    import multiprocessing as mp
-
     global _POOL_CTX
-    if workers > 1 and "fork" in mp.get_all_start_methods():
-        _POOL_CTX = ctx
-        try:
-            with mp.get_context("fork").Pool(processes=workers) as pool:
-                return pool.map(_pool_worker, blocks)
-        finally:
-            _POOL_CTX = None
+    if workers > 1:
+        import multiprocessing as mp  # only here: a serial run does not load it
+
+        if "fork" in mp.get_all_start_methods():
+            _POOL_CTX = ctx
+            try:
+                with mp.get_context("fork").Pool(processes=workers) as pool:
+                    return pool.map(_pool_worker, blocks)
+            finally:
+                _POOL_CTX = None
     return [_block_errors(ctx, b) for b in blocks]  # serial, or no fork here

@@ -57,6 +57,10 @@ _MAP_SLACK = 1e-6
 # multiple of the model's support halfwidth past which a path is not read
 # through a tabulated primitive
 _PRIMITIVE_REACH = 4.0
+# points the curve accumulator searches at a time on a grid its affine map
+# does not fit: searchsorted takes no output array, so each slice's cells
+# come back in a small fresh array and are copied into the kept one
+_SEARCH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,12 @@ class WeightFunction:
     optional closed-form antiderivative of 1/h; combined with a constant
     diffusion coefficient it gives the kernel in closed form, so the curve
     accumulator reads a chunk's primitive without a table. ``h_pair`` is
-    an optional evaluator of h and h' together on an array, set by the
-    built-in factories, whose ``h`` and ``h_prime`` are its two parts.
+    an optional evaluator of h and h' together on an array, whose ``h``
+    and ``h_prime`` are its two parts. Both are set only by the built-in
+    factories, and both take an optional output: ``inv_h_primitive(u,
+    out)`` writes into one array of u's shape, ``h_pair(u, out)`` into a
+    pair of them (a constant weight returns its two scalars), so the curve
+    accumulator reads them into arrays it keeps from chunk to chunk.
     """
 
     h: Callable
@@ -86,12 +94,13 @@ class WeightFunction:
     def tag(self) -> str:
         return f"unbiased_{self.kind}"
 
-    def h_and_prime(self, u: np.ndarray) -> tuple:
-        """h and h' on the array u in one pass (``h_pair``), or else two
+    def h_and_prime(self, u: np.ndarray, out=(None, None)) -> tuple:
+        """h and h' on the array u in one pass (``h_pair``, into the arrays
+        ``out`` where given), or else two fresh
         :func:`ergodist.numerics.on_array` reads; a constant may come back
         as a scalar."""
         if self.h_pair is not None:
-            return self.h_pair(u)
+            return self.h_pair(u, out)
         return on_array(self.h, u), on_array(self.h_prime, u)
 
 
@@ -118,9 +127,20 @@ def polynomial_weight(p: int = 1) -> WeightFunction:
             r = r * sq
         return r
 
-    def pair(u):
-        r = odd(u)
-        return 1.0 + r * u, two_p * r
+    def pair(u, out=(None, None)):
+        h, hp = out
+        if p == 1:
+            h = np.multiply(u, u, out=h)
+            h += 1.0
+            return h, np.multiply(two_p, u, out=hp)
+        hp = np.multiply(u, u, out=hp)  # u^2, then h'
+        h = np.multiply(u, hp, out=h)  # r, then h
+        for _ in range(p - 2):
+            h *= hp
+        np.multiply(two_p, h, out=hp)
+        h *= u
+        h += 1.0
+        return h, hp
 
     return WeightFunction(
         h=lambda u: 1.0 + odd(u) * u,
@@ -146,18 +166,26 @@ def _poly_inv_h_primitive(p: int) -> Callable:
     2 c_k atanh(2 c_k u/(1 + u^2)). So no u^2 is formed, P is finite and
     within pi/(2p sin(pi/2p)) of 0 for every u (infinities included),
     P(0) = 0 exactly, and it matches QUADPACK quadrature to about 1e-15
-    absolute. Terms are added one at a time in place, so an array argument
-    costs two temporaries of its size.
+    absolute. Terms are added one at a time in place into ``out`` (fresh
+    when not given), through one temporary of u's size; a call with
+    ``out`` takes that temporary from one kept from call to call.
     """
     pairs = [(math.cos(t), math.sin(t))
              for t in (math.pi * (2 * k + 1) / (2 * p) for k in range(p // 2))]
+    kept = [np.empty(0)]
 
-    def prim(u):
+    def prim(u, out=None):
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
+        if out is None:
+            out, tmp = np.empty_like(u), np.empty_like(u)
+        else:
+            if kept[0].size < u.size:
+                kept[0] = np.empty(u.size)
+            tmp = kept[0][:u.size].reshape(u.shape)
         if p % 2:
             np.arctan(u, out=out)
-        tmp = np.empty_like(u)
+        else:
+            out.fill(0.0)
         with np.errstate(divide="ignore", over="ignore"):
             for c, s in pairs:
                 for ck in (c, -c):
@@ -186,17 +214,26 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
     if not delta > 0.0:
         raise ValueError("exponential weight requires delta > 0")
 
-    def pair(u):
-        h = np.exp(delta * u)
-        return h, delta * h
+    def pair(u, out=(None, None)):
+        h = np.multiply(delta, u, out=out[0])
+        np.exp(h, out=h)
+        return h, np.multiply(delta, h, out=out[1])
+
+    def inv(u, out=None):  # normalized so the primitive vanishes at 0
+        if out is None:
+            return -np.expm1(-delta * u) / delta
+        np.multiply(-delta, u, out=out)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        out /= delta
+        return out
 
     return WeightFunction(
         h=lambda u: np.exp(delta * u),
         h_prime=lambda u: delta * np.exp(delta * u),
         kind="exp",
         params={"delta": delta},
-        # normalized so the primitive vanishes at 0
-        inv_h_primitive=lambda u: -np.expm1(-delta * u) / delta,
+        inv_h_primitive=inv,
         h_pair=pair,
     )
 
@@ -211,8 +248,8 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
         h_prime=lambda u: 0.0,
         kind="const",
         params={"c": c},
-        inv_h_primitive=lambda u: u / c,
-        h_pair=lambda u: (c, 0.0),
+        inv_h_primitive=lambda u, out=None: u / c if out is None else np.divide(u, c, out=out),
+        h_pair=lambda u, out=None: (c, 0.0),
     )
 
 
@@ -265,7 +302,15 @@ def _closed_primitive(wf: WeightFunction, model: DiffusionModel) -> Callable | N
         return None
     s2 = model.sigma_const**2
     inv = wf.inv_h_primitive
-    return lambda u: inv(u) / s2
+
+    def prim(u, out=None):
+        if out is None:
+            return inv(u) / s2
+        out = inv(u, out)
+        out /= s2
+        return out
+
+    return prim
 
 
 def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -> Callable:
@@ -445,15 +490,23 @@ class CurveAccumulator:
     the (statistic, path, cell) sums by one slice add per statistic: a
     streamed chunk's columns are distinct paths, so each sum takes one
     addition per chunk, and the columns of a stored path are added in
-    step order. One cumulative sum over the cells gives every curve. The
-    per-point work arrays are kept from chunk to chunk. A tabulated
-    primitive is built before the first chunk and widened, moving none of
-    its values, up to _PRIMITIVE_REACH times the model's support.
+    step order. One cumulative sum over the cells gives every curve.
+
+    Every per-point array of a chunk (dX, each term, the cells, the masks,
+    and h, h' and P of the built-in weights, whose factories' callables
+    write into given arrays) is a work array kept from chunk to chunk, so
+    a chunk builds no array of its size; a custom weight's h, h' and
+    tabulated P are read fresh. The arrays handed in are never written.
+    A tabulated primitive is built before the first chunk and widened,
+    moving none of its values, up to _PRIMITIVE_REACH times the model's
+    support; only then is a chunk's range read.
 
     A step that cannot be weighted (not finite, past that reach, or h <= 0
-    there) adds nothing: its path is about to explode, or else
-    :meth:`curves` raises. So a path that is dropped for exploding can
-    neither stop the block nor widen a table without bound.
+    there) adds nothing: it is read at X = 0, dX = 0 in the work arrays,
+    and h and h' are read again at those points only. Its path is about
+    to explode, or else :meth:`curves` raises. So a path that is dropped
+    for exploding can neither stop the block nor widen a table without
+    bound.
     """
 
     def __init__(self, xs: np.ndarray, choices, model: DiffusionModel | None,
@@ -475,12 +528,16 @@ class CurveAccumulator:
             fits = np.all(np.abs((xs - self._x0) * scale - np.arange(xs.size)) < _MAP_SLACK)
         self._scale = scale if fits else None
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
-        self._work: tuple[np.ndarray, ...] = ()
+        # work rows: dX, a term, X where copied, P, then h and h' per weight
+        self._floats = np.empty((4 + 2 * len(self.weights), 0))
+        self._index = np.empty(0, dtype=np.intp)
+        self._flags = np.empty((2, 0), dtype=bool)
         self.failures: dict[int, float] = {}
         self.reach = math.inf
-        for wf in self.weights:
+        self._closed = [_closed_primitive(wf, model) for wf in self.weights]
+        for wf, closed in zip(self.weights, self._closed):
             primitive(wf, model, float(xs[0]), float(xs[-1]))
-            if _closed_primitive(wf, model) is None:
+            if closed is None:
                 self.reach = _PRIMITIVE_REACH * max(abs(v) for v in (*_support(model),
                                                                      xs[0], xs[-1]))
 
@@ -504,23 +561,29 @@ class CurveAccumulator:
         if full < n:
             self._add(j, values[full:n, None], values[full + 1:, None])
 
-    def _scratch(self, n: int) -> list[np.ndarray]:
-        """Work arrays of n points (two float, one index, one flag), kept
-        from chunk to chunk so that a chunk allocates few temporaries."""
-        if not self._work or self._work[0].size < n:
-            self._work = (np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
-                          np.empty(n, dtype=bool))
-        return [a[:n] for a in self._work]
+    def _scratch(self, n: int) -> tuple:
+        """The work arrays' first n points (see ``_floats``; the cells; two
+        flags), kept from chunk to chunk and sized to the largest chunk."""
+        if self._index.size < n:
+            self._floats = np.empty((self._floats.shape[0], n))
+            self._index = np.empty(n, dtype=np.intp)
+            self._flags = np.empty((2, n), dtype=bool)
+        return self._floats[:, :n], self._index[:n], self._flags[:, :n]
 
     def _cells(self, X: np.ndarray) -> np.ndarray:
         """``searchsorted(xs, X, side="right")``: on a grid the affine map
         fits, the map, clamped to the cells 0..n, where
         ext[c] <= X < ext[c + 1] confirms it, and a search for the points
         that fail (NaN, +inf, and points within about _MAP_SLACK of a cell
-        from a node); on any other grid, the search."""
+        from a node); on any other grid, the search, _SEARCH_POINTS points
+        at a time."""
+        floats, cell, (ok, above) = self._scratch(X.size)
         if self._scale is None:
-            return np.searchsorted(self.xs, X, side="right")
-        g, _, cell, ok = self._scratch(X.size)
+            for a in range(0, X.size, _SEARCH_POINTS):
+                cell[a:a + _SEARCH_POINTS] = np.searchsorted(self.xs, X[a:a + _SEARCH_POINTS],
+                                                             side="right")
+            return cell
+        g = floats[0]
         with np.errstate(all="ignore"):  # inf * 0 and overflow: clamped below
             np.subtract(X, self._x0, out=g)
             g *= self._scale
@@ -529,9 +592,9 @@ class CurveAccumulator:
         np.fmin(g, self.xs.size, out=g)
         np.copyto(cell, g, casting="unsafe")
         np.less_equal(np.take(self._ext, cell, out=g, mode="clip"), X, out=ok)
-        ok &= np.less(X, np.take(self._ext[1:], cell, out=g, mode="clip"))
+        ok &= np.less(X, np.take(self._ext[1:], cell, out=g, mode="clip"), out=above)
         if not ok.all():
-            miss = np.flatnonzero(~ok)
+            miss = np.flatnonzero(np.logical_not(ok, out=ok))
             cell[miss] = np.searchsorted(self.xs, X[miss], side="right")
         return cell
 
@@ -541,8 +604,13 @@ class CurveAccumulator:
         whose columns are then added in step order; a step that cannot be
         weighted is read at X = 0, dX = 0 (see the class)."""
         k, cells = before.shape[1], self.sums.shape[2]
-        f1, f2, _, _ = self._scratch(before.size)
-        X = before.ravel()
+        floats, _, (bad, flag) = self._scratch(before.size)
+        dX, term, copy, P = floats[:4]
+        if before.flags.c_contiguous:
+            X = before.ravel()
+        else:  # a stored path's chunk: its steps in the same (step, column) order
+            X = copy
+            np.copyto(X.reshape(before.shape), before)
         idx = self._cells(X)
         idx.reshape(-1, k)[...] += cells * np.arange(k)
 
@@ -559,33 +627,45 @@ class CurveAccumulator:
         put(0)
         if not self.weights:
             return
+        pairs = [(floats[w], floats[w + 1]) for w in range(4, floats.shape[0], 2)]
         with np.errstate(all="ignore"):
-            dX = np.subtract(after, before, out=f1.reshape(before.shape)).ravel()
-            bad = np.abs(X, out=f2) > self.reach
-            bad |= ~np.isfinite(dX)
-            vals = [wf.h_and_prime(X) for wf in self.weights]
+            np.subtract(after, before, out=dX.reshape(before.shape))
+            np.logical_not(np.isfinite(dX, out=bad), out=bad)
+            if self.reach < math.inf:
+                bad |= np.greater(np.abs(X, out=term), self.reach, out=flag)
+            vals = [wf.h_and_prime(X, pair) for wf, pair in zip(self.weights, pairs)]
             for h, _ in vals:
-                bad |= np.logical_not(h > 0.0)
+                bad |= np.logical_not(np.greater(h, 0.0, out=flag), out=flag)
         if bad.any():
             at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
             at_cols, first = np.unique(at % k, return_index=True)
             paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
             for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
                 self.failures.setdefault(j, x)
-            X, dX = np.where(bad, 0.0, X), np.where(bad, 0.0, dX)
-            vals = [wf.h_and_prime(X) for wf in self.weights]
-        lo, hi = float(X.min()), float(X.max())
+            if X is not copy:
+                np.copyto(copy, X)
+                X = copy
+            X[at], dX[at] = 0.0, 0.0
+            zero = np.zeros(at.size)
+            for w, wf in enumerate(self.weights):
+                vals[w] = [_assign(v, at, z, wf.h_pair is not None)
+                           for v, z in zip(vals[w], wf.h_and_prime(zero))]
+        # the chunk's range, which only a tabulated primitive reads
+        span = (float(X.min()), float(X.max())) if self.reach < math.inf else None
         s2 = on_array(self.model.diffusion_sq, X)
-        for w, (wf, (h, hp)) in enumerate(zip(self.weights, vals)):
-            PX = np.asarray(primitive(wf, self.model, lo, hi)(X), dtype=float)
+        for w, (wf, closed, (h, hp)) in enumerate(zip(self.weights, self._closed, vals)):
+            if closed is not None:
+                PX = closed(X, P)
+            else:
+                PX = np.asarray(primitive(wf, self.model, *span)(X), dtype=float)
             # the rows h dX, P h dX, h' sigma^2 and P h' sigma^2; a term
             # times P in place is the same product as P times the term
-            term = np.multiply(h, dX, out=f2)
-            put(1 + 4 * w, term)
-            put(2 + 4 * w, np.multiply(term, PX, out=term))
-            term = np.multiply(hp, s2, out=f2)
-            put(3 + 4 * w, term)
-            put(4 + 4 * w, np.multiply(term, PX, out=term))
+            t = np.multiply(h, dX, out=term)
+            put(1 + 4 * w, t)
+            put(2 + 4 * w, np.multiply(t, PX, out=t))
+            t = np.multiply(hp, s2, out=term)
+            put(3 + 4 * w, t)
+            put(4 + 4 * w, np.multiply(t, PX, out=t))
 
     def curves(self, dropped=None) -> list[np.ndarray]:
         """Each estimator's curves on xs, one row per path; a path marked
@@ -608,6 +688,18 @@ class CurveAccumulator:
                                       float(self.xs[-1]))(self.xs), dtype=float)
             out.append((2.0 * (Px * A - B) + self.dt * (Px * C - D)) / T)
         return out
+
+
+def _assign(v, at, z, kept: bool):
+    """v with z at the flat positions ``at``: written into v if it is a
+    kept work array, else into a copy (a custom weight's read may be a view
+    of its argument); a scalar (a constant) as it is."""
+    if np.ndim(v) == 0:
+        return v
+    if not kept:
+        v = np.array(v)
+    v[at] = z
+    return v
 
 
 def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = None

@@ -233,13 +233,17 @@ def _stream(model: DiffusionModel, cfg: SimConfig, step: Callable, x: np.ndarray
 
 
 def _step_vector(model: DiffusionModel, dt: float, states: np.ndarray, incs: np.ndarray) -> None:
-    """Fill rows 1.. of ``states`` from row 0, every column at once; incs
-    are sigma_const * dW when that is set, else dW."""
+    """Fill rows 1.. of ``states`` from row 0, every column at once, each
+    row in place (the sum drift(x) dt + x + inc of :func:`_step_float`,
+    its first addition's operands swapped); incs are sigma_const * dW when
+    that is set, else dW."""
     drift = model.drift
     sigma = None if model.sigma_const is not None else model.diffusion
     x = states[0]
     for inc, row in zip(incs, states[1:]):
-        np.add(x + drift(x) * dt, inc if sigma is None else sigma(x) * inc, out=row)
+        np.multiply(drift(x), dt, out=row)
+        row += x
+        row += inc if sigma is None else sigma(x) * inc
         x = row
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from ergodist.estimators import (
     primitive,
     unbiased_estimate,
 )
-from ergodist.model import DiffusionModel, invariant_cdf, stationary_expectation
+from ergodist.model import (
+    DiffusionModel,
+    invariant_cdf,
+    ornstein_uhlenbeck,
+    stationary_expectation,
+)
 from ergodist.numerics import QuadratureSpec, on_array
 
 from oracles import edf, stored_block
@@ -154,6 +160,50 @@ class TestWeightValues:
         with np.errstate(all="ignore"):
             acc.add(slice(0, 6), 0, states)
         assert acc.failures == {1: -800.0, 2: states[2, 2], 3: states[0, 3], 5: states[4, 5]}
+
+
+class TestOutputArrays:
+    """The built-in weights' callables write into given arrays the bits
+    of their fresh-array calls."""
+
+    U = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300,
+         np.inf, -np.inf, np.nan],
+        np.random.default_rng(5).normal(0.0, 4.0, 3000),
+    ])
+    WEIGHTS = ["exp:delta=1", "exp:delta=0.7", "poly:p=1", "poly:p=2", "poly:p=3",
+               "poly:p=4", "const:c=1", "const:c=2.5"]
+
+    @staticmethod
+    def dirty(n):
+        return np.full(n, 1234.5), np.full(n, np.nan)
+
+    @pytest.mark.parametrize("spec", WEIGHTS)
+    def test_h_pair_into_arrays_matches_fresh_reads(self, spec):
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        out = self.dirty(self.U.size)
+        with np.errstate(all="ignore"):
+            got = wf.h_and_prime(self.U, out)
+            want = on_array(wf.h, self.U), on_array(wf.h_prime, self.U)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.broadcast_to(g, w.shape), w, equal_nan=True)
+        if wf.kind != "const":
+            assert all(g is o for g, o in zip(got, out))
+
+    @pytest.mark.parametrize("spec", WEIGHTS)
+    @pytest.mark.parametrize("s", [1.0, 0.7])
+    def test_closed_primitive_into_an_array_matches_fresh_call(self, spec, s):
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        closed = estimators._closed_primitive(wf, ornstein_uhlenbeck(1.0, s))
+        # a larger call first, so a kept temporary is read at a smaller size
+        for u in (np.concatenate([self.U, self.U]), self.U):
+            out, inv_out = self.dirty(u.size)
+            with np.errstate(all="ignore"):
+                got, want = closed(u, out), closed(u)
+                inv_got, inv_want = wf.inv_h_primitive(u, inv_out), wf.inv_h_primitive(u)
+            assert got is out
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(inv_got, inv_want, equal_nan=True)
 
 
 class TestKernel:
@@ -637,6 +687,76 @@ class TestCurveAccumulator:
         assert np.array_equal(wide.values[shift:shift + nodes.size], nodes)
         want = unbiased_estimate(path, wf, ou, 25.0)
         assert curve.values[1] == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def block_curves(model, choices, values, xs, dt):
+        """Curves of the rows of ``values`` fed as one streamed block, with
+        the paths that cannot be weighted dropped; also checks that the
+        chunks handed in are not written."""
+        n = values.shape[1] - 1
+        acc = CurveAccumulator(xs, choices, model, len(values), n, dt)
+        states = np.ascontiguousarray(values.T)
+        before = states.copy()
+        with np.errstate(all="ignore"):
+            for start in range(0, n, 512):
+                acc.add(slice(0, len(values)), start, states[start:start + 513])
+        assert np.array_equal(states, before, equal_nan=True)
+        dropped = np.zeros(len(values), dtype=bool)
+        dropped[list(acc.failures)] = True
+        return acc.curves(dropped), dropped
+
+    @pytest.mark.parametrize("weight", [
+        "unbiased:poly:p=2",
+        custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)])
+    def test_exploding_path_leaves_the_other_paths_bits(self, ou, weight):
+        # the path put in as row 2 grows past every reach, then leaves the
+        # floats; the custom weight's primitive is tabulated, so its reach
+        # is finite
+        cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0)
+        values = stored_block(ou, cfg, [derive_substream_seed(3, r) for r in range(4)]).values
+        blowup = values[0].copy()
+        with np.errstate(over="ignore"):
+            blowup[700:] = 10.0 ** np.arange(values.shape[1] - 700)
+        xs = np.linspace(-2.0, 2.0, 21)
+        choices = [as_estimator(c) for c in ("edf", "unbiased:exp:delta=1", weight)]
+        kept, none = self.block_curves(ou, choices, values, xs, cfg.dt)
+        mixed, dropped = self.block_curves(ou, choices, np.insert(values, 2, blowup, axis=0),
+                                           xs, cfg.dt)
+        assert not none.any() and dropped.tolist() == [False, False, True, False, False]
+        for k_rows, m_rows in zip(kept, mixed):
+            assert np.array_equal(k_rows, np.delete(m_rows, 2, axis=0))
+
+    def test_estimate_curves_leaves_the_path_values(self, ou):
+        # a non-finite state past the last full chunk, so the step is read
+        # from a view of the values that could be written
+        values = np.concatenate([np.sin(np.arange(1100) * 0.01), [np.inf, 0.3]])
+        path = Path(dt=0.01, values=values.copy())
+        with pytest.raises(EvaluationError):
+            estimate_curves(path, [0.0, 0.5], ["edf", "unbiased:exp:delta=1"], ou)
+        assert np.array_equal(path.values, values)
+
+    @pytest.mark.parametrize("atoms", [[], [-0.7, 0.1, 1.3]])
+    def test_chunk_after_warm_up_allocates_no_chunk_sized_array(self, ou, atoms):
+        # numpy traces its buffers to tracemalloc; the weight values, the
+        # primitives, the cells and the masks all go into kept work arrays,
+        # on a uniform grid and on one with atoms merged in (searched)
+        choices = [as_estimator(c) for c in ("edf", "unbiased:exp:delta=1",
+                                             "unbiased:poly:p=1", "unbiased:poly:p=2")]
+        rng = np.random.default_rng(8)
+        states = np.cumsum(rng.normal(0.0, 0.07, (2 * 512 + 1, 60)), axis=0)
+        xs = np.unique(np.concatenate([np.linspace(-3.0, 3.0, 41), atoms]))
+        acc = CurveAccumulator(xs, choices, ou, 60, 1024, 0.005)
+        assert (acc._scale is None) == bool(atoms)
+        tracemalloc.start()
+        try:
+            acc.add(slice(0, 60), 0, states[:513])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            acc.add(slice(0, 60), 512, states[512:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 60 * 512 * 8
 
     def test_unweightable_step_of_a_kept_path_raises(self, ou):
         # h(u) = u is not positive at the path's first point; a path that
