@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Compare the outputs of two experiment runs, field by field.
+"""Compare the outputs of two experiment runs, or two JSON files, field by
+field.
 
 For every numeric field of result.json (lists element by element) and every
 column of every risk_*.csv, prints the largest absolute move and the
 largest relative move |new - old| / max(|old|, |new|) from OLD_DIR to
-NEW_DIR. ``config.output_dir`` is skipped: outputs written before
-result.json stopped echoing it name their directory there, which differs
-between two otherwise identical runs. A non-numeric field is listed only
-when it differs. Each file's line of sha256 digests says whether its two
-sides are byte-identical, and a last line counts the identical files, so a
-change meant to move no byte is shown by one command.
+NEW_DIR. Given two JSON files instead, such as two ``check-conditions
+--out`` payloads, it compares their fields the same way. ``config.output_dir``
+is skipped: outputs written before result.json stopped echoing it name
+their directory there, which differs between two otherwise identical runs.
+A non-numeric field is listed only when it differs. Each file's line of
+sha256 digests says whether its two sides are byte-identical, and a last
+line counts the identical files, so a change meant to move no byte is
+shown by one command.
 
 Usage:
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
+    python scripts/compare_outputs.py OLD.json NEW.json
 
 Exits 1 when a field or file is present on one side only or a list changed
 length, 2 on bad arguments, else 0.
@@ -99,17 +103,20 @@ def _sha256(path: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not all(os.path.isdir(d) for d in argv):
+    if len(argv) == 2 and all(os.path.isfile(p) for p in argv):
+        pairs = [(os.path.basename(argv[1]), argv, _result_fields)]
+    elif len(argv) == 2 and all(os.path.isdir(d) for d in argv):
+        names = sorted({os.path.basename(p) for d in argv
+                        for p in glob.glob(os.path.join(d, "risk_*.csv"))})
+        pairs = [(n, [os.path.join(d, n) for d in argv], read)
+                 for n, read in [("result.json", _result_fields)]
+                 + [(n, _csv_columns) for n in names]]
+    else:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    old_dir, new_dir = argv
     problems: list[str] = []
-    names = sorted({os.path.basename(p) for d in argv
-                    for p in glob.glob(os.path.join(d, "risk_*.csv"))})
-    files = [("result.json", _result_fields)] + [(n, _csv_columns) for n in names]
     identical = 0
-    for fname, read in files:
-        paths = [os.path.join(d, fname) for d in argv]
+    for fname, paths, read in pairs:
         if not all(os.path.isfile(p) for p in paths):
             problems.append(f"{fname}: present in one run only")
             continue
@@ -120,7 +127,7 @@ def main(argv: list[str]) -> int:
               f"{'byte-identical' if old_sha == new_sha else 'BYTES DIFFER'}")
     for line in problems:
         print(f"MISMATCH {line}")
-    print(f"{identical} of {len(files)} files byte-identical")
+    print(f"{identical} of {len(pairs)} files byte-identical")
     return 1 if problems else 0
 
 

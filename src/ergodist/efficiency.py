@@ -448,61 +448,130 @@ def representation_discrepancy(path: Path, wf: WeightFunction, model: DiffusionM
 def influence_moment_finite(model: DiffusionModel, nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(influence primitive at xi)^2] converges.
 
-    The primitive at every table node is read off the running integrals C1
-    and C2 (see :func:`influence_primitive`). Divergence is declared only
-    via the tail-doubling criterion of the outer quadrature, so a very
-    slowly diverging integral may pass; this is a screen, not a proof.
+    The primitive at a table node y is read off the running integrals C1
+    and C2 (see :func:`influence_primitive`): a C1(y) + b for y <= x and
+    c C2(y) + d above, with a, b, c, d from the tables at x, min(0, x) and
+    max(0, x). So E[g^2] at each x is a quadratic in them over prefix sums
+    of mass, mass C1 and mass C1^2 and suffix sums of mass, mass C2 and
+    mass C2^2, built once. Each running integral is summed from its own
+    tail, so it is small where the mass is and large only where the mass
+    is negligible. Divergence is declared only via the tail-doubling
+    criterion of the outer quadrature, so a very slowly diverging integral
+    may pass; this is a screen, not a proof.
     """
     table = _influence_table(model)
     ys, mass = table.nodes, _trapezoid_weights(_cdf_table(model).values[0])
-    C1, C2 = table.values[1], table.values[3]
+    below = _moment_sums(mass, table.values[1])
+    above = _moment_sums(mass[::-1], table.values[3, ::-1])[:, ::-1]
 
-    def inner(x: float) -> float:
-        F, Fbar, run = _running(model, [x, min(0.0, x), max(0.0, x)])
-        c1 = np.where(ys <= x, C1, run[1, 0]) - run[1, 1]
-        c2 = run[3, 2] - np.where(ys > x, C2, run[3, 0])
-        g = 2.0 * (Fbar[0] * c1 + F[0] * c2)
-        return float((mass * g * g).sum())
+    def inner(x: np.ndarray) -> np.ndarray:
+        F, Fbar, run = _running(model, np.stack([x, np.minimum(x, 0.0), np.maximum(x, 0.0)]))
+        F, Fbar = F[0], Fbar[0]
+        (C1x, C1m, _), (C2x, _, C2p) = run[1], run[3]
+        k = np.searchsorted(ys, x, "right")
+        low = _quadratic(below[:, k], 2.0 * Fbar, 2.0 * (F * (C2p - C2x) - Fbar * C1m))
+        high = _quadratic(above[:, k], -2.0 * F, 2.0 * (Fbar * (C1x - C1m) + F * C2p))
+        return low + high
 
-    return _nu_weighted_screen(inner, nu)
+    return _nu_weighted_screen(inner, nu, f"influence moment screen of {model.label}")
 
 
 def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
                          nu: NuMeasure) -> tuple[bool, float]:
-    """Screen: nu-integral of E[(weight primitive at xi)^2] converges."""
+    """Screen: nu-integral of E[(weight primitive at xi)^2] converges.
+
+    The primitive g(y) = int_0^y 2 (P(x) - P) h 1{v < x} is a cumulative
+    trapezoid over the table's nodes: 2 P(x) H(y) - 2 Q(y) at the nodes
+    below x, with H and Q the cumulative trapezoids of h and P h, and
+    constant from the first node at or above x. Taken from their values at
+    the node at or below 0, H and Q give E[(g - g(0))^2] at each x as a
+    quadratic in 2 P(x) and -g(0) over six prefix sums, built once; g(0)
+    is read linearly between the nodes around 0. P(x) at an x outside the
+    table is the kernel K_x(0), one float call each.
+    """
     table = _cdf_table(model)
     ys, mass = table.nodes, _trapezoid_weights(table.values[0])
     P = primitive(wf, model, table.lo, table.hi)
-    Pys = np.asarray(P(ys), dtype=float)
-    hys = on_array(wf.h, ys)
+    h = on_array(wf.h, ys)
+    Ph2 = 2.0 * P(ys) * h
+    j0 = min(max(int(np.searchsorted(ys, 0.0, "right")) - 1, 0), ys.size - 2)  # 0's cell
+    half = 0.5 * table.step
+    # H and 2Q at the nodes, then where a cut at node k leaves them (k = 0: g = 0)
+    H, Q2 = (np.concatenate([[0.0], np.cumsum(half * (v[1:] + v[:-1]))]) for v in (h, Ph2))
+    H -= H[j0]
+    Q2 -= Q2[j0]
+    H_cut = np.concatenate([H[:1], H + half * h])
+    Q2_cut = np.concatenate([Q2[:1], Q2 + half * Ph2])
+    sums = _moment_sums(mass, H, Q2)
+    mass_above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
 
-    def inner(x: float) -> float:
-        if table.lo <= x <= table.hi:
-            px = float(P(x))
-        else:
-            # every primitive here is based at 0, so P(x) is the kernel to 0
-            px = kernel(wf, model, x, 0.0)
-        # g(y) = int_0^y of the integrand, by a cumulative trapezoid
-        vals = np.where(ys < x, 2.0 * (px - Pys) * hys, 0.0)
-        g = np.concatenate([[0.0], np.cumsum(0.5 * table.step * (vals[1:] + vals[:-1]))])
-        g -= np.interp(0.0, ys, g)
-        return float((mass * g * g).sum())
+    def inner(x: np.ndarray) -> np.ndarray:
+        inside = (table.lo <= x) & (x <= table.hi)
+        px = np.empty(x.shape)
+        px[inside] = P(x[inside])
+        # every primitive here is based at 0, so P(x) is the kernel to 0
+        px[~inside] = [kernel(wf, model, t, 0.0) for t in x[~inside].tolist()]
+        u = 2.0 * px
+        k = np.searchsorted(ys, x, "left")  # the nodes below x
+        cut = u * H_cut[k] - Q2_cut[k]
+        g_lo, g_hi = (np.where(j < k, u * H[j] - Q2[j], cut) for j in (j0, j0 + 1))
+        # np.interp's formula between the nodes around 0
+        v = -((g_hi - g_lo) / (ys[j0 + 1] - ys[j0]) * (0.0 - ys[j0]) + g_lo)
+        s = sums[:, k]
+        return (u * (u * s[2] - 2.0 * s[4]) + s[5] + v * (v * s[0] + 2.0 * (u * s[1] - s[3]))
+                + mass_above[k] * (cut + v) ** 2)
 
-    return _nu_weighted_screen(inner, nu)
+    return _nu_weighted_screen(inner, nu,
+                               f"weight moment screen of the {wf.kind} weight on {model.label}")
 
 
-def _nu_weighted_screen(inner: Callable[[float], float], nu: NuMeasure) -> tuple[bool, float]:
+def _moment_sums(mass: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Rows mass, mass a and mass a^2, then (given b) mass b, mass a b and
+    mass b^2, summed: column k holds the sums over the first k nodes. A
+    product is formed as (mass a) a, which cannot overflow where mass is
+    small and a large."""
+    out = np.zeros((3 if b is None else 6, mass.size + 1))
+    rows = out[:, 1:]
+    rows[0] = mass
+    np.multiply(mass, a, out=rows[1])
+    np.multiply(rows[1], a, out=rows[2])
+    if b is not None:
+        np.multiply(mass, b, out=rows[3])
+        np.multiply(rows[1], b, out=rows[4])
+        np.multiply(rows[3], b, out=rows[5])
+    np.cumsum(rows, axis=1, out=rows)
+    return out
+
+
+def _quadratic(s: np.ndarray, a, b):
+    """sum(mass (a c + b)^2) from s = (sum mass, sum mass c, sum mass c^2)."""
+    return a * (a * s[2] + 2.0 * b * s[1]) + b * b * s[0]
+
+
+def _nu_weighted_screen(inner: Callable[[np.ndarray], np.ndarray], nu: NuMeasure,
+                        what: str) -> tuple[bool, float]:
+    """The nu-integral of ``inner`` (read on an array of x): a compensated
+    sum over point masses, else one adaptive integral, of inner over [a, b]
+    times the uniform density or of inner times the gaussian density over
+    the whole line, which warns, naming ``what`` and nu, when it did not
+    converge. A divergence suspected by the tail doubling gives
+    (False, nan)."""
+    if nu.kind == "point_masses":
+        xs, ws = np.array(nu.atoms).T
+        value = compensated_sum(ws * inner(xs))
+        return math.isfinite(value), value
     try:
-        if nu.kind == "point_masses":
-            value = compensated_sum(w * inner(x) for x, w in nu.atoms)
-        elif nu.kind == "uniform":
-            dens = nu.mass / (nu.b - nu.a)
-            value = dens * integrate(inner, nu.a, nu.b, _SCREEN_OUTER).value
+        if nu.kind == "uniform":
+            result = integrate(inner, nu.a, nu.b, _SCREEN_OUTER)
+            value = nu.mass / (nu.b - nu.a) * result.value
         else:
-            value = integrate_line(lambda x: inner(x) * float(nu.density(x)),
-                                   _SCREEN_OUTER).value
+            result = integrate_line(lambda x: inner(x) * nu.density(x), _SCREEN_OUTER)
+            value = result.value
     except DivergenceError:
         return False, math.nan
+    if not result.converged:
+        warnings.warn(f"{what} under {nu!r}: outer quadrature did not converge "
+                      f"(error estimate {result.error_estimate!r})", RuntimeWarning, stacklevel=3)
     return math.isfinite(value), value
 
 

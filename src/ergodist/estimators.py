@@ -480,12 +480,13 @@ class CurveAccumulator:
     P h' sigma^2 for each weight (P its kernel primitive). A chunk puts
     each X_i in its cell, the number of nodes at or below it
     (``searchsorted(xs, X_i, side="right")``). On a grid that the affine
-    map onto its node indices fits (a uniform one), the map guesses the
-    cell; ext[c] <= X_i < ext[c + 1], on the grid padded with -inf and
-    +inf, confirms the guess, and only the points that fail it (NaN, +inf
-    and points within rounding of a node) are searched. Any other grid,
-    such as one with a point-mass nu's atoms merged in, on which the map
-    would miss most cells, is searched. Each term is
+    map onto its node indices fits (a uniform one of two nodes or more),
+    the map guesses the cell; ext[c] <= X_i < ext[c + 1], on the grid
+    padded with -inf and +inf, confirms the guess, and only the points
+    that fail it (NaN, +inf and points within rounding of a node) are
+    searched. Any other grid, such as one with a point-mass nu's atoms
+    merged in or a single node, on which the map would miss most cells,
+    is searched. Each term is
     summed per (path, cell) with one weighted ``bincount`` and added into
     the (statistic, path, cell) sums by one slice add per statistic: a
     streamed chunk's columns are distinct paths, so each sum takes one
@@ -519,14 +520,14 @@ class CurveAccumulator:
         # row 0 counts the steps (exact in floats), then 4 rows per weight
         self.sums = np.zeros((1 + 4 * len(self.weights), paths, xs.size + 1))
         # the affine map of the grid onto its node indices, kept only if it
-        # sends every node within _MAP_SLACK of its index (a uniform grid,
-        # not one with point-mass atoms merged in), and the grid padded with
-        # -inf and +inf, which bounds every cell
+        # sends every node within _MAP_SLACK of its index (a uniform grid of
+        # two nodes or more, not one with point-mass atoms merged in), and
+        # the grid padded with -inf and +inf, which bounds every cell
         self._x0 = float(xs[0])
         scale = (xs.size - 1) / (float(xs[-1]) - float(xs[0])) if xs.size > 1 else 0.0
         with np.errstate(all="ignore"):
             fits = np.all(np.abs((xs - self._x0) * scale - np.arange(xs.size)) < _MAP_SLACK)
-        self._scale = scale if fits else None
+        self._scale = scale if fits and xs.size > 1 else None
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
         # work rows: dX, a term, X where copied, P, then h and h' per weight
         self._floats = np.empty((4 + 2 * len(self.weights), 0))

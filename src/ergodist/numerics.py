@@ -23,6 +23,7 @@ with the abscissa.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -98,6 +99,12 @@ _CHUNK_INTERVALS = 512
 # Equal subintervals a single integral starts from, so narrow features
 # cannot slip between the nodes of one wide interval.
 _FIRST_SPLIT = 4
+# Subintervals one panel may hold. An integrand noisy at the tolerance
+# would otherwise be bisected everywhere each round, doubling its points
+# up to max_depth; a panel stops, not converged, before passing the cap.
+_PANEL_CAP = 1 << 14
+# Items of an array converted to Python floats at a time by compensated_sum.
+_FSUM_SPAN = 32768
 
 
 def on_array(f: Func, x) -> np.ndarray:
@@ -150,7 +157,8 @@ def integrate_panels(
     ``_CHUNK_INTERVALS`` of them, accepts a subinterval by the per-panel
     tolerance (module docstring) and bisects the others, for at most
     ``spec.max_depth`` rounds. A panel has converged when its summed error
-    estimate is within its tolerance.
+    estimate is within its tolerance; one whose bisection would take it
+    past ``_PANEL_CAP`` subintervals stops there and has not converged.
     """
     edges = np.asarray(edges, dtype=float)
     if not np.isfinite(edges).all():
@@ -172,6 +180,7 @@ def integrate_panels(
     owner = np.repeat(np.arange(n), split)
     values = np.zeros(n)
     errors = np.zeros(n)
+    capped = np.zeros(n, dtype=bool)
     for depth in range(spec.max_depth + 1):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (lo + hi)
@@ -184,6 +193,11 @@ def integrate_panels(
         done = (e * width[owner] <= tol[owner] * (hi - lo)) | (mid <= lo) | (mid >= hi)
         if depth == spec.max_depth:
             done[:] = True
+        else:
+            # a panel whose bisection would pass the cap keeps what it has
+            over = 2 * np.bincount(owner[~done], minlength=n) > _PANEL_CAP
+            capped |= over
+            done |= over[owner]
         values += np.bincount(owner[done], k[done], minlength=n)
         errors += np.bincount(owner[done], e[done], minlength=n)
         rest = ~done
@@ -191,7 +205,8 @@ def integrate_panels(
             break
         lo, hi, mid, owner = lo[rest], hi[rest], mid[rest], owner[rest]
         lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
-    return values, errors, errors <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
+    converged = errors <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
+    return values, errors, converged & ~capped
 
 
 def integrate(f: Func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadResult:
@@ -287,18 +302,26 @@ def invert_monotone(f: Func, target: float, lo: float, hi: float, tol: float) ->
 def compensated_sum(xs: Iterable[float]) -> float:
     """Exactly rounded sum (``math.fsum``, Shewchuk 1997); order-independent.
 
-    Used for all Monte Carlo reductions. Non-finite inputs propagate to a
-    non-finite total (the plain left-to-right sum) and emit a diagnostic
-    warning naming the first offender; a finite sum that overflows is nan.
+    Used for all Monte Carlo reductions. An array is handed to ``fsum``
+    as Python floats _FSUM_SPAN at a time, in order, so a long one is
+    never held as one list. Non-finite inputs propagate to a non-finite
+    total (the plain left-to-right sum) and emit a diagnostic warning
+    naming the first offender; a finite sum that overflows is nan.
     """
-    vals = np.asarray(xs, dtype=float).tolist() if isinstance(xs, np.ndarray) else list(xs)
+    if isinstance(xs, np.ndarray):
+        flat = np.asarray(xs, dtype=float).ravel()
+        items = lambda: itertools.chain.from_iterable(
+            flat[a:a + _FSUM_SPAN].tolist() for a in range(0, flat.size, _FSUM_SPAN))
+    else:
+        xs = list(xs)
+        items = lambda: xs
     try:
-        total = math.fsum(vals)
+        total = math.fsum(items())
     except (OverflowError, ValueError):  # a finite overflow, or inf + -inf
         total = math.nan
     if math.isfinite(total):
         return total
-    vals = [float(v) for v in vals]
+    vals = [float(v) for v in items()]
     first_bad = next(((i, v) for i, v in enumerate(vals) if not math.isfinite(v)), None)
     if first_bad is None:
         return math.nan

@@ -4,11 +4,12 @@ Everything here is deliberately computed by a different route than the
 package under test: power series, exact rational arithmetic, dense
 trapezoid rules on closed-form densities, and scipy's own distribution
 functions. Values asserted in the tests were produced by these oracles.
-The last four are the exception, test-only helpers built on the package:
+The last six are the exception, test-only helpers built on the package:
 ``occupation_mean`` and ``martingale_weight``, quantities it never
 computes; ``edf``, the EDF at one threshold straight from its definition;
-and ``stored_block``, which keeps the rows that ``stream_block`` hands
-over.
+``stored_block``, which keeps the rows that ``stream_block`` hands over;
+and ``influence_moment_direct`` and ``weight_moment_direct``, the moment
+screens by a full pass over the table's nodes at each outer point.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ergodist.errors import EvaluationError
-from ergodist.estimators import kernel
-from ergodist.numerics import on_array
+from ergodist.efficiency import _SCREEN_OUTER, _influence_table, _running, _trapezoid_weights
+from ergodist.errors import DivergenceError, EvaluationError
+from ergodist.estimators import kernel, primitive
+from ergodist.model import _cdf_table
+from ergodist.numerics import compensated_sum, integrate, integrate_line, on_array
 from ergodist.simulate import stream_block
 
 
@@ -248,3 +251,58 @@ def stored_block(model, cfg, seeds) -> StoredBlock:
 
     exploded = stream_block(model, cfg, seeds, record)
     return StoredBlock(values, wiener, exploded)
+
+
+def influence_moment_direct(model, nu) -> tuple[bool, float]:
+    """The influence-moment screen with the influence primitive formed at
+    every table node for each outer point x, one float call per x."""
+    table = _influence_table(model)
+    ys, mass = table.nodes, _trapezoid_weights(_cdf_table(model).values[0])
+    C1, C2 = table.values[1], table.values[3]
+
+    def inner(x: float) -> float:
+        F, Fbar, run = _running(model, [x, min(0.0, x), max(0.0, x)])
+        c1 = np.where(ys <= x, C1, run[1, 0]) - run[1, 1]
+        c2 = run[3, 2] - np.where(ys > x, C2, run[3, 0])
+        g = 2.0 * (Fbar[0] * c1 + F[0] * c2)
+        return float((mass * g * g).sum())
+
+    return _direct_outer(inner, nu)
+
+
+def weight_moment_direct(wf, model, nu) -> tuple[bool, float]:
+    """The weight-moment screen with the weight primitive summed by a
+    cumulative trapezoid over every table node for each outer point x, one
+    float call per x."""
+    table = _cdf_table(model)
+    ys, mass = table.nodes, _trapezoid_weights(table.values[0])
+    P = primitive(wf, model, table.lo, table.hi)
+    Pys = np.asarray(P(ys), dtype=float)
+    hys = on_array(wf.h, ys)
+
+    def inner(x: float) -> float:
+        if table.lo <= x <= table.hi:
+            px = float(P(x))
+        else:
+            px = kernel(wf, model, x, 0.0)
+        vals = np.where(ys < x, 2.0 * (px - Pys) * hys, 0.0)
+        g = np.concatenate([[0.0], np.cumsum(0.5 * table.step * (vals[1:] + vals[:-1]))])
+        g -= np.interp(0.0, ys, g)
+        return float((mass * g * g).sum())
+
+    return _direct_outer(inner, nu)
+
+
+def _direct_outer(inner, nu) -> tuple[bool, float]:
+    try:
+        if nu.kind == "point_masses":
+            value = compensated_sum(w * inner(x) for x, w in nu.atoms)
+        elif nu.kind == "uniform":
+            dens = nu.mass / (nu.b - nu.a)
+            value = dens * integrate(inner, nu.a, nu.b, _SCREEN_OUTER).value
+        else:
+            value = integrate_line(lambda x: inner(x) * float(nu.density(x)),
+                                   _SCREEN_OUTER).value
+    except DivergenceError:
+        return False, math.nan
+    return math.isfinite(value), value

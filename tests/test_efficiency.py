@@ -13,6 +13,7 @@ from ergodist.estimators import (
     custom_weight,
     dx_weight,
     exponential_weight,
+    parse_estimator,
     polynomial_weight,
 )
 from ergodist.efficiency import (
@@ -42,6 +43,7 @@ from ergodist.model import (
     invariant_density,
     ornstein_uhlenbeck,
     quartic_well,
+    shifted_ou,
     stationary_expectation,
 )
 from ergodist.numerics import QuadratureSpec
@@ -49,12 +51,14 @@ from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_p
 
 from oracles import (
     gaussian_log_law,
+    influence_moment_direct,
     martingale_weight,
     quartic_log_law,
     trapezoid_influence_primitive,
     trapezoid_local_variance,
     trapezoid_local_variance_grid,
     trapezoid_ou_bound_gaussian_nu,
+    weight_moment_direct,
 )
 
 # values produced by the dense-trapezoid oracles in oracles.py
@@ -457,6 +461,70 @@ class TestMomentScreens:
     def test_quartic_model_screen(self, quartic):
         ok, _ = influence_moment_finite(quartic, nu_gaussian(0.0, 1.0))
         assert ok
+
+    SWEEP_MODELS = {
+        "ou": lambda: ornstein_uhlenbeck(1.0, 1.0),
+        "ou_narrow": lambda: ornstein_uhlenbeck(5.0, 0.2),
+        "ou_wide": lambda: ornstein_uhlenbeck(0.2, 3.0),
+        "quartic": quartic_well,
+        "custom_ou": lambda: DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                                            diffusion_sq=lambda x: 1.0, label="custom_ou"),
+        "shifted_up": lambda: shifted_ou(20.0),
+        "shifted_down": lambda: shifted_ou(-20.0),
+        "wavy": lambda: wavy_model(np),
+    }
+
+    @pytest.mark.parametrize("label", sorted(SWEEP_MODELS))
+    def test_screens_match_direct_passes(self, label):
+        # every screen against its full pass over the table's nodes at each
+        # outer point; a screen that warns fails the test (pyproject.toml)
+        model = self.SWEEP_MODELS[label]()
+        for spec in ("gauss:0,1", "uniform:-2,2", "point:-1=0.25;0=0.5;1=0.25"):
+            nu = parse_nu(spec)
+            pairs = [(influence_moment_finite(model, nu), influence_moment_direct(model, nu))]
+            for w in ("exp:delta=1", "poly:p=1", "poly:p=2", "const:c=1"):
+                wf = parse_estimator(f"unbiased:{w}").weight
+                pairs.append((weight_moment_finite(wf, model, nu),
+                              weight_moment_direct(wf, model, nu)))
+            for (ok, value), (ok_direct, value_direct) in pairs:
+                assert ok is ok_direct
+                assert value == pytest.approx(value_direct, rel=1e-8)
+
+    def test_outer_integrand_reaches_inner_as_arrays(self, ou, wf_exp, monkeypatch):
+        # one call per round of the outer quadrature, where a call per
+        # point made about 250 per screen
+        shapes = []
+        real = efficiency._nu_weighted_screen
+
+        def counting(inner, nu, what):
+            def counted(x):
+                shapes.append(np.shape(x))
+                return inner(x)
+
+            return real(counted, nu, what)
+
+        monkeypatch.setattr(efficiency, "_nu_weighted_screen", counting)
+        counts = []
+        for nu in (nu_gaussian(0.0, 1.0), nu_uniform(-2.0, 2.0)):
+            for screen in (lambda: influence_moment_finite(ou, nu),
+                           lambda: weight_moment_finite(wf_exp, ou, nu)):
+                shapes.clear()
+                assert screen()[0]
+                assert all(len(s) == 1 and s[0] >= 15 for s in shapes)
+                counts.append(len(shapes))
+        assert max(counts) <= 10, counts  # 4 (gauss) and 1 (uniform) here
+
+    @pytest.mark.parametrize("nu", [nu_gaussian(0.0, 1.0), nu_uniform(-2.0, 2.0)],
+                             ids=["gauss", "uniform"])
+    def test_unconverged_screen_warns(self, ou, wf_exp, nu, monkeypatch):
+        monkeypatch.setattr(efficiency, "_SCREEN_OUTER",
+                            QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_depth=1))
+        for screen, what in ((lambda: influence_moment_finite(ou, nu), "influence moment"),
+                             (lambda: weight_moment_finite(wf_exp, ou, nu), "exp weight")):
+            with pytest.warns(RuntimeWarning, match="did not converge") as record:
+                screen()
+            message = str(record[0].message)
+            assert what in message and ou.label in message and nu.kind in message
 
 
 class TestEmpiricalRisk:

@@ -652,6 +652,15 @@ class TestCurveAccumulator:
         assert CurveAccumulator(uniform, edf, None, 1, 1, 1.0)._scale is not None
         assert CurveAccumulator(merged, edf, None, 1, 1, 1.0)._scale is None
 
+    def test_one_node_grid_is_searched(self):
+        # a single node has no affine map onto its index, so every point
+        # is searched rather than checked against a guess first
+        xs = np.array([0.3])
+        acc = CurveAccumulator(xs, [as_estimator("edf")], None, 1, 1, 1.0)
+        assert acc._scale is None
+        X = np.array([-np.inf, -2.0, np.nextafter(0.3, -1.0), 0.3, 0.7, np.inf, np.nan])
+        assert np.array_equal(acc._cells(X), np.searchsorted(xs, X, side="right"))
+
     def test_streamed_block_matches_materialized_rows(self):
         # 1200 steps span three chunks; sigma is not constant, so both
         # weights read tabulated primitives

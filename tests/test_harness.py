@@ -370,6 +370,28 @@ class TestCli:
         assert inner["weight_moment_ok"] is True
         assert inner["thresholds"]["0.0"]["sq_moment_ok"] is True
 
+    def test_compare_outputs_reads_two_json_files(self, tmp_path):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        rc = cli_main(["check-conditions", "--model", "ou", "--nu", "uniform:-2,2",
+                       "--estimator", "unbiased:exp:delta=1", "--out", str(old)])
+        assert rc == 0
+        data = json.load(open(old))
+        data["influence_moment"] *= 1.0 + 1e-9
+        json.dump(data, open(new, "w"))
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                              "compare_outputs.py")
+        run = lambda *args: subprocess.run([sys.executable, script, *map(str, args)],
+                                           capture_output=True, text=True)
+        out = run(old, new)
+        assert out.returncode == 0
+        moves = {line.split()[1]: line for line in out.stdout.splitlines()
+                 if "max_rel=" in line}
+        assert "max_rel=0.000e+00" in moves["estimators.unbiased:exp:delta=1.weight_moment"]
+        assert "max_rel=1.000e-09" in moves["influence_moment"]
+        assert "0 of 1 files byte-identical" in out.stdout
+        assert "1 of 1 files byte-identical" in run(old, old).stdout
+        assert run(old, tmp_path).returncode == 2
+
     def test_experiment_exit_and_files(self, tmp_path):
         cfg_path = tmp_path / "exp.json"
         json.dump(make_config(tmp_path / "out", replications=2), open(cfg_path, "w"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ class TestIntegratePanels:
                                            [0.0, 0.25, 0.5, 1.0], spec)
         assert converged.tolist() == [True, False, True]
 
+    def test_noisy_integrand_stops_at_the_panel_cap(self):
+        # noise of 1e-9 relative never meets abs = rel = 1e-12, so about
+        # |x| < 2.8 every subinterval is bisected each round; without the
+        # cap, depth 16 asked for 1.1 M points in one call
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def noisy(x):
+            sizes.append(x.size)
+            return np.exp(-x * x) * (1.0 + 1e-9 * rng.standard_normal(x.shape))
+
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_depth=16)
+        value, _, converged = integrate_panels(noisy, [-5.0, 5.0], spec, numerics._FIRST_SPLIT)
+        assert not converged[0]
+        assert max(sizes) <= 15 * numerics._PANEL_CAP
+        assert max(sizes) > 15 * numerics._PANEL_CAP // 4  # the cap, not the depth, stopped it
+        assert value[0] == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             integrate_panels(np.exp, [0.0, 1.0, 0.5])
@@ -294,3 +313,24 @@ class TestCompensatedSum:
 
     def test_numpy_array_input(self):
         assert compensated_sum(np.array([0.5, 0.25, 0.25])) == 1.0
+
+    def test_long_array_is_summed_in_spans(self):
+        scales = 10.0 ** np.arange(-8, 8).repeat(25_000)
+        a = np.random.default_rng(3).standard_normal(400_000) * scales
+        tracemalloc.start()
+        try:
+            total = compensated_sum(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == math.fsum(a.tolist())
+        assert peak < 2_000_000  # one list of the whole array took about 13 MB
+
+    def test_nonfinite_array_keeps_left_to_right_total(self):
+        a = np.ones(70_000)
+        a[40_000] = math.inf
+        with pytest.warns(RuntimeWarning, match="at position 40000"):
+            assert compensated_sum(a) == math.inf
+        a[50_000] = -math.inf
+        with pytest.warns(RuntimeWarning, match="at position 40000"):
+            assert math.isnan(compensated_sum(a))
