@@ -476,8 +476,9 @@ class CurveAccumulator:
     every EDF and weight-function curve is read; no path is stored.
 
     A curve value at x sums, over the steps whose left endpoint X_i lies
-    below x, a term per step: 1 for the EDF; h dX, P h dX, h' sigma^2 and
-    P h' sigma^2 for each weight (P its kernel primitive). A chunk puts
+    below x, a term per step: 1 for the EDF; for each weight (P its kernel
+    primitive) u = h dX + (dt/2) h' sigma^2 and P u, whose sums U and V
+    give the curve 2 (P(x) U - V)/T. A chunk puts
     each X_i in its cell, the number of nodes at or below it
     (``searchsorted(xs, X_i, side="right")``). On a grid that the affine
     map onto its node indices fits (a uniform one of two nodes or more),
@@ -517,8 +518,8 @@ class CurveAccumulator:
         self.weights = [c.weight for c in choices if c.weight is not None]
         if self.weights and model is None:
             raise ValueError("weight-function estimators need the model (sigma^2)")
-        # row 0 counts the steps (exact in floats), then 4 rows per weight
-        self.sums = np.zeros((1 + 4 * len(self.weights), paths, xs.size + 1))
+        # row 0 counts the steps (exact in floats), then 2 rows per weight
+        self.sums = np.zeros((1 + 2 * len(self.weights), paths, xs.size + 1))
         # the affine map of the grid onto its node indices, kept only if it
         # sends every node within _MAP_SLACK of its index (a uniform grid of
         # two nodes or more, not one with point-mass atoms merged in), and
@@ -653,20 +654,20 @@ class CurveAccumulator:
                            for v, z in zip(vals[w], wf.h_and_prime(zero))]
         # the chunk's range, which only a tabulated primitive reads
         span = (float(X.min()), float(X.max())) if self.reach < math.inf else None
-        s2 = on_array(self.model.diffusion_sq, X)
+        # (dt/2) sigma^2, a broadcast scalar for a constant sigma
+        half_dt = 0.5 * self.dt
+        half_s2 = on_array(lambda y: half_dt * self.model.diffusion_sq(y), X)
         for w, (wf, closed, (h, hp)) in enumerate(zip(self.weights, self._closed, vals)):
+            # the rows u = h dX + (dt/2) h' sigma^2 and P u; P's row holds
+            # the second product until the primitive is read into it
+            u = np.multiply(h, dX, out=term)
+            u += np.multiply(hp, half_s2, out=P)
+            put(1 + 2 * w, u)
             if closed is not None:
                 PX = closed(X, P)
             else:
                 PX = np.asarray(primitive(wf, self.model, *span)(X), dtype=float)
-            # the rows h dX, P h dX, h' sigma^2 and P h' sigma^2; a term
-            # times P in place is the same product as P times the term
-            t = np.multiply(h, dX, out=term)
-            put(1 + 4 * w, t)
-            put(2 + 4 * w, np.multiply(t, PX, out=t))
-            t = np.multiply(hp, s2, out=term)
-            put(3 + 4 * w, t)
-            put(4 + 4 * w, np.multiply(t, PX, out=t))
+            put(2 + 2 * w, np.multiply(u, PX, out=u))
 
     def curves(self, dropped=None) -> list[np.ndarray]:
         """Each estimator's curves on xs, one row per path; a path marked
@@ -679,15 +680,15 @@ class CurveAccumulator:
         T = self.n_steps * self.dt
         sums = np.cumsum(self.sums[:, :, :-1], axis=2)
         out = []
-        weights = iter(zip(self.weights, sums[1:].reshape(-1, 4, *sums.shape[1:])))
+        weights = iter(zip(self.weights, sums[1:].reshape(-1, 2, *sums.shape[1:])))
         for choice in self.choices:
             if choice.weight is None:
                 out.append(sums[0] / self.n_steps)
                 continue
-            wf, (A, B, C, D) = next(weights)
+            wf, (U, V) = next(weights)
             Px = np.asarray(primitive(wf, self.model, float(self.xs[0]),
                                       float(self.xs[-1]))(self.xs), dtype=float)
-            out.append((2.0 * (Px * A - B) + self.dt * (Px * C - D)) / T)
+            out.append(2.0 * (Px * U - V) / T)
         return out
 
 

@@ -103,8 +103,18 @@ _FIRST_SPLIT = 4
 # would otherwise be bisected everywhere each round, doubling its points
 # up to max_depth; a panel stops, not converged, before passing the cap.
 _PANEL_CAP = 1 << 14
-# Items of an array converted to Python floats at a time by compensated_sum.
-_FSUM_SPAN = 32768
+# Items of an array compensated_sum handles at a time, so no temporary of
+# the array's size is built.
+_SUM_SPAN = 32768
+# Arrays of this many items or more are summed by error-free extraction
+# (_extracted_sum) before fsum is tried: on a 2-core x86 VM the extraction
+# (about 15 us fixed cost) matched fsum over Python floats near 400 items,
+# and took 1.7 ms where fsum took 24 ms at 400 000.
+_EXTRACT_MIN_ITEMS = 512
+# The range of max|x| the extraction takes: within it both splitting
+# constants and every split part stay normal and finite.
+_EXTRACT_RANGE = (2.0**-900, 2.0**900)
+_EPS = 2.0**-53
 
 
 def on_array(f: Func, x) -> np.ndarray:
@@ -299,19 +309,79 @@ def invert_monotone(f: Func, target: float, lo: float, hi: float, tol: float) ->
     )
 
 
-def compensated_sum(xs: Iterable[float]) -> float:
-    """Exactly rounded sum (``math.fsum``, Shewchuk 1997); order-independent.
+def _extracted_sum(flat: np.ndarray) -> float | None:
+    """math.fsum of the 1-D float array ``flat`` by two error-free
+    extractions (Rump, Ogita and Oishi 2008, ExtractVector), or None when it
+    cannot be certified.
 
-    Used for all Monte Carlo reductions. An array is handed to ``fsum``
-    as Python floats _FSUM_SPAN at a time, in order, so a long one is
-    never held as one list. Non-finite inputs propagate to a non-finite
-    total (the plain left-to-right sum) and emit a diagnostic warning
-    naming the first offender; a finite sum that overflows is nan.
+    With n items and 2^e > max|x|, sigma1 = 2^(k + e) for 2^k >= n + 2 and
+    sigma2 = 2^k eps sigma1 (eps = 2^-53). Each extraction splits an item
+    x exactly into q = (x + sigma) - sigma, a multiple of eps sigma, and
+    p = x - q with |p| <= eps sigma; sums of the q are exact in any order.
+    The residuals p after both are summed in floats, with error at most
+    B = 2 (n + 2) eps sum|p|. Rounding to nearest is monotone, so if
+    fsum(t1, t2, rest, -B) equals fsum(t1, t2, rest, +B), it is the exactly
+    rounded total. Returns None when they differ, the total is zero (its
+    sign is fsum's), or max|x| is not finite or outside _EXTRACT_RANGE.
+    Works _SUM_SPAN items at a time in two span-sized buffers.
+    """
+    n = flat.size
+    q, p = np.empty(min(n, _SUM_SPAN)), np.empty(min(n, _SUM_SPAN))
+    top = 0.0
+    for a in range(0, n, _SUM_SPAN):
+        x = flat[a:a + _SUM_SPAN]
+        span_top = float(np.abs(x, out=q[:x.size]).max())
+        if not span_top <= _EXTRACT_RANGE[1]:  # nan fails too
+            return None
+        top = max(top, span_top)
+    if top < _EXTRACT_RANGE[0]:
+        return None
+    k, e = (n + 1).bit_length(), math.frexp(top)[1]
+    sigma1 = math.ldexp(1.0, k + e)
+    sigma2 = math.ldexp(_EPS * sigma1, k)
+    t1 = t2 = rest = size = 0.0
+    for a in range(0, n, _SUM_SPAN):
+        x = flat[a:a + _SUM_SPAN]
+        qs, ps = q[:x.size], p[:x.size]
+        np.add(x, sigma1, out=qs)
+        qs -= sigma1
+        t1 += float(qs.sum())
+        np.subtract(x, qs, out=ps)
+        np.add(ps, sigma2, out=qs)
+        qs -= sigma2
+        t2 += float(qs.sum())
+        ps -= qs
+        rest += float(ps.sum())
+        size += float(np.abs(ps, out=ps).sum())
+    bound = 2.0 * (n + 2) * _EPS * size
+    total = math.fsum((t1, t2, rest, -bound))
+    if total != 0.0 and total == math.fsum((t1, t2, rest, bound)):
+        return total
+    return None
+
+
+def compensated_sum(xs: Iterable[float]) -> float:
+    """Exactly rounded sum, always ``math.fsum``'s value (Shewchuk 1997);
+    order-independent.
+
+    Used for all Monte Carlo reductions. An array of _EXTRACT_MIN_ITEMS
+    items or more is first summed in numpy by :func:`_extracted_sum`,
+    which returns fsum's value bit for bit when its error bound certifies
+    it. Otherwise (a shorter array, an uncertified total, a zero total,
+    or non-finite, tiny or huge items) an array is handed to ``fsum`` as
+    Python floats _SUM_SPAN at a time, in order, so a long one is never
+    held as one list. Non-finite inputs propagate to a non-finite total
+    (the plain left-to-right sum) and emit a diagnostic warning naming the
+    first offender; a finite sum that overflows is nan.
     """
     if isinstance(xs, np.ndarray):
         flat = np.asarray(xs, dtype=float).ravel()
+        if flat.size >= _EXTRACT_MIN_ITEMS:
+            total = _extracted_sum(flat)
+            if total is not None:
+                return total
         items = lambda: itertools.chain.from_iterable(
-            flat[a:a + _FSUM_SPAN].tolist() for a in range(0, flat.size, _FSUM_SPAN))
+            flat[a:a + _SUM_SPAN].tolist() for a in range(0, flat.size, _SUM_SPAN))
     else:
         xs = list(xs)
         items = lambda: xs

@@ -209,8 +209,10 @@ def _stream(model: DiffusionModel, cfg: SimConfig, step: Callable, x: np.ndarray
     sd = math.sqrt(cfg.dt)
     n_burn = _burn_steps(cfg)
     exploded = np.full(len(rngs), -1, dtype=np.int64)
-    dw = np.empty((_CHUNK_STEPS, len(rngs)))
-    sdw = None if s is None else np.empty_like(dw)
+    # each path's standard normals land in its own contiguous row of z and
+    # are scaled there: sd z is rng.normal(0, sd)'s value, 0 + sd z
+    z = np.empty((len(rngs), _CHUNK_STEPS))
+    sdw = None if s is None else np.empty((_CHUNK_STEPS, len(rngs)))
     states = np.empty((_CHUNK_STEPS + 1, len(rngs)))
     states[0] = x
     with np.errstate(all="ignore"):
@@ -218,16 +220,18 @@ def _stream(model: DiffusionModel, cfg: SimConfig, step: Callable, x: np.ndarray
             for start in range(0, total, _CHUNK_STEPS):
                 c = min(_CHUNK_STEPS, total - start)
                 for j, rng in enumerate(rngs):
-                    dw[:c, j] = rng.normal(0.0, sd, size=c)
+                    rng.standard_normal(out=z[j, :c])
+                dw = z[:, :c].T
+                dw *= sd
                 step(model, cfg.dt, states[:c + 1],
-                     dw[:c] if s is None else np.multiply(dw[:c], s, out=sdw[:c]))
+                     dw if s is None else np.multiply(dw, s, out=sdw[:c]))
                 bad = ~np.isfinite(states[1:c + 1])
                 new = bad.any(axis=0) & (exploded < 0)
                 exploded[new] = first + start + bad.argmax(axis=0)[new]
                 if exploded.min() >= 0:
                     return exploded
                 if first == n_burn:
-                    consume(cols, start, states[:c + 1], dw[:c])
+                    consume(cols, start, states[:c + 1], dw)
                 states[0] = states[c]
     return exploded
 

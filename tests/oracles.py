@@ -4,26 +4,30 @@ Everything here is deliberately computed by a different route than the
 package under test: power series, exact rational arithmetic, dense
 trapezoid rules on closed-form densities, and scipy's own distribution
 functions. Values asserted in the tests were produced by these oracles.
-The last six are the exception, test-only helpers built on the package:
+The last seven are the exception, test-only helpers built on the package:
 ``occupation_mean`` and ``martingale_weight``, quantities it never
 computes; ``edf``, the EDF at one threshold straight from its definition;
 ``stored_block``, which keeps the rows that ``stream_block`` hands over;
-and ``influence_moment_direct`` and ``weight_moment_direct``, the moment
-screens by a full pass over the table's nodes at each outer point.
+``influence_moment_direct`` and ``weight_moment_direct``, the moment
+screens by a full pass over the table's nodes at each outer point; and
+``fsum_representation_residual``, the representation residual with its
+martingale sum taken by ``math.fsum`` over Python floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from ergodist.efficiency import _SCREEN_OUTER, _influence_table, _running, _trapezoid_weights
+from ergodist.efficiency import (_SCREEN_OUTER, _influence_ratio_vec, _influence_table,
+                                 _running, _trapezoid_weights, boundary_function)
 from ergodist.errors import DivergenceError, EvaluationError
-from ergodist.estimators import kernel, primitive
-from ergodist.model import _cdf_table
+from ergodist.estimators import kernel, primitive, unbiased_estimate
+from ergodist.model import _cdf_table, invariant_cdf
 from ergodist.numerics import compensated_sum, integrate, integrate_line, on_array
 from ergodist.simulate import stream_block
 
@@ -74,8 +78,10 @@ def growing_exponential_integral(x: float) -> float:
 
 
 def exact_fraction_sum(xs) -> float:
-    """Sum in exact rational arithmetic, rounded once at the end."""
-    return float(sum(Fraction(float(v)) for v in xs))
+    """Sum in exact rational arithmetic, rounded once at the end; each
+    distinct value is added once, times its count (the same rational)."""
+    counts = Counter(float(v) for v in xs)
+    return float(sum(Fraction(v) * c for v, c in counts.items()))
 
 
 def _ou_influence_grid(x: float, ys: np.ndarray) -> np.ndarray:
@@ -306,3 +312,15 @@ def _direct_outer(inner, nu) -> tuple[bool, float]:
     except DivergenceError:
         return False, math.nan
     return math.isfinite(value), value
+
+
+def fsum_representation_residual(path, wf, model, x: float) -> float:
+    """``representation_discrepancy`` from the same terms, its martingale
+    sum taken by ``math.fsum`` over the whole path as Python floats."""
+    T = path.horizon_T
+    lhs = math.sqrt(T) * (unbiased_estimate(path, wf, model, x) - invariant_cdf(model, x))
+    boundary = (boundary_function(wf, model, x, float(path.values[-1]))
+                - boundary_function(wf, model, x, float(path.values[0])))
+    terms = _influence_ratio_vec(model, x, path.values[:-1]) * path.wiener_increments
+    mart = math.fsum(terms.tolist())
+    return abs(lhs - (boundary / math.sqrt(T) + mart / math.sqrt(T)))

@@ -50,6 +50,7 @@ from ergodist.numerics import QuadratureSpec
 from ergodist.simulate import Path, SimConfig, derive_substream_seed, simulate_path
 
 from oracles import (
+    fsum_representation_residual,
     gaussian_log_law,
     influence_moment_direct,
     martingale_weight,
@@ -410,6 +411,14 @@ class TestRepresentationDiscrepancy:
                         store_wiener=True)
         path = simulate_path(ou, cfg)
         assert representation_discrepancy(path, wf_exp, ou, 0.0) < 0.1
+
+    def test_long_path_residual_equals_fsum_residual(self, ou, wf_exp):
+        # 100 000 steps: the martingale sum takes the array extraction
+        cfg = SimConfig(horizon_T=500.0, dt=0.005, seed=21, init=1.5, store_wiener=True)
+        path = simulate_path(ou, cfg)
+        for x in (-0.5, 0.0, 0.5):
+            assert representation_discrepancy(path, wf_exp, ou, x) == \
+                fsum_representation_residual(path, wf_exp, ou, x)
 
 
 @pytest.mark.slow

@@ -188,7 +188,8 @@ _PINNED = {
 # curve, quantile starts and bound read one per-model distribution table
 # (node values from the G7/K15 panel integrator, cubic Hermite between
 # nodes) and whose curves are read off per-cell sums streamed in chunks of
-# 512 steps, with the poly weights' h and h' formed by multiplication (no
+# 512 steps (two sums per weight, of u = h dX + (dt/2) h' sigma^2 and of
+# P u), with the poly weights' h and h' formed by multiplication (no
 # libm pow), and whose R is read off a cubic Hermite influence table (with
 # 1/(sigma^2 f) formed as G(S) exp(-scale exponent)) and the gaussian or
 # uniform bound is one G7/K15 integral of it; result.json is hashed without
@@ -199,21 +200,21 @@ _PINNED_NUMPY = "2.4.6"
 _PINNED_SHA256 = {
     "ou": {
         "risk_edf.csv": "1015e34a2670b63c6b29ea8df727fca6c48ae5c98a888f5c3e4576ae37b3dfba",
-        "risk_unbiased_exp.csv": "ffd1b98b2dea553fe6c1392c0aae8afbed452340da944c133e3ed90a6bf0a0a3",
-        "risk_unbiased_poly.csv": "033abe4e1e6c2591584def6c21d72c266efa38f52745b380f101743c8348ce44",
-        "result.json": "190ccda71196437fea76e1e005214a9b2a175a938f29f26de25375f08d255a4f",
+        "risk_unbiased_exp.csv": "84a1dbe65e7d18c693d9985c404c8a18b3a67fa0c209ae72fd785ba66caed14f",
+        "risk_unbiased_poly.csv": "34b495f258c58933c1e15621fe66ecf82c48393cf989ebee094812d623338594",
+        "result.json": "6f8db1fbebfa34807886507d2cf1ccc6718cd5e0920bb9d801fc20c884248210",
     },
     "ou_point": {
         "risk_edf.csv": "1015e34a2670b63c6b29ea8df727fca6c48ae5c98a888f5c3e4576ae37b3dfba",
-        "risk_unbiased_exp.csv": "5f330cd3cd706c74e469b252737f132ba7a71160ddabef6f4facc75455f28a03",
-        "risk_unbiased_poly.csv": "5e508db7756dc435f222f035c7505f400f60ca2cf19d54c0fd77bd228b499e53",
-        "result.json": "376c9cd368ec571d854f5aeec3e82e2c54413762555aa68ea94ead2e4611ffbe",
+        "risk_unbiased_exp.csv": "9cc075517b66b9418799be47d47171d804bfeff7d4eb4566977d813b75f9a117",
+        "risk_unbiased_poly.csv": "148a5699ef55f7746075e119cae8698fab8962c461b78b9630a7a91175d57f05",
+        "result.json": "183b10855d0d1aed89a146ddd21005e60c95728caf4d56ce14cd298bce26703d",
     },
     "quartic": {
         "risk_edf.csv": "a81ae522be6528b8ccfb03cadc98e8cf83a7d526736097b0fb6cfd7a6abd668f",
-        "risk_unbiased_exp.csv": "c68b008553b2b56066b792f4e46a09e1109d01b5dc6dd867628d3274f01c773c",
-        "risk_unbiased_poly.csv": "92ee5aabf72c528a899f85dd9c8672d28181b2f72e4a2a849b1924a117e1b361",
-        "result.json": "91e611561115e84d5c55e3418bfb96fb60039c9e9a3e34c8eb55002cd389a3d6",
+        "risk_unbiased_exp.csv": "9d6423fb7d7dd705dbb381875041eeb8ec46b77bf2e1c0ef39557eafd56aaf9d",
+        "risk_unbiased_poly.csv": "34b4f7da9b7b38b260e81754292471db60fe30862e35c70e8af1bf9cec596f05",
+        "result.json": "08259e7bfe714aa165e0bcb503260cf7ed587c23d22bda1b265b3c77ed754e8a",
     },
 }
 # sha256 of the CSV that `simulate` writes for one OU path from x0 = 1.5

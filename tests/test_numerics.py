@@ -326,6 +326,69 @@ class TestCompensatedSum:
         assert total == math.fsum(a.tolist())
         assert peak < 2_000_000  # one list of the whole array took about 13 MB
 
+    @given(st.sampled_from([numerics._EXTRACT_MIN_ITEMS - 1, numerics._EXTRACT_MIN_ITEMS,
+                            numerics._EXTRACT_MIN_ITEMS + 1, 5_000, numerics._SUM_SPAN - 1,
+                            numerics._SUM_SPAN, numerics._SUM_SPAN + 1,
+                            2 * numerics._SUM_SPAN + 7]),
+           st.integers(0, 2**32 - 1), st.floats(-300.0, 300.0),
+           st.sampled_from(["one_scale", "spread", "cancel", "cancel_to_tiny"]))
+    @settings(max_examples=80, deadline=None)
+    def test_array_sum_is_fsum_bit_for_bit(self, n, seed, exponent, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "spread":  # magnitudes from 1e-300 to 1e300 in one array
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        else:
+            a = rng.standard_normal(n) * 10.0**exponent
+        if kind.startswith("cancel"):  # heavy cancellation: each item meets its negation
+            a[n // 2:] = -a[:n - n // 2][::-1]
+            a[0] += a[1] * (1e-13 if kind == "cancel" else 1e-300)
+        want = math.fsum(a.tolist())
+        got = compensated_sum(a)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_long_array_takes_the_extraction(self, monkeypatch):
+        # terms like those of a long path's martingale sum
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(400_000) * rng.standard_normal(400_000) * 0.07
+        seen = []
+        real = numerics._extracted_sum
+
+        def recording(flat):
+            seen.append(real(flat))
+            return seen[-1]
+
+        monkeypatch.setattr(numerics, "_extracted_sum", recording)
+        assert compensated_sum(a) == math.fsum(a.tolist())
+        assert len(seen) == 1 and seen[0] == math.fsum(a.tolist())
+        compensated_sum(a[:numerics._EXTRACT_MIN_ITEMS - 1])
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("case", ["zero_total", "midpoint", "near_overflow", "overflow",
+                                      "subnormal"])
+    def test_uncertified_arrays_fall_back_to_fsum(self, case):
+        n = 2 * numerics._EXTRACT_MIN_ITEMS
+        a = np.zeros(n)
+        if case == "zero_total":
+            a[:n // 2] = np.random.default_rng(2).standard_normal(n // 2)
+            a[n // 2:] = -a[:n // 2]
+        elif case == "midpoint":  # 2^53 + 1 lies halfway between two floats
+            a[:4] = [2.0**53, 1.0, 2.0**-60, -2.0**-60]
+        elif case == "near_overflow":
+            a[:3] = [1e308, -1e308, 3.0]
+        elif case == "overflow":  # a finite sum past the largest float
+            a[:2] = 1e308
+        else:
+            a[:] = 5e-324 * np.arange(n)
+        assert numerics._extracted_sum(a) is None
+        total = compensated_sum(a)
+        if case == "overflow":
+            assert math.isnan(total)
+        else:
+            assert total == math.fsum(a.tolist())
+            assert math.copysign(1.0, total) == 1.0
+        if case == "midpoint":
+            assert total == 2.0**53  # ties to even
+
     def test_nonfinite_array_keeps_left_to_right_total(self):
         a = np.ones(70_000)
         a[40_000] = math.inf
@@ -333,4 +396,8 @@ class TestCompensatedSum:
             assert compensated_sum(a) == math.inf
         a[50_000] = -math.inf
         with pytest.warns(RuntimeWarning, match="at position 40000"):
+            assert math.isnan(compensated_sum(a))
+        a[40_000] = a[50_000] = 1.0
+        a[60_000] = math.nan
+        with pytest.warns(RuntimeWarning, match="at position 60000"):
             assert math.isnan(compensated_sum(a))
