@@ -14,7 +14,8 @@ whose nu-integral is the asymptotic lower bound for the scaled integrated
 mean square error of any estimator. R, the bound, the influence primitive
 and its moment screen are all read off four running integrals that each
 model tabulates once on the nodes of its distribution table (see
-``_influence_table``). The module also implements, as executable
+``_influence_table``); the weight primitive and its moment screen read two
+more, per weight (``_weight_table``). The module also implements, as executable
 identities, the decomposition of the scaled estimation error into a
 vanishing boundary term plus a stochastic integral with the influence
 ratio as integrand, and numerical screens of the moment conditions under
@@ -47,6 +48,7 @@ from .model import (
     _cdf_table,
     _density_integrand,
     _Hermite,
+    _running_from,
     invariant_cdf,
     invariant_density,
     normalizing_constant,
@@ -198,6 +200,15 @@ def _integrands(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
     return np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
 
 
+def _simpson_panels(f: Callable[[np.ndarray], np.ndarray],
+                    t: _Hermite) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``f`` at the nodes of the table ``t``, and their Simpson
+    integrals over each panel between nodes, with the panel midpoints."""
+    rows = f(t.nodes)
+    return rows, (t.step / 6.0) * (rows[:, :-1] + 4.0 * f(t.nodes[:-1] + 0.5 * t.step)
+                                   + rows[:, 1:])
+
+
 def _influence_table(model: DiffusionModel) -> _Hermite:
     """The model's influence table, on the nodes of its distribution
     table: the rows A = int_lo^t F^2 r, C1 = int_lo^t F r,
@@ -209,15 +220,12 @@ def _influence_table(model: DiffusionModel) -> _Hermite:
     if cached is not None:
         return cached
     t = _cdf_table(model)
-    ys, h = t.nodes, t.step
-    rows = _integrands(model, ys)
-    steps = (h / 6.0) * (rows[:, :-1] + 4.0 * _integrands(model, ys[:-1] + 0.5 * h)
-                         + rows[:, 1:])
+    rows, steps = _simpson_panels(lambda v: _integrands(model, v), t)
     cum = np.zeros(rows.shape)
     np.cumsum(steps[:2], axis=1, out=cum[:2, 1:])
     np.cumsum(steps[2:, ::-1], axis=1, out=cum[2:, -2::-1])
     rows[2:] *= -1.0
-    table = _Hermite(ys, cum, rows)
+    table = _Hermite(t.nodes, cum, rows)
     model._cache["influence_table"] = table
     return table
 
@@ -318,15 +326,52 @@ def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
     return float(2.0 * (Fbar[0] * (run[1, 1] - run[1, 2]) + F[0] * (run[3, 3] - run[3, 4])))
 
 
+def _weight_table(wf: WeightFunction, model: DiffusionModel) -> _Hermite:
+    """The weight table of ``wf`` on the nodes of the model's distribution
+    table: the rows H = int h and Q = int P h (P from :func:`primitive`),
+    Simpson panel sums summed outward from the node nearest 0, with the
+    exact slopes h and P h. Memoized on the weight, per model."""
+    key = ("weight_table", id(model))
+    cached = wf._cache.get(key)
+    if cached is not None:
+        return cached[1]
+    t = _cdf_table(model)
+    P = primitive(wf, model, t.lo, t.hi)
+
+    def rows(v: np.ndarray) -> np.ndarray:
+        h = on_array(wf.h, v)
+        return np.stack([h, P(v) * h])
+
+    slopes, panels = _simpson_panels(rows, t)
+    k0 = int(np.argmin(np.abs(t.nodes)))
+    table = _Hermite(t.nodes, np.stack([_running_from(p, k0) for p in panels]), slopes)
+    wf._cache[key] = (model, table)
+    return table
+
+
+def _kernel_to_0(wf: WeightFunction, model: DiffusionModel, xs: np.ndarray) -> np.ndarray:
+    """P(x) = K_x(0) on an array of x: read off :func:`primitive` inside the
+    distribution table, one float kernel call each outside it."""
+    t = _cdf_table(model)
+    inside = (t.lo <= xs) & (xs <= t.hi)
+    px = np.empty(xs.shape)
+    px[inside] = primitive(wf, model, t.lo, t.hi)(xs[inside])
+    px[~inside] = [kernel(wf, model, x, 0.0) for x in xs[~inside].tolist()]
+    return px
+
+
 def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
-    """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed)."""
-
-    def integrand(v: float) -> float:
-        if v >= x:
-            return 0.0
-        return 2.0 * kernel(wf, model, x, v) * float(wf.h(v))
-
-    return kinked_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
+    """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed), read off the weight
+    table (:func:`_weight_table`) as 2 P(x) [H(m) - H(b)] - 2 [Q(m) - Q(b)]
+    with m = min(y, x) and b = min(0, x). TailError where m lies outside
+    the table and differs from b."""
+    table = _weight_table(wf, model)
+    m, b = min(y, x), min(0.0, x)
+    if m != b and not table.lo <= m <= table.hi:
+        raise TailError(f"weight primitive at x={x!r} needs the weight table at {m!r}, "
+                        f"outside [{table.lo!r}, {table.hi!r}]")
+    (Hm, Qm), (Hb, Qb) = table(float(m)), table(float(b))
+    return 2.0 * float(_kernel_to_0(wf, model, np.array([x]))[0]) * (Hm - Hb) - 2.0 * (Qm - Qb)
 
 
 def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
@@ -480,43 +525,24 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
                          nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(weight primitive at xi)^2] converges.
 
-    The primitive g(y) = int_0^y 2 (P(x) - P) h 1{v < x} is a cumulative
-    trapezoid over the table's nodes: 2 P(x) H(y) - 2 Q(y) at the nodes
-    below x, with H and Q the cumulative trapezoids of h and P h, and
-    constant from the first node at or above x. Taken from their values at
-    the node at or below 0, H and Q give E[(g - g(0))^2] at each x as a
-    quadratic in 2 P(x) and -g(0) over six prefix sums, built once; g(0)
-    is read linearly between the nodes around 0. P(x) at an x outside the
-    table is the kernel K_x(0), one float call each.
+    With u = 2 P(x), the primitive (:func:`weight_primitive`) at a table
+    node y below x is u H(y) - 2 Q(y) + v, v = 2 Q(b) - u H(b) at
+    b = min(0, x), and at the nodes from x on it is its value at x. So
+    E[g^2] at each x is a quadratic in u and v over six prefix sums of
+    mass times 1, H, Q, H^2, H Q and Q^2, built once. The weight table is
+    based at its node nearest 0, so H and Q are small where g is.
     """
-    table = _cdf_table(model)
-    ys, mass = table.nodes, _trapezoid_weights(table.values[0])
-    P = primitive(wf, model, table.lo, table.hi)
-    h = on_array(wf.h, ys)
-    Ph2 = 2.0 * P(ys) * h
-    j0 = min(max(int(np.searchsorted(ys, 0.0, "right")) - 1, 0), ys.size - 2)  # 0's cell
-    half = 0.5 * table.step
-    # H and 2Q at the nodes, then where a cut at node k leaves them (k = 0: g = 0)
-    H, Q2 = (np.concatenate([[0.0], np.cumsum(half * (v[1:] + v[:-1]))]) for v in (h, Ph2))
-    H -= H[j0]
-    Q2 -= Q2[j0]
-    H_cut = np.concatenate([H[:1], H + half * h])
-    Q2_cut = np.concatenate([Q2[:1], Q2 + half * Ph2])
-    sums = _moment_sums(mass, H, Q2)
+    table = _weight_table(wf, model)
+    mass = _trapezoid_weights(_cdf_table(model).values[0])
+    sums = _moment_sums(mass, table.values[0], 2.0 * table.values[1])
     mass_above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
 
     def inner(x: np.ndarray) -> np.ndarray:
-        inside = (table.lo <= x) & (x <= table.hi)
-        px = np.empty(x.shape)
-        px[inside] = P(x[inside])
-        # every primitive here is based at 0, so P(x) is the kernel to 0
-        px[~inside] = [kernel(wf, model, t, 0.0) for t in x[~inside].tolist()]
-        u = 2.0 * px
-        k = np.searchsorted(ys, x, "left")  # the nodes below x
-        cut = u * H_cut[k] - Q2_cut[k]
-        g_lo, g_hi = (np.where(j < k, u * H[j] - Q2[j], cut) for j in (j0, j0 + 1))
-        # np.interp's formula between the nodes around 0
-        v = -((g_hi - g_lo) / (ys[j0 + 1] - ys[j0]) * (0.0 - ys[j0]) + g_lo)
+        u = 2.0 * _kernel_to_0(wf, model, x)
+        (Hx, Hb), (Qx, Qb) = table(np.stack([x, np.minimum(x, 0.0)]))
+        cut = u * Hx - 2.0 * Qx
+        v = 2.0 * Qb - u * Hb
+        k = np.searchsorted(table.nodes, x, "left")  # the nodes below x
         s = sums[:, k]
         return (u * (u * s[2] - 2.0 * s[4]) + s[5] + v * (v * s[0] + 2.0 * (u * s[1] - s[3]))
                 + mass_above[k] * (cut + v) ** 2)

@@ -10,6 +10,7 @@ rerun with one worker is byte-identical output for output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -38,7 +39,7 @@ from .efficiency import (
     representation_discrepancy,
     weight_moment_finite,
 )
-from .errors import ConfigError, DivergenceError, RiskRunError, SimulationError
+from .errors import ConfigError, DivergenceError, RiskRunError, SimulationError, TailError
 from .estimators import as_estimator, check_weight_conditions, parse_estimator
 from .model import (
     DiffusionModel,
@@ -215,7 +216,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
     for tag, rep in reports.items():
         with open(os.path.join(cfg.output_dir, f"risk_{tag}.csv"), "w", newline="") as fh:
-            _write_risk_csv(rep, fh)
+            _write_csv(fh, ["x", "bias", "scaled_variance", "local_bound"],
+                       rep.xs, rep.bias, rep.scaled_variance, rep.local_bound)
     with open(os.path.join(cfg.output_dir, "result.json"), "w") as fh:
         json.dump(result.to_json_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -233,27 +235,12 @@ def _fmt(v: float) -> str:
     return f"{float(v) + 0.0:.17g}"  # + 0.0 normalizes negative zero
 
 
-def _write_risk_csv(rep: RiskReport, fh) -> None:
+def _write_csv(fh, header: list[str], *columns) -> None:
+    """A header row, then one row of the columns' values per index."""
     w = csv.writer(fh)
-    w.writerow(["x", "bias", "scaled_variance", "local_bound"])
-    for i in range(len(rep.xs)):
-        w.writerow([_fmt(rep.xs[i]), _fmt(rep.bias[i]),
-                    _fmt(rep.scaled_variance[i]), _fmt(rep.local_bound[i])])
-
-
-def _write_truth_csv(model: DiffusionModel, xs: np.ndarray, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(["x", "F", "f"])
-    for x in xs:
-        w.writerow([_fmt(x), _fmt(invariant_cdf(model, float(x))),
-                    _fmt(invariant_density(model, float(x)))])
-
-
-def _write_curve_csv(xs: np.ndarray, values: np.ndarray, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(["x", "estimate"])
-    for x, v in zip(xs, values):
-        w.writerow([_fmt(x), _fmt(v)])
+    w.writerow(header)
+    for row in zip(*columns):
+        w.writerow([_fmt(v) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +276,19 @@ def _model_from_arg(text: str) -> DiffusionModel:
         raise ConfigError([f"model: {exc}"]) from exc
 
 
+@contextlib.contextmanager
 def _out_stream(path: str | None):
+    """The file at ``path``, open for writing, or stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _out_stream(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_check_model(args) -> int:
@@ -324,12 +311,9 @@ def _cmd_check_model(args) -> int:
 def _cmd_truth(args) -> int:
     model = _model_from_arg(args.model)
     xs = _parse_grid_arg(args.grid)
-    stream, close = _out_stream(args.out)
-    try:
-        _write_truth_csv(model, xs, stream)
-    finally:
-        if close:
-            stream.close()
+    with _out_stream(args.out) as fh:
+        _write_csv(fh, ["x", "F", "f"], xs, [invariant_cdf(model, float(x)) for x in xs],
+                   [invariant_density(model, float(x)) for x in xs])
     return 0
 
 
@@ -348,12 +332,8 @@ def _sim_config_from_args(args) -> SimConfig:
 def _cmd_simulate(args) -> int:
     model = _model_from_arg(args.model)
     path = simulate_path(model, _sim_config_from_args(args))
-    stream, close = _out_stream(args.out)
-    try:
-        write_path_csv(path, stream)
-    finally:
-        if close:
-            stream.close()
+    with _out_stream(args.out) as fh:
+        write_path_csv(path, fh)
     return 0
 
 
@@ -365,12 +345,8 @@ def _cmd_estimate(args) -> int:
     xs = _parse_grid_arg(args.grid)
     path = simulate_path(model, _sim_config_from_args(args))
     curve = estimate_curve(path, xs, choice, model)
-    stream, close = _out_stream(args.out)
-    try:
-        _write_curve_csv(curve.xs, curve.values, stream)
-    finally:
-        if close:
-            stream.close()
+    with _out_stream(args.out) as fh:
+        _write_csv(fh, ["x", "estimate"], curve.xs, curve.values)
     return 0
 
 
@@ -385,10 +361,7 @@ def _cmd_bound(args) -> int:
         payload["local_bound"] = [float(r) for r in local_variance(model, xs)]
         if args.csv is not None:
             with open(args.csv, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "local_bound"])
-                for x, r in zip(payload["xs"], payload["local_bound"]):
-                    w.writerow([_fmt(x), _fmt(r)])
+                _write_csv(fh, ["x", "local_bound"], payload["xs"], payload["local_bound"])
     _emit(payload, args.out)
     return 0
 
@@ -583,8 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    """Entry point: exit 0 on success, 2 on validation errors, 3 on numerical
-    divergence, 4 on simulation explosion."""
+    """Entry point: exit 0 on success, 2 on validation errors and on a
+    quantity asked for past the tables' tails, 3 on numerical divergence, 4
+    on simulation explosion."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -592,10 +566,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, TailError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -4,14 +4,16 @@ Everything here is deliberately computed by a different route than the
 package under test: power series, exact rational arithmetic, dense
 trapezoid rules on closed-form densities, and scipy's own distribution
 functions. Values asserted in the tests were produced by these oracles.
-The last seven are the exception, test-only helpers built on the package:
+The last eight are the exception, test-only helpers built on the package:
 ``occupation_mean`` and ``martingale_weight``, quantities it never
 computes; ``edf``, the EDF at one threshold straight from its definition;
 ``stored_block``, which keeps the rows that ``stream_block`` hands over;
 ``influence_moment_direct`` and ``weight_moment_direct``, the moment
-screens by a full pass over the table's nodes at each outer point; and
-``fsum_representation_residual``, the representation residual with its
-martingale sum taken by ``math.fsum`` over Python floats.
+screens by a full pass over the table's nodes at each outer point;
+``weight_primitive_quadrature``, the weight primitive by adaptive
+quadrature of its integrand; and ``fsum_representation_residual``, the
+representation residual with its martingale sum taken by ``math.fsum``
+over Python floats.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ergodist.efficiency import (_SCREEN_OUTER, _influence_ratio_vec, _influence_table,
-                                 _running, _trapezoid_weights, boundary_function)
+                                 _running, _trapezoid_weights, boundary_function,
+                                 kinked_integral)
 from ergodist.errors import DivergenceError, EvaluationError
 from ergodist.estimators import kernel, primitive, unbiased_estimate
 from ergodist.model import _cdf_table, invariant_cdf
-from ergodist.numerics import compensated_sum, integrate, integrate_line, on_array
+from ergodist.numerics import (DEFAULT_QUADRATURE, compensated_sum, integrate, integrate_line,
+                               on_array)
 from ergodist.simulate import stream_block
 
 
@@ -277,26 +281,52 @@ def influence_moment_direct(model, nu) -> tuple[bool, float]:
 
 
 def weight_moment_direct(wf, model, nu) -> tuple[bool, float]:
-    """The weight-moment screen with the weight primitive summed by a
-    cumulative trapezoid over every table node for each outer point x, one
-    float call per x."""
+    """The weight-moment screen with the weight primitive formed at every
+    table node for each outer point x, one float call per x, straight from
+    its integrand 2 (P(x) - P(v)) h(v) 1{v < x}: Simpson on each panel
+    between nodes, the panels that hold x and 0 split at that point."""
     table = _cdf_table(model)
-    ys, mass = table.nodes, _trapezoid_weights(table.values[0])
+    ys, step, mass = table.nodes, table.step, _trapezoid_weights(table.values[0])
     P = primitive(wf, model, table.lo, table.hi)
-    Pys = np.asarray(P(ys), dtype=float)
-    hys = on_array(wf.h, ys)
+    mids = ys[:-1] + 0.5 * step
+    Pys, Pmids = P(ys), P(mids)
+    hys, hmids = on_array(wf.h, ys), on_array(wf.h, mids)
 
     def inner(x: float) -> float:
-        if table.lo <= x <= table.hi:
-            px = float(P(x))
-        else:
-            px = kernel(wf, model, x, 0.0)
-        vals = np.where(ys < x, 2.0 * (px - Pys) * hys, 0.0)
-        g = np.concatenate([[0.0], np.cumsum(0.5 * table.step * (vals[1:] + vals[:-1]))])
-        g -= np.interp(0.0, ys, g)
+        if x <= table.lo:
+            return 0.0  # every node is at or above x, and so is 0
+        px = float(P(x)) if x <= table.hi else kernel(wf, model, x, 0.0)
+
+        def part(a: float, b: float) -> float:  # Simpson on [a, b], below x
+            f = lambda v: 2.0 * (px - float(P(v))) * float(wf.h(v))
+            return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+
+        def running(t: float) -> float:  # the integral from lo to min(t, x)
+            t = min(t, x)
+            k = min(int(np.searchsorted(ys, t, "right")) - 1, ys.size - 2)
+            return cum[k] + part(float(ys[k]), t)
+
+        below = ys <= x
+        fy = 2.0 * (px - Pys) * hys
+        fm = 2.0 * (px - Pmids) * hmids
+        panels = np.where(below[1:], step / 6.0 * (fy[:-1] + 4.0 * fm + fy[1:]), 0.0)
+        cum = np.concatenate([[0.0], np.cumsum(panels)])
+        g = np.where(below, cum, running(x) if x < table.hi else 0.0) - running(0.0)
         return float((mass * g * g).sum())
 
     return _direct_outer(inner, nu)
+
+
+def weight_primitive_quadrature(wf, model, x: float, y: float) -> float:
+    """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed) by adaptive quadrature,
+    one float kernel call per point, split at x."""
+
+    def integrand(v: float) -> float:
+        if v >= x:
+            return 0.0
+        return 2.0 * kernel(wf, model, x, v) * float(wf.h(v))
+
+    return kinked_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
 
 
 def _direct_outer(inner, nu) -> tuple[bool, float]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergodist import efficiency
-from ergodist.errors import ConfigError, RiskRunError
+from ergodist.errors import ConfigError, RiskRunError, TailError
 from ergodist.estimators import (
     as_estimator,
     constant_weight,
@@ -60,6 +60,7 @@ from oracles import (
     trapezoid_local_variance_grid,
     trapezoid_ou_bound_gaussian_nu,
     weight_moment_direct,
+    weight_primitive_quadrature,
 )
 
 # values produced by the dense-trapezoid oracles in oracles.py
@@ -279,9 +280,69 @@ class TestInfluencePrimitive:
         )
 
 
+def _closed_weight_rows(spec: str, y: float) -> tuple[float, float, float]:
+    """H = int_0^y h, Q = int_0^y P h and P(y) in closed form on a model
+    with sigma = 1, for the weights poly:p=1 and exp:delta=1."""
+    if spec == "poly:p=1":
+        H = y + y ** 3 / 3.0
+        return H, math.atan(y) * H - y * y / 6.0 - math.log1p(y * y) / 3.0, math.atan(y)
+    return math.expm1(y), math.expm1(y) - y, -math.expm1(-y)
+
+
 class TestWeightPrimitive:
     def test_zero_at_origin(self, ou, wf_exp):
         assert weight_primitive(wf_exp, ou, 1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("spec", ["poly:p=1", "exp:delta=1"])
+    def test_table_rows_match_closed_forms(self, ou, spec):
+        # the whole [-16, 16] table, tails included, at and between nodes
+        table = efficiency._weight_table(parse_estimator(f"unbiased:{spec}").weight, ou)
+        assert table.lo == -16.0 and table.hi == 16.0 and table(0.0) == (0.0, 0.0)
+        ys = np.concatenate([table.nodes, np.linspace(-16.0, 16.0, 10_007)])
+        got = table(ys)
+        expect = np.array([_closed_weight_rows(spec, float(y))[:2] for y in ys]).T
+        assert np.max(np.abs(got - expect) / np.maximum(np.abs(expect), 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("spec", ["poly:p=1", "exp:delta=1"])
+    def test_matches_closed_form_over_the_table(self, ou, spec):
+        # Phi = 2 P(x) [H(m) - H(b)] - 2 [Q(m) - Q(b)], m = min(y, x),
+        # b = min(0, x), relative to the size of the terms it combines: deep
+        # in the left tail of exp, P(x) is near -e^16 and H near -1
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        pts = np.linspace(-16.0, 16.0, 65).tolist()
+        worst = 0.0
+        for x in pts:
+            Hb, Qb, _ = _closed_weight_rows(spec, min(0.0, x))
+            Px = _closed_weight_rows(spec, x)[2]
+            for y in pts:
+                Hm, Qm, _ = _closed_weight_rows(spec, min(y, x))
+                expect = 2.0 * Px * (Hm - Hb) - 2.0 * (Qm - Qb)
+                scale = max(2.0 * abs(Px) * (abs(Hm) + abs(Hb)), 2.0 * (abs(Qm) + abs(Qb)), 1.0)
+                worst = max(worst, abs(weight_primitive(wf, ou, x, y) - expect) / scale)
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("label,rel", [("ou", 1e-11), ("quartic", 1e-11),
+                                           ("custom_ou", 1e-11), ("wavy", 1e-11),
+                                           ("shifted_up", 3e-9), ("shifted_down", 3e-9)])
+    def test_table_matches_quadrature_on_a_grid(self, label, rel):
+        # against the adaptive quadrature it replaced; the table's error
+        # grows as step^4, and shifted_ou(+-20) has 2.5 times OU's step
+        model = TestMomentScreens.SWEEP_MODELS[label]()
+        for spec in ("exp:delta=1", "poly:p=1", "poly:p=2", "const:c=1"):
+            wf = parse_estimator(f"unbiased:{spec}").weight
+            for x in np.linspace(-3.0, 3.0, 7).tolist():
+                for y in np.linspace(-3.0, 3.0, 9).tolist():
+                    assert weight_primitive(wf, model, x, y) == pytest.approx(
+                        weight_primitive_quadrature(wf, model, x, y), rel=rel, abs=1e-15)
+
+    def test_outside_the_table(self, ou, wf_exp):
+        # past the right end only P(x) is needed, from its kernel fallback;
+        # min(y, x) past the left end needs the table there
+        assert weight_primitive(wf_exp, ou, 40.0, 1.5) == pytest.approx(
+            weight_primitive_quadrature(wf_exp, ou, 40.0, 1.5), rel=1e-12)
+        assert weight_primitive(wf_exp, ou, -40.0, 3.0) == 0.0
+        with pytest.raises(TailError, match="-40.0"):
+            weight_primitive(wf_exp, ou, 1.0, -40.0)
 
     def test_constant_weight_closed_form(self, ou):
         wf = constant_weight(1.0)
@@ -498,6 +559,17 @@ class TestMomentScreens:
             for (ok, value), (ok_direct, value_direct) in pairs:
                 assert ok is ok_direct
                 assert value == pytest.approx(value_direct, rel=1e-8)
+
+    def test_constant_weight_screen_is_exact_far_from_the_mass(self):
+        # on shifted_ou(20) nearly all the mass lies above every x that nu
+        # weights, and the primitive of the const weight at xi > x is x^2
+        # for x > 0 and 0 for x <= 0, so the screen is the nu-integral of
+        # x^4 over x > 0
+        model, wf = shifted_ou(20.0), constant_weight(1.0)
+        for spec, exact in (("gauss:0,1", 1.5), ("uniform:-2,2", 1.6),
+                            ("point:-1=0.25;0=0.5;1=0.25", 0.25)):
+            ok, value = weight_moment_finite(wf, model, parse_nu(spec))
+            assert ok and value == pytest.approx(exact, rel=1e-10)
 
     def test_outer_integrand_reaches_inner_as_arrays(self, ou, wf_exp, monkeypatch):
         # one call per round of the outer quadrature, where a call per

@@ -442,6 +442,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("simulation explosion:") and len(err.splitlines()) == 1
 
+    def test_tail_error_exits_2(self, capsys):
+        # the closed boundary derivative needs the invariant density at
+        # z = -40, where it underflows
+        rc = cli_main(["identity-checks", "--model", "ou", "--estimator",
+                       "unbiased:exp:delta=1", "--z-grid=-40:40:3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and "-40" in err
+
     def test_identity_checks_json(self, tmp_path):
         out = tmp_path / "idc.json"
         rc = cli_main(["identity-checks", "--model", "ou", "--estimator",
