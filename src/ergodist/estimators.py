@@ -33,12 +33,11 @@ from .model import (
     _PANEL_SPEC,
     DiffusionModel,
     _density_integrand,
-    _Hermite,
     _positive,
     _running_from,
+    _running_table,
     _sigma_sq,
     _support,
-    _table_panels,
     normalizing_constant,
     stationary_expectation,
 )
@@ -254,38 +253,14 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
 
 
 def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> WeightFunction:
-    """Arbitrary positive weight; kernels fall back to quadrature/tabulation."""
+    """Arbitrary positive weight with no closed-form primitive: kernels are
+    quadratures; curves and the weight table read :func:`primitive`'s table."""
     return WeightFunction(h=h, h_prime=h_prime, kind="custom", params={"label": label})
 
 
 # ---------------------------------------------------------------------------
 # kernel primitive: P with P' = 1/(sigma^2 * h)
 # ---------------------------------------------------------------------------
-
-class _PrimitiveTable(_Hermite):
-    """Tabulated antiderivative of 1/(sigma^2 h), 0 at 0, on the nodes
-    k * _LINEAR_STEP that cover [lo, hi] and 0, cubic Hermite between them
-    with the exact slopes 1/(sigma^2 h). The panel integrals are summed
-    outward from the node at 0 and cells are counted from it, so a wider
-    table gives bit for bit the values of a narrower one inside it."""
-
-    def __init__(self, wf: WeightFunction, model: DiffusionModel, lo: float, hi: float):
-        below = math.ceil(max(-lo, 0.0) / _LINEAR_STEP)
-        nodes = np.arange(-below, math.ceil(max(hi, 0.0) / _LINEAR_STEP) + 1) * _LINEAR_STEP
-        panels, slopes = _table_panels(f"primitive table of the {wf.kind} weight", model.label,
-                                       _kernel_integrand(wf, model), nodes, _PANEL_SPEC)
-        super().__init__(nodes, _running_from(panels, below), slopes, origin=below)
-
-    def __call__(self, u):
-        lo, hi = np.min(u, initial=self.lo), np.max(u, initial=self.hi)
-        if lo < self.lo - 1e-12 or hi > self.hi + 1e-12:
-            raise EvaluationError(
-                float(lo if lo < self.lo else hi),
-                "primitive table queried outside its window (internal rebuild bug)",
-            )
-        out = super().__call__(u)
-        return float(out) if np.ndim(out) == 0 else out
-
 
 def _kernel_integrand(wf: WeightFunction, model: DiffusionModel) -> Callable:
     """1/(sigma^2 h) on a float or an array."""
@@ -317,28 +292,26 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     """P with P' = 1/(sigma^2 h), usable on scalars and arrays over [lo, hi].
 
     Closed form for the built-in weights on a constant-sigma model;
-    otherwise (custom weights, or sigma depending on the state) a memoized
-    table on a 2^-10 grid, first built over the model's support (the
-    distribution table's [lo, hi]) and [lo, hi]. A request past it widens
-    it at least twofold and moves none of the values it gave (see
-    :class:`_PrimitiveTable`), so no result depends on which path asked
-    first.
+    otherwise (custom weights, or sigma depending on the state) the
+    model's :func:`ergodist.model._running_table` of 1/(sigma^2 h) on the
+    nodes k 2^-10, memoized on the weight per model and first built over
+    the model's support (the distribution table's [lo, hi]) and [lo, hi].
+    A request past it rebuilds it over the request and twice its span,
+    moving none of the values it gave, so no result depends on which path
+    asked first. A read outside the table raises EvaluationError.
     """
     closed = _closed_primitive(wf, model)
     if closed is not None:
         return closed
     key = ("primitive", id(model))
-    cached = wf._cache.get(key)
+    cached = wf._cache.get(key, (None, None))[1]
     if cached is None:
         s_lo, s_hi = _support(model)
         lo, hi = min(lo, s_lo), max(hi, s_hi)
-    else:
-        table = cached[1]
-        if table.lo <= lo and table.hi >= hi:
-            return table
-        lo, hi = min(lo, 2.0 * table.lo), max(hi, 2.0 * table.hi)
-    table = _PrimitiveTable(wf, model, lo, hi)
-    wf._cache[key] = (model, table)
+    table = _running_table(f"primitive table of the {wf.kind} weight", model.label,
+                           _kernel_integrand(wf, model), lo, hi, _LINEAR_STEP, cached)
+    if table is not cached:
+        wf._cache[key] = (model, table)
     return table
 
 

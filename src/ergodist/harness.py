@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -105,11 +105,9 @@ class ExperimentConfig:
             violations.append(f"grid: count must be >= 2, got {self.grid_count!r}")
         if not self.grid_lo < self.grid_hi:
             violations.append(f"grid: need lo < hi, got [{self.grid_lo!r}, {self.grid_hi!r}]")
-        if isinstance(self.workers, str):
-            if self.workers != "auto":
-                violations.append(f"workers: must be a positive integer or 'auto', got {self.workers!r}")
-        elif self.workers < 1:
-            violations.append(f"workers: must be >= 1, got {self.workers!r}")
+        w = self.workers
+        if w != "auto" and (isinstance(w, bool) or not isinstance(w, int) or w < 1):
+            violations.append(f"workers: must be a positive integer or 'auto', got {w!r}")
         if violations:
             raise ConfigError(violations)
 
@@ -136,9 +134,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError([f"config: must be an object, got {type(raw).__name__}"])
+        sim, grid = raw.get("sim", {}), raw.get("grid", {})
+        bad = [f"{k}: must be an object, got {v!r}" for k, v in (("sim", sim), ("grid", grid))
+               if not isinstance(v, dict)]
+        if bad:
+            raise ConfigError(bad)
         try:
-            sim = raw.get("sim", {})
-            grid = raw.get("grid", {})
             cfg = cls(
                 model_spec=raw["model"],
                 estimators=tuple(raw["estimators"]),
@@ -402,9 +405,10 @@ def _cmd_check_conditions(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
+    cfg = ExperimentConfig.from_dict(raw)
     if args.output_dir is not None:
-        raw = {**raw, "output_dir": args.output_dir}
-    run_experiment(ExperimentConfig.from_dict(raw))
+        cfg = replace(cfg, output_dir=args.output_dir)
+    run_experiment(cfg)
     return 0
 
 

@@ -226,16 +226,18 @@ class _Hermite:
     Cells are counted from node ``origin``. A table whose nodes are integer
     multiples of a power-of-two step, counted from its node at 0, puts x in
     the same cell however far it reaches, so widening it moves no value.
-    A Python float is read with Python floats, by the array route's
-    arithmetic in the same order, so the two agree bit for bit; it gives a
-    float, or a tuple of floats for several rows."""
+    A ``strict`` table raises EvaluationError on a read more than 1e-12
+    outside [lo, hi] instead of clipping it. A Python float is read with
+    Python floats, by the array route's arithmetic in the same order, so
+    the two agree bit for bit; it gives a float, or a tuple of floats for
+    several rows."""
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
-                 origin: int = 0):
+                 origin: int = 0, strict: bool = False):
         self.nodes, self.values, self.slopes = nodes, values, slopes
         self.lo, self.hi = float(nodes[0]), float(nodes[-1])
         self.step = float(nodes[1] - nodes[0])
-        self.origin, self.base = origin, float(nodes[origin])
+        self.origin, self.base, self.strict = origin, float(nodes[origin]), strict
         self._rows = list(zip(values.reshape(-1, nodes.size), slopes.reshape(-1, nodes.size)))
 
     def cell(self, x):
@@ -259,6 +261,11 @@ class _Hermite:
         return out if self.values.ndim > 1 else out[0]
 
     def __call__(self, x):
+        if self.strict:
+            lo, hi = np.min(x, initial=self.lo), np.max(x, initial=self.hi)
+            if lo < self.lo - 1e-12 or hi > self.hi + 1e-12:
+                raise EvaluationError(float(lo if lo < self.lo else hi),
+                                      "table queried outside its span (internal rebuild bug)")
         if isinstance(x, float) and x == x:
             return self._at(x)
         k, s = self.cell(x)
@@ -272,36 +279,49 @@ class _Hermite:
         return out.reshape(v.shape[:-1] + np.shape(x))
 
 
+def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, step: float,
+                   cached: _Hermite | None = None, scale: float = 1.0) -> _Hermite:
+    """``cached`` if it covers [lo, hi]; else a strict table of
+    scale * int_0^y g on the nodes k * step (step a power of two) that
+    cover [lo, hi], 0 and, given ``cached``, twice its span: panel
+    integrals summed outward from the node at 0, the exact slopes scale * g
+    and cells counted from that node, so growth moves no read of the
+    narrower table (see :class:`_Hermite`). ``scale`` multiplies the sums,
+    not g, so the panel tolerances meet g itself. ``what`` names the table
+    in the non-convergence warning."""
+    if cached is not None:
+        if cached.lo <= lo and hi <= cached.hi:
+            return cached
+        lo, hi = min(lo, 2.0 * cached.lo), max(hi, 2.0 * cached.hi)
+    below = math.ceil(max(-lo, 0.0) / step)
+    nodes = np.arange(-below, math.ceil(max(hi, 0.0) / step) + 1) * step
+    panels, slopes = _table_panels(what, label, g, nodes, _PANEL_SPEC)
+    return _Hermite(nodes, scale * _running_from(panels, below), scale * slopes, below,
+                    strict=True)
+
+
 # ---------------------------------------------------------------------------
 # scale exponent: 2 * int_0^y S/sigma^2
 # ---------------------------------------------------------------------------
 
 def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
-    """Scale-exponent table of a custom model on the nodes k/128 of [-w, w],
-    w >= halfwidth, with the exact slopes 2S/sigma^2.
+    """Scale-exponent table of a custom model: the :func:`_running_table`
+    of 2 S/sigma^2 on the nodes k/128 of [-w, w], w >= halfwidth.
 
-    A query past the edge rebuilds it at least twice as wide at the same
-    step: the panels are the same and the sums run outward from 0, so the
-    values at the old nodes do not move. Past _EXP_MAX_HALFWIDTH it raises
-    DivergenceError instead.
+    A query past its edge rebuilds it over the query and twice its span,
+    moving no value it gave. A query past |y| = _EXP_MAX_HALFWIDTH raises
+    DivergenceError instead; :func:`scale_exponent` asks for the table
+    that covers its points before it reads them.
     """
-    cached = model._cache.get("exp_table")
-    if cached is not None and cached.hi >= halfwidth:
-        return cached
     if not halfwidth <= _EXP_MAX_HALFWIDTH:
         raise DivergenceError(
             f"scale exponent of {model.label} asked for at |y| = {halfwidth!r}, past the "
             f"table limit {_EXP_MAX_HALFWIDTH!r}: the law is too wide or not ergodic")
     w = max(halfwidth, DEFAULT_QUADRATURE.initial_halfwidth)
-    if cached is not None:
-        w = min(max(w, 2.0 * cached.hi), _EXP_MAX_HALFWIDTH)
-    n = math.ceil(w / _EXP_STEP)
-    nodes = np.arange(-n, n + 1) * _EXP_STEP
     integrand = lambda v: on_array(model.drift, v) / _sigma_sq(model, v)
-    panels, slopes = _table_panels("scale exponent table", model.label, integrand, nodes,
-                                   _PANEL_SPEC)
-    table = _Hermite(nodes, _running_from(2.0 * panels, n), 2.0 * slopes)  # node n is 0.0
-    model._cache["exp_table"] = table
+    table = model._cache["exp_table"] = _running_table(
+        "scale exponent table", model.label, integrand, -w, w, _EXP_STEP,
+        model._cache.get("exp_table"), scale=2.0)
     return table
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergodist import estimators
+from ergodist import model as model_module
 from ergodist.errors import EvaluationError
 from ergodist.estimators import (
     CurveAccumulator,
@@ -35,7 +36,7 @@ from ergodist.model import (
 from ergodist.numerics import QuadratureSpec, on_array
 
 from oracles import edf, stored_block
-from test_model import unconverged_ranges
+from test_model import growth_probes, unconverged_ranges
 from ergodist.simulate import (
     Path,
     SimConfig,
@@ -248,7 +249,8 @@ class TestKernel:
             assert P(u) == pytest.approx(expect, abs=1e-11)
 
     def test_unconverged_primitive_table_warns(self, ou, monkeypatch):
-        monkeypatch.setattr(estimators, "_PANEL_SPEC",
+        # the spec of the table builder both tables share
+        monkeypatch.setattr(model_module, "_PANEL_SPEC",
                             QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=1))
         # the kink of h at 1/3 lies inside a 1e-3 table panel
         wf = custom_weight(h=lambda u: 1.0 + np.abs(u - 1.0 / 3.0),
@@ -682,10 +684,10 @@ class TestCurveAccumulator:
 
     def test_widening_keeps_primitive_values(self, ou):
         # a path past the support (|y| <= 16 for OU) widens the table; its
-        # node values and the values between them stay bit-identical
+        # node values and every read of the narrow table stay bit-identical
         wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
         narrow = primitive(wf, ou, -1.0, 1.0)
-        ys = np.random.default_rng(3).uniform(narrow.lo, narrow.hi, 2000)
+        ys = growth_probes(narrow, seed=3)
         before, nodes = narrow(ys), narrow.values.copy()
         path = Path(dt=0.01, values=np.array([0.0, 5.0, 20.0, -3.0, 1.0]))
         curve = estimate_curve(path, [0.5, 25.0], wf, ou)

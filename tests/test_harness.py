@@ -411,6 +411,24 @@ class TestCli:
         json.dump(make_config(tmp_path, replications=0), open(cfg_path, "w"))
         assert cli_main(["experiment", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid", None), ("grid", [-5.0, 5.0, 11]), ("sim", None), ("workers", None),
+        ("workers", 2.5), ("workers", True), ("workers", 0), ("workers", "many")])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "exp.json"
+        json.dump(make_config(tmp_path / "out", **{field: value}), open(cfg_path, "w"))
+        assert cli_main(["experiment", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_no_object_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        json.dump([make_config(tmp_path)], open(cfg_path, "w"))
+        for extra in ([], ["--output-dir", str(tmp_path / "out")]):
+            assert cli_main(["experiment", "--config", str(cfg_path), *extra]) == 2
+            assert capsys.readouterr().err.startswith("error: invalid configuration: config:")
+
     def test_divergent_model_exits_3(self, monkeypatch):
         rc = cli_main(["bound", "--model", "ou:theta=1,s=1", "--nu", "gauss:0,1",
                        "--grid", "0:1:2"])

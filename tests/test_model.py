@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergodist import model as model_module
-from ergodist.errors import DivergenceError, TailError
+from ergodist.errors import DivergenceError, EvaluationError, TailError
 from ergodist.model import (
     DiffusionModel,
     check_ergodicity,
@@ -270,18 +270,34 @@ def unconverged_ranges(record, what):
     return out
 
 
+def custom_ou():
+    return DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                          diffusion_sq=lambda x: 1.0, label="custom")
+
+
+def growth_probes(table, seed=0):
+    """Points to read a table at before it grows: every interior node
+    +-1e-15, where a cell counted from another origin can differ, and
+    10^5 random points."""
+    inner = table.nodes[1:-1]
+    rng = np.random.default_rng(seed)
+    return np.concatenate([inner - 1e-15, inner + 1e-15, rng.uniform(table.lo, table.hi, 10**5)])
+
+
 class TestExponentTable:
     def test_widening_keeps_step_and_values(self):
-        m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
-                           diffusion_sq=lambda x: 1.0, label="custom")
-        ys = np.linspace(-8.0, 8.0, 1001)
-        assert scale_function(m, 1.0) > 0.0  # builds the table at y = 1
-        first = model_module._exponent_table(m, 1.0)
-        before = first(ys)
+        # a far query grows the table; no read of the narrow one moves
+        m = custom_ou()
+        first = model_module._exponent_table(m, 8.0)
+        ys = growth_probes(first)
+        before, nodes = first(ys), first.values.copy()
         invariant_density(m, 60.0)
         wide = model_module._exponent_table(m, 60.0)
-        assert wide.hi >= 60.0 and wide.step == first.step == 1.0 / 128.0
+        assert wide is not first and wide.hi >= 60.0
+        assert wide.step == first.step == 1.0 / 128.0
         assert np.array_equal(wide(ys), before)
+        shift = wide.origin - first.origin
+        assert np.array_equal(wide.values[shift:shift + nodes.size], nodes)
         assert np.max(np.abs(before + ys * ys)) < 1e-12  # 2 int_0^y (-v) dv = -y^2
 
     def test_query_past_the_limit_is_divergence(self):
@@ -293,17 +309,18 @@ class TestExponentTable:
 
 class TestScalarTableReads:
     def test_float_reads_match_array_reads_bit_for_bit(self):
-        # both rows of the distribution table and the exponent table on 10^4
-        # random points, some past each end (where they clip), plus the ends
-        # and some nodes; and a primitive table (cells counted from its
-        # node at 0, queried inside it only)
+        # both rows of the distribution table on 10^4 random points, some
+        # past each end (where they clip), plus the ends and some nodes;
+        # the exponent and primitive tables (cells counted from their node
+        # at 0), narrow and grown, on the same points inside them, where a
+        # read past an end raises
         from ergodist.estimators import custom_weight, primitive
 
-        m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
-                           diffusion_sq=lambda x: 1.0, label="custom")
-        tables = [(model_module._cdf_table(m), 2.0), (model_module._exponent_table(m, 8.0), 2.0),
-                  (primitive(custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u), m, -1, 1),
-                   0.0)]
+        m = custom_ou()
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        tables = [(model_module._cdf_table(m), 2.0), (model_module._exponent_table(m, 8.0), 0.0),
+                  (model_module._exponent_table(m, 40.0), 0.0), (primitive(wf, m, -1, 1), 0.0),
+                  (primitive(wf, m, -40.0, 3.0), 0.0)]
         rng = np.random.default_rng(11)
         for t, past in tables:
             ends = [t.lo, t.hi] + ([-np.inf, np.inf] if past else [])
@@ -313,6 +330,71 @@ class TestScalarTableReads:
             got = np.array([np.atleast_1d(t(float(x))) for x in xs]).T
             assert isinstance(t(0.5), tuple if t.values.ndim > 1 else float)
             assert np.array_equal(got, rows)
+            if not past:
+                for x in (t.lo - 1e-9, t.hi + 1e-9):
+                    with pytest.raises(EvaluationError, match="outside its span"):
+                        t(x)
+                    with pytest.raises(EvaluationError, match="outside its span"):
+                        t(np.array([0.0, x]))
+
+
+def wavy_model():
+    return DiffusionModel(drift=lambda x: -np.tanh(x) - 0.5 * x,
+                          diffusion=lambda x: 1.0 + 0.25 * np.cos(x),
+                          diffusion_sq=lambda x: (1.0 + 0.25 * np.cos(x)) ** 2, label="wavy")
+
+
+class TestTabulatedGoldens:
+    # bits of the tabulated routes (the exponent, distribution and
+    # primitive tables) on two custom models, read in this order on a
+    # fresh model; a change to how the tables are built or read must
+    # leave them as they are
+    GOLDEN = {
+        "custom": {
+            "G": 1.772453850905516,
+            "F": [0.008104770704465561, 0.33568662027086843, 0.7377408598929275,
+                  0.9990685768510759],
+            "f": [0.03135552024843419, 0.5156304548094816, 0.46076600650611005,
+                  0.004461077532458098],
+            "exponent": [-0.09, -0.09, -62.410000000000004, -62.410000000000004, -1600.0,
+                         -1600.0],
+            "P": [-1.1902899496825274, -0.2914567944778623, 0.6107259643892057,
+                  1.2587542052323601, -1.5312911992258018, 1.5200784375481036,
+                  1.5373639723425194],
+        },
+        "wavy": {
+            "G": 1.2675197110363414,
+            "F": [0.010952118116417952, 0.3519063524458837, 0.7160806083545456,
+                  0.9990848952172214],
+            "f": [0.04467172138973833, 0.47154997937583115, 0.4329062414783626,
+                  0.005429868785227021],
+            "exponent": [-0.08632674752839678, -0.08632674752839678, -45.86142559102846,
+                         -45.86142559102846, -949.7796369905179, -949.7796369905178],
+            "P": [-0.9514881190453651, -0.1876297682682955, 0.4025028172230143,
+                  1.0672224348074337, -1.3894746265166387, 1.3763459238005877,
+                  1.3968227463843956],
+        },
+    }
+
+    @pytest.mark.parametrize("make", [custom_ou, wavy_model])
+    def test_values_are_pinned(self, make):
+        from ergodist.estimators import custom_weight, primitive
+
+        m = make()
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        xs = (-1.7, -0.3, 0.45, 2.2)
+        P = primitive(wf, m, -1.0, 1.0)
+        assert (P.lo, P.hi) == (-16.0, 16.0)  # the model's support
+        inside = [P(u) for u in (-2.5, -0.3, 0.7, 3.1)]
+        past = primitive(wf, m, -30.0, 30.0)
+        got = {
+            "G": normalizing_constant(m),
+            "F": [invariant_cdf(m, x) for x in xs],
+            "f": [float(invariant_density(m, x)) for x in xs],
+            "exponent": [scale_exponent(m, y) for y in (0.3, -0.3, 7.9, -7.9, 40.0, -40.0)],
+            "P": inside + [past(u) for u in (-25.3, 19.7, 29.9)],
+        }
+        assert got == self.GOLDEN[m.label]
 
 
 class TestTableConvergence:
