@@ -95,6 +95,9 @@ class NuMeasure:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "uniform", "point_masses"):
             raise ValueError(f"unknown nu kind {self.kind!r}")
+        params = (self.mean, self.sd, self.a, self.b, *(v for atom in self.atoms for v in atom))
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{self.kind} nu requires finite parameters")
         if self.kind == "gaussian" and not self.sd > 0.0:
             raise ValueError("gaussian nu requires sd > 0")
         if self.kind == "uniform" and not self.a < self.b:

@@ -69,38 +69,27 @@ class WeightFunction:
     ``h`` and ``h_prime`` may be written for floats (``math`` functions,
     an ``if`` on u) or for numpy arrays: every array read of them goes
     through :func:`ergodist.numerics.on_array`, which broadcasts a scalar
-    result and falls back to float calls. ``inv_h_primitive`` is an
-    optional closed-form antiderivative of 1/h; combined with a constant
-    diffusion coefficient it gives the kernel in closed form, so the curve
-    accumulator reads a chunk's primitive without a table. ``h_pair`` is
-    an optional evaluator of h and h' together on an array, whose ``h``
-    and ``h_prime`` are its two parts. Both are set only by the built-in
-    factories, and both take an optional output: ``inv_h_primitive(u,
-    out)`` writes into one array of u's shape, ``h_pair(u, out)`` into a
-    pair of them (a constant weight returns its two scalars), so the curve
-    accumulator reads them into arrays it keeps from chunk to chunk.
+    result and falls back to float calls. ``h_pair(u, out)`` is the one
+    evaluator of h and h' on an array; ``inv_h_primitive(u, out)``, set
+    only for the built-in weights, is a closed-form antiderivative of 1/h,
+    which with a constant sigma gives the kernel in closed form. The
+    built-in weights write them into ``out`` (a pair of arrays, one array)
+    where given, which the curve accumulator keeps from chunk to chunk; a
+    constant weight's pair is two scalars. Only the four factories
+    construct a weight.
     """
 
     h: Callable
     h_prime: Callable
     kind: str
     params: dict
+    h_pair: Callable
     inv_h_primitive: Callable | None = None
-    h_pair: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def tag(self) -> str:
         return f"unbiased_{self.kind}"
-
-    def h_and_prime(self, u: np.ndarray, out=(None, None)) -> tuple:
-        """h and h' on the array u in one pass (``h_pair``, into the arrays
-        ``out`` where given), or else two fresh
-        :func:`ergodist.numerics.on_array` reads; a constant may come back
-        as a scalar."""
-        if self.h_pair is not None:
-            return self.h_pair(u, out)
-        return on_array(self.h, u), on_array(self.h_prime, u)
 
 
 def polynomial_weight(p: int = 1) -> WeightFunction:
@@ -208,10 +197,10 @@ def _poly_inv_h_primitive(p: int) -> Callable:
 
 
 def exponential_weight(delta: float = 1.0) -> WeightFunction:
-    """h(u) = exp(delta*u), delta > 0; kernel (e^{-delta*y} - e^{-delta*x})/delta."""
+    """h(u) = exp(delta*u), delta > 0 finite; kernel (e^{-delta*y} - e^{-delta*x})/delta."""
     delta = float(delta)
-    if not delta > 0.0:
-        raise ValueError("exponential weight requires delta > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"exponential weight requires a finite delta > 0, got {delta!r}")
 
     def pair(u, out=(None, None)):
         h = np.multiply(delta, u, out=out[0])
@@ -238,10 +227,10 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
 
 
 def constant_weight(c: float = 1.0) -> WeightFunction:
-    """h(u) = c. Positivity of h forces c > 0; the kernel is (x - y)/c."""
+    """h(u) = c, c > 0 finite (h must be positive); the kernel is (x - y)/c."""
     c = float(c)
-    if not c > 0.0:
-        raise ValueError("constant weight requires c > 0 (h must be positive)")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"constant weight requires a finite c > 0, got {c!r}")
     return WeightFunction(
         h=lambda u: c,
         h_prime=lambda u: 0.0,
@@ -254,8 +243,10 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
 
 def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> WeightFunction:
     """Arbitrary positive weight with no closed-form primitive: kernels are
-    quadratures; curves and the weight table read :func:`primitive`'s table."""
-    return WeightFunction(h=h, h_prime=h_prime, kind="custom", params={"label": label})
+    quadratures; curves and the weight table read :func:`primitive`'s table.
+    Its ``h_pair`` is two fresh ``on_array`` reads and ignores ``out``."""
+    return WeightFunction(h=h, h_prime=h_prime, kind="custom", params={"label": label},
+                          h_pair=lambda u, out=None: (on_array(h, u), on_array(h_prime, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +270,6 @@ def _closed_primitive(wf: WeightFunction, model: DiffusionModel) -> Callable | N
     inv = wf.inv_h_primitive
 
     def prim(u, out=None):
-        if out is None:
-            return inv(u) / s2
         out = inv(u, out)
         out /= s2
         return out
@@ -476,12 +465,13 @@ class CurveAccumulator:
     moving none of its values, up to _PRIMITIVE_REACH times the model's
     support; only then is a chunk's range read.
 
-    A step that cannot be weighted (not finite, past that reach, or h <= 0
-    there) adds nothing: it is read at X = 0, dX = 0 in the work arrays,
-    and h and h' are read again at those points only. Its path is about
-    to explode, or else :meth:`curves` raises. So a path that is dropped
-    for exploding can neither stop the block nor widen a table without
-    bound.
+    A chunk is screened before its weights are read: a step that is not
+    finite or past that reach is put at X = 0, dX = 0 in the work arrays;
+    then each weight's ``h_pair`` is read once, and a step where h <= 0 is
+    put at X = 0 too, so no table is read or widened there. Such a step
+    adds nothing read: its path is about to explode, or else :meth:`curves`
+    raises. So a path that is dropped for exploding can neither stop the
+    block nor widen a table without bound.
     """
 
     def __init__(self, xs: np.ndarray, choices, model: DiffusionModel | None,
@@ -573,11 +563,20 @@ class CurveAccumulator:
             cell[miss] = np.searchsorted(self.xs, X[miss], side="right")
         return cell
 
+    @staticmethod
+    def _zero(X: np.ndarray, dX: np.ndarray, bad: np.ndarray, copy: np.ndarray) -> np.ndarray:
+        """The work row ``copy`` holding X, with X and dX set to 0 at ``bad``."""
+        if X is not copy:
+            np.copyto(copy, X)
+        np.copyto(copy, 0.0, where=bad)
+        np.copyto(dX, 0.0, where=bad)
+        return copy
+
     def _add(self, cols, before: np.ndarray, after: np.ndarray) -> None:
         """Column i of ``before`` and ``after`` (shape (steps, columns)) is
         a chunk of path ``cols.start + i``, or of path ``cols`` for an int,
-        whose columns are then added in step order; a step that cannot be
-        weighted is read at X = 0, dX = 0 (see the class)."""
+        whose columns are then added in step order; a path's first step
+        that cannot be weighted goes into ``failures`` (see the class)."""
         k, cells = before.shape[1], self.sums.shape[2]
         floats, _, (bad, flag) = self._scratch(before.size)
         dX, term, copy, P = floats[:4]
@@ -608,23 +607,18 @@ class CurveAccumulator:
             np.logical_not(np.isfinite(dX, out=bad), out=bad)
             if self.reach < math.inf:
                 bad |= np.greater(np.abs(X, out=term), self.reach, out=flag)
-            vals = [wf.h_and_prime(X, pair) for wf, pair in zip(self.weights, pairs)]
+            if bad.any():
+                X = self._zero(X, dX, bad, copy)
+            vals = [wf.h_pair(X, pair) for wf, pair in zip(self.weights, pairs)]
             for h, _ in vals:
                 bad |= np.logical_not(np.greater(h, 0.0, out=flag), out=flag)
         if bad.any():
             at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
             at_cols, first = np.unique(at % k, return_index=True)
             paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
-            for j, x in zip(paths[at_cols].tolist(), X[at[first]].tolist()):
+            for j, x in zip(paths[at_cols].tolist(), before[at[first] // k, at_cols].tolist()):
                 self.failures.setdefault(j, x)
-            if X is not copy:
-                np.copyto(copy, X)
-                X = copy
-            X[at], dX[at] = 0.0, 0.0
-            zero = np.zeros(at.size)
-            for w, wf in enumerate(self.weights):
-                vals[w] = [_assign(v, at, z, wf.h_pair is not None)
-                           for v, z in zip(vals[w], wf.h_and_prime(zero))]
+            X = self._zero(X, dX, bad, copy)
         # the chunk's range, which only a tabulated primitive reads
         span = (float(X.min()), float(X.max())) if self.reach < math.inf else None
         # (dt/2) sigma^2, a broadcast scalar for a constant sigma
@@ -663,18 +657,6 @@ class CurveAccumulator:
                                       float(self.xs[-1]))(self.xs), dtype=float)
             out.append(2.0 * (Px * U - V) / T)
         return out
-
-
-def _assign(v, at, z, kept: bool):
-    """v with z at the flat positions ``at``: written into v if it is a
-    kept work array, else into a copy (a custom weight's read may be a view
-    of its argument); a scalar (a constant) as it is."""
-    if np.ndim(v) == 0:
-        return v
-    if not kept:
-        v = np.array(v)
-    v[at] = z
-    return v
 
 
 def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = None

@@ -39,7 +39,8 @@ from .efficiency import (
     representation_discrepancy,
     weight_moment_finite,
 )
-from .errors import ConfigError, DivergenceError, RiskRunError, SimulationError, TailError
+from .errors import (ConfigError, DivergenceError, EvaluationError, RiskRunError,
+                     SimulationError, TailError)
 from .estimators import as_estimator, check_weight_conditions, parse_estimator
 from .model import (
     DiffusionModel,
@@ -141,6 +142,15 @@ class ExperimentConfig:
                if not isinstance(v, dict)]
         if bad:
             raise ConfigError(bad)
+        # a fractional count or seed is refused, not truncated by int()
+        bad = [f"{name}: {key}must be a whole number, got {v!r}" for name, key, v in (
+            ("replications", "", raw.get("replications")), ("sim", "seed ", sim.get("seed")),
+            ("grid", "count ", grid.get("count"))) if isinstance(v, float) and not v.is_integer()]
+        out = raw.get("output_dir", ".")
+        if not isinstance(out, (str, os.PathLike)):
+            bad.append(f"output_dir: must be a path string, got {out!r}")
+        if bad:
+            raise ConfigError(bad)
         try:
             cfg = cls(
                 model_spec=raw["model"],
@@ -153,7 +163,7 @@ class ExperimentConfig:
                 grid_lo=float(grid.get("lo", DEFAULT_GRID[0])),
                 grid_hi=float(grid.get("hi", DEFAULT_GRID[1])),
                 grid_count=int(grid.get("count", DEFAULT_GRID[2])),
-                output_dir=str(raw.get("output_dir", ".")),
+                output_dir=str(out),
                 workers=raw.get("workers", 1),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -561,8 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     """Entry point: exit 0 on success, 2 on validation errors and on a
-    quantity asked for past the tables' tails, 3 on numerical divergence, 4
-    on simulation explosion."""
+    quantity asked for past the tables' tails, 3 on numerical divergence or
+    a non-finite or non-positive function value (a finiteness condition
+    failed), 4 on simulation explosion."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -575,6 +586,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
+        return 3
+    except EvaluationError as exc:
+        print(f"finiteness condition failed: {exc}", file=sys.stderr)
         return 3
     except (SimulationError, RiskRunError) as exc:
         print(f"simulation explosion: {exc}", file=sys.stderr)

@@ -70,6 +70,12 @@ class TestWeightConstruction:
         with pytest.raises(ValueError):
             constant_weight(-2.0)
 
+    @pytest.mark.parametrize("spec", ["unbiased:exp:delta=inf", "unbiased:exp:delta=nan",
+                                      "unbiased:const:c=inf", "unbiased:const:c=nan"])
+    def test_parameters_must_be_finite(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            parse_estimator(spec)
+
     @pytest.mark.parametrize(
         "wf",
         [polynomial_weight(1), polynomial_weight(3), exponential_weight(0.7),
@@ -108,7 +114,7 @@ class TestWeightValues:
         """h and h' by the one-pass pair, by the two array reads, and by
         the two functions on each float."""
         with np.errstate(all="ignore"):
-            yield wf.h_and_prime(self.U)
+            yield wf.h_pair(self.U)
             yield on_array(wf.h, self.U), on_array(wf.h_prime, self.U)
             yield (np.array([wf.h(u) for u in self.U.tolist()]),
                    np.array([wf.h_prime(u) for u in self.U.tolist()]))
@@ -184,7 +190,7 @@ class TestOutputArrays:
         wf = parse_estimator(f"unbiased:{spec}").weight
         out = self.dirty(self.U.size)
         with np.errstate(all="ignore"):
-            got = wf.h_and_prime(self.U, out)
+            got = wf.h_pair(self.U, out)
             want = on_array(wf.h, self.U), on_array(wf.h_prime, self.U)
         for g, w in zip(got, want):
             assert np.array_equal(np.broadcast_to(g, w.shape), w, equal_nan=True)
@@ -716,18 +722,25 @@ class TestCurveAccumulator:
         dropped[list(acc.failures)] = True
         return acc.curves(dropped), dropped
 
-    @pytest.mark.parametrize("weight", [
-        "unbiased:poly:p=2",
-        custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)])
-    def test_exploding_path_leaves_the_other_paths_bits(self, ou, weight):
-        # the path put in as row 2 grows past every reach, then leaves the
-        # floats; the custom weight's primitive is tabulated, so its reach
-        # is finite
+    @pytest.mark.parametrize("weight, start", [
+        ("unbiased:poly:p=2", 1.0),
+        (custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u), 1.0),
+        (custom_weight(lambda u: math.exp(0.5 * u), lambda u: 0.5 * math.exp(0.5 * u)), 1.0),
+        (custom_weight(lambda u: np.exp(-u * u), lambda u: -2.0 * u * np.exp(-u * u)), 30.0)],
+        ids=["poly", "custom", "custom_scalar_only", "custom_vanishing"])
+    def test_exploding_path_leaves_the_other_paths_bits(self, ou, weight, start):
+        # the path put in as row 2 grows from ``start`` past every reach,
+        # then leaves the floats; the custom weights' primitives are
+        # tabulated, so their reach (64) is finite. The third is written for
+        # floats only: math.exp overflows, so it may not be read where the
+        # path has exploded. The last underflows to h = 0 at |u| > 27.3,
+        # within the reach but past the table (|y| <= 16), so the step at
+        # 30 cannot be weighted, and the table must not be widened there
         cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0)
         values = stored_block(ou, cfg, [derive_substream_seed(3, r) for r in range(4)]).values
         blowup = values[0].copy()
         with np.errstate(over="ignore"):
-            blowup[700:] = 10.0 ** np.arange(values.shape[1] - 700)
+            blowup[700:] = start * 10.0 ** np.arange(values.shape[1] - 700)
         xs = np.linspace(-2.0, 2.0, 21)
         choices = [as_estimator(c) for c in ("edf", "unbiased:exp:delta=1", weight)]
         kept, none = self.block_curves(ou, choices, values, xs, cfg.dt)
@@ -736,6 +749,28 @@ class TestCurveAccumulator:
         assert not none.any() and dropped.tolist() == [False, False, True, False, False]
         for k_rows, m_rows in zip(kept, mixed):
             assert np.array_equal(k_rows, np.delete(m_rows, 2, axis=0))
+
+    def test_chunk_is_screened_before_a_custom_weight_is_read_once(self, ou):
+        # one chunk of 3 paths x 4 steps with a NaN state: h and h' are each
+        # read once, on the whole chunk, with the unweightable steps at 0
+        reads = []
+
+        def h(u):
+            if np.ndim(u):
+                reads.append(np.array(u))
+            return 1.0 + u * u
+
+        wf = custom_weight(h, lambda u: 2.0 * u)
+        acc = CurveAccumulator(np.linspace(-1.0, 1.0, 5), [as_estimator(wf)], ou, 3, 4, 0.1)
+        states = np.tile(np.linspace(-0.5, 0.5, 5)[:, None], (1, 3))
+        states[2, 1] = np.nan
+        reads.clear()
+        with np.errstate(all="ignore"):
+            acc.add(slice(0, 3), 0, states)
+        assert len(reads) == 1 and np.all(np.isfinite(reads[0]))
+        assert reads[0].tolist() == np.where(np.isfinite(np.diff(states, axis=0)),
+                                             states[:-1], 0.0).ravel().tolist()
+        assert acc.failures == {1: states[1, 1]}
 
     def test_estimate_curves_leaves_the_path_values(self, ou):
         # a non-finite state past the last full chunk, so the step is read

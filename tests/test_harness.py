@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -413,7 +414,11 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("grid", None), ("grid", [-5.0, 5.0, 11]), ("sim", None), ("workers", None),
-        ("workers", 2.5), ("workers", True), ("workers", 0), ("workers", "many")])
+        ("workers", 2.5), ("workers", True), ("workers", 0), ("workers", "many"),
+        # fractional counts and seeds are refused, not truncated
+        ("replications", 4.7), ("sim", {"T": 1.0, "dt": 0.01, "seed": 5.9}),
+        ("grid", {"lo": -5.0, "hi": 5.0, "count": 11.6}), ("output_dir", None),
+        ("nu", "gauss:nan,1")])
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
         cfg_path = tmp_path / "exp.json"
         json.dump(make_config(tmp_path / "out", **{field: value}), open(cfg_path, "w"))
@@ -459,6 +464,32 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("simulation explosion:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("nu", ["gauss:nan,1", "gauss:0,inf", "uniform:0,inf",
+                                    "uniform:-inf,0", "point:nan=1", "point:0=inf"])
+    def test_non_finite_nu_exits_2(self, capsys, nu):
+        assert cli_main(["bound", "--model", "ou", "--nu", nu]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("spec", ["exp:delta=inf", "exp:delta=nan", "const:c=inf"])
+    def test_non_finite_weight_exits_2(self, capsys, spec):
+        rc = cli_main(["estimate", "--model", "ou", "--estimator", f"unbiased:{spec}",
+                       "--T", "1", "--dt", "0.01", "--grid", "-1:1:3", "--seed", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad estimator spec") and len(err.splitlines()) == 1
+
+    def test_unweightable_path_exits_3(self, capsys):
+        # h = exp(800 u) underflows to 0 near u = -0.97, where the path goes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli_main(["estimate", "--model", "ou", "--estimator", "unbiased:exp:delta=800",
+                           "--T", "1", "--dt", "0.01", "--grid", "-1:1:3", "--seed", "3"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("finiteness condition failed: path 0 cannot be weighted")
+        assert len(err.splitlines()) == 1
 
     def test_tail_error_exits_2(self, capsys):
         # the closed boundary derivative needs the invariant density at
