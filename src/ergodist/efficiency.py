@@ -251,11 +251,15 @@ def influence_numerator(model: DiffusionModel, x: float, y):
 
     Evaluated as F(y) * (1 - F(x)) for y <= x and F(x) * (1 - F(y))
     otherwise, with 1 - F read from the distribution table's right-tail
-    sums, so the value keeps relative accuracy deep in both tails."""
+    sums, so the value keeps relative accuracy deep in both tails. An
+    array reads one table row per point, F(y) or 1 - F(y), and a NaN y
+    takes the second branch."""
     fx, sx = _cdf_pair(model, float(x))
     if isinstance(y, np.ndarray):
-        fy, sy = _cdf_pair(model, y)
-        return np.where(y <= x, fy * sx, fx * sy)
+        above = ~(y <= x)
+        out = _cdf_pair(model, y, above)
+        out *= np.where(above, fx, sx)
+        return out
     fy, sy = _cdf_pair(model, float(y))
     return fy * sx if y <= x else fx * sy
 

@@ -440,16 +440,20 @@ class CurveAccumulator:
     A curve value at x sums, over the steps whose left endpoint X_i lies
     below x, a term per step: 1 for the EDF; for each weight (P its kernel
     primitive) u = h dX + (dt/2) h' sigma^2 and P u, whose sums U and V
-    give the curve 2 (P(x) U - V)/T. A chunk puts
+    give the curve 2 (P(x) U - V)/T. The step counts (the sums' row 0)
+    are summed only when an EDF is among the choices, since only the EDF
+    reads them. A chunk puts
     each X_i in its cell, the number of nodes at or below it
-    (``searchsorted(xs, X_i, side="right")``). On a grid that the affine
-    map onto its node indices fits (a uniform one of two nodes or more),
-    the map guesses the cell; ext[c] <= X_i < ext[c + 1], on the grid
-    padded with -inf and +inf, confirms the guess, and only the points
-    that fail it (NaN, +inf and points within rounding of a node) are
-    searched. Any other grid, such as one with a point-mass nu's atoms
-    merged in or a single node, on which the map would miss most cells,
-    is searched. Each term is
+    (``searchsorted(xs, X_i, side="right")``). On a grid of one node x0
+    the cell is 1 unless X_i < x0, which is that search for every X_i,
+    NaN and infinities included (for a node that is not NaN). On a grid
+    that the affine map onto its node indices fits (a uniform one of two
+    nodes or more), the map guesses the cell; ext[c] <= X_i < ext[c + 1],
+    on the grid padded with -inf and +inf, confirms the guess, and only
+    the points that fail it (NaN, +inf and points within rounding of a
+    node) are searched. Any other grid, such as one with a point-mass
+    nu's atoms merged in, on which the map would miss most cells, is
+    searched. Each term is
     summed per (path, cell) with one weighted ``bincount`` and added into
     the (statistic, path, cell) sums by one slice add per statistic: a
     streamed chunk's columns are distinct paths, so each sum takes one
@@ -468,10 +472,13 @@ class CurveAccumulator:
     A chunk is screened before its weights are read: a step that is not
     finite or past that reach is put at X = 0, dX = 0 in the work arrays;
     then each weight's ``h_pair`` is read once, and a step where h <= 0 is
-    put at X = 0 too, so no table is read or widened there. Such a step
-    adds nothing read: its path is about to explode, or else :meth:`curves`
-    raises. So a path that is dropped for exploding can neither stop the
-    block nor widen a table without bound.
+    put at X = 0 too, so no table is read or widened there. A step whose
+    P u is not finite (a closed primitive that overflows where h is still
+    positive) is found from the per-(path, cell) sums of P u, which are
+    then summed again with its u and P u at 0. Such steps add nothing
+    read: their path is about to explode, or else :meth:`curves` raises.
+    So a path that is dropped for exploding can neither stop the block
+    nor widen a table without bound.
     """
 
     def __init__(self, xs: np.ndarray, choices, model: DiffusionModel | None,
@@ -479,9 +486,11 @@ class CurveAccumulator:
         self.xs, self.choices, self.model = xs, choices, model
         self.n_steps, self.dt = n_steps, dt
         self.weights = [c.weight for c in choices if c.weight is not None]
+        self._edf = len(self.weights) < len(choices)
         if self.weights and model is None:
             raise ValueError("weight-function estimators need the model (sigma^2)")
-        # row 0 counts the steps (exact in floats), then 2 rows per weight
+        # row 0 counts the steps (exact in floats) for an EDF, then 2 rows
+        # per weight
         self.sums = np.zeros((1 + 2 * len(self.weights), paths, xs.size + 1))
         # the affine map of the grid onto its node indices, kept only if it
         # sends every node within _MAP_SLACK of its index (a uniform grid of
@@ -492,6 +501,7 @@ class CurveAccumulator:
         with np.errstate(all="ignore"):
             fits = np.all(np.abs((xs - self._x0) * scale - np.arange(xs.size)) < _MAP_SLACK)
         self._scale = scale if fits and xs.size > 1 else None
+        self._one_node = xs.size == 1 and self._x0 == self._x0
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
         # work rows: dX, a term, X where copied, P, then h and h' per weight
         self._floats = np.empty((4 + 2 * len(self.weights), 0))
@@ -536,13 +546,16 @@ class CurveAccumulator:
         return self._floats[:, :n], self._index[:n], self._flags[:, :n]
 
     def _cells(self, X: np.ndarray) -> np.ndarray:
-        """``searchsorted(xs, X, side="right")``: on a grid the affine map
-        fits, the map, clamped to the cells 0..n, where
-        ext[c] <= X < ext[c + 1] confirms it, and a search for the points
-        that fail (NaN, +inf, and points within about _MAP_SLACK of a cell
-        from a node); on any other grid, the search, _SEARCH_POINTS points
-        at a time."""
+        """``searchsorted(xs, X, side="right")``: on a grid of one node x0,
+        not (X < x0); on a grid the affine map fits, the map, clamped to
+        the cells 0..n, where ext[c] <= X < ext[c + 1] confirms it, and a
+        search for the points that fail (NaN, +inf, and points within about
+        _MAP_SLACK of a cell from a node); on any other grid, the search,
+        _SEARCH_POINTS points at a time."""
         floats, cell, (ok, above) = self._scratch(X.size)
+        if self._one_node:
+            np.copyto(cell, np.logical_not(np.less(X, self._x0, out=ok), out=ok))
+            return cell
         if self._scale is None:
             for a in range(0, X.size, _SEARCH_POINTS):
                 cell[a:a + _SEARCH_POINTS] = np.searchsorted(self.xs, X[a:a + _SEARCH_POINTS],
@@ -588,17 +601,20 @@ class CurveAccumulator:
         idx = self._cells(X)
         idx.reshape(-1, k)[...] += cells * np.arange(k)
 
-        def put(row, term=None):
+        def bins(term=None):
+            return np.bincount(idx, term, minlength=k * cells).reshape(k, cells)
+
+        def put(row, cell_sums):
             # a streamed chunk's sums take one addition per (path, cell); a
             # stored path's columns are added in step order
-            cell_sums = np.bincount(idx, term, minlength=k * cells).reshape(k, cells)
             if isinstance(cols, slice):
                 self.sums[row, cols] += cell_sums
             else:
                 for part in cell_sums:
                     self.sums[row, cols] += part
 
-        put(0)
+        if self._edf:
+            put(0, bins())
         if not self.weights:
             return
         pairs = [(floats[w], floats[w + 1]) for w in range(4, floats.shape[0], 2)]
@@ -612,12 +628,8 @@ class CurveAccumulator:
             vals = [wf.h_pair(X, pair) for wf, pair in zip(self.weights, pairs)]
             for h, _ in vals:
                 bad |= np.logical_not(np.greater(h, 0.0, out=flag), out=flag)
-        if bad.any():
-            at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
-            at_cols, first = np.unique(at % k, return_index=True)
-            paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
-            for j, x in zip(paths[at_cols].tolist(), before[at[first] // k, at_cols].tolist()):
-                self.failures.setdefault(j, x)
+        failed = bool(bad.any())
+        if failed:
             X = self._zero(X, dX, bad, copy)
         # the chunk's range, which only a tabulated primitive reads
         span = (float(X.min()), float(X.max())) if self.reach < math.inf else None
@@ -629,12 +641,26 @@ class CurveAccumulator:
             # the second product until the primitive is read into it
             u = np.multiply(h, dX, out=term)
             u += np.multiply(hp, half_s2, out=P)
-            put(1 + 2 * w, u)
-            if closed is not None:
-                PX = closed(X, P)
-            else:
-                PX = np.asarray(primitive(wf, self.model, *span)(X), dtype=float)
-            put(2 + 2 * w, np.multiply(u, PX, out=u))
+            prim = closed or primitive(wf, self.model, *span)
+            with np.errstate(all="ignore"):  # an overflowing P u is screened below
+                PX = prim(X, P) if closed else np.asarray(prim(X), dtype=float)
+                Pu = np.multiply(u, PX, out=PX)
+            v_sums = bins(Pu)
+            if not np.isfinite(v_sums).all():
+                over = np.logical_not(np.isfinite(Pu, out=flag), out=flag)
+                failed = True
+                bad |= over
+                np.copyto(u, 0.0, where=over)
+                np.copyto(Pu, 0.0, where=over)
+                v_sums = bins(Pu)
+            put(1 + 2 * w, bins(u))
+            put(2 + 2 * w, v_sums)
+        if failed:
+            at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
+            at_cols, first = np.unique(at % k, return_index=True)
+            paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
+            for j, x in zip(paths[at_cols].tolist(), before[at[first] // k, at_cols].tolist()):
+                self.failures.setdefault(j, x)
 
     def curves(self, dropped=None) -> list[np.ndarray]:
         """Each estimator's curves on xs, one row per path; a path marked
@@ -643,7 +669,8 @@ class CurveAccumulator:
         for j, x in sorted(self.failures.items()):
             if dropped is None or not dropped[j]:
                 raise EvaluationError(x, f"path {j} cannot be weighted at x={x!r}: it is not "
-                                         f"finite or past {self.reach!r} there, or h <= 0")
+                                         f"finite or past {self.reach!r} there, h <= 0, or "
+                                         f"P u is not finite")
         T = self.n_steps * self.dt
         sums = np.cumsum(self.sums[:, :, :-1], axis=2)
         out = []

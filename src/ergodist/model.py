@@ -230,7 +230,12 @@ class _Hermite:
     outside [lo, hi] instead of clipping it. A Python float is read with
     Python floats, by the array route's arithmetic in the same order, so
     the two agree bit for bit; it gives a float, or a tuple of floats for
-    several rows."""
+    several rows. An array read given ``row``, an integer array of the
+    points' shape, reads only row ``row[i]`` at point i (one flat ``take``
+    per coefficient) and gives an array of the points' shape, with the
+    bits of that row in a read of every row. An array read forms each
+    product and difference in place, in the order of the expression in
+    :meth:`__call__`'s comment."""
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
                  origin: int = 0, strict: bool = False):
@@ -244,9 +249,15 @@ class _Hermite:
         """For each x, clipped and flattened: the index k of the node at or
         below it and its distance past that node in steps, s in [0, 1]."""
         x = np.clip(np.ravel(np.asarray(x, dtype=float)), self.lo, self.hi)
-        k = np.floor((x - self.base) / self.step).astype(np.intp) + self.origin
+        s = np.subtract(x, self.base)
+        s /= self.step
+        with np.errstate(invalid="ignore"):  # NaN's k, clipped below; its s stays NaN
+            k = np.floor(s, out=s).astype(np.intp)
+        k += self.origin
         np.clip(k, 0, self.nodes.size - 2, out=k)
-        return k, (x - self.nodes.take(k)) / self.step
+        np.subtract(x, self.nodes.take(k, out=s), out=s)
+        s /= self.step
+        return k, s
 
     def _at(self, x: float):
         x = min(max(x, self.lo), self.hi)
@@ -260,23 +271,44 @@ class _Hermite:
                     + b * (t * m.item(k) - s * m.item(k + 1)) for v, m in self._rows)
         return out if self.values.ndim > 1 else out[0]
 
-    def __call__(self, x):
+    def __call__(self, x, row=None):
         if self.strict:
             lo, hi = np.min(x, initial=self.lo), np.max(x, initial=self.hi)
             if lo < self.lo - 1e-12 or hi > self.hi + 1e-12:
                 raise EvaluationError(float(lo if lo < self.lo else hi),
                                       "table queried outside its span (internal rebuild bug)")
-        if isinstance(x, float) and x == x:
+        if row is None and isinstance(x, float) and x == x:
             return self._at(x)
         k, s = self.cell(x)
-        t = 1.0 - s
         v, m = self.values, self.slopes
-        vk = v.take(k, axis=-1)
-        # v_k + b (v_k+1 - v_k) rather than a v_k + b v_k+1, so equal node
-        # values give exactly that value and monotone data stay monotone
-        out = (vk + s * s * (3.0 - 2.0 * s) * (v.take(k + 1, axis=-1) - vk)
-               + self.step * s * t * (t * m.take(k, axis=-1) - s * m.take(k + 1, axis=-1)))
-        return out.reshape(v.shape[:-1] + np.shape(x))
+        shape = v.shape[:-1] + np.shape(x)
+        if row is not None:  # node k of row r sits at k + r * nodes in the flat rows
+            k += np.ravel(row) * self.nodes.size
+            v, m, shape = v.ravel(), m.ravel(), np.shape(x)
+        # v_k + s^2 (3 - 2 s) (v_k+1 - v_k) + step s t (t m_k - s m_k+1),
+        # t = 1 - s: v_k + a (v_k+1 - v_k) rather than t' v_k + a v_k+1,
+        # so equal node values give exactly that value and monotone data
+        # stay monotone
+        t = np.subtract(1.0, s)
+        out = v.take(k, axis=-1)
+        k += 1
+        dv = v.take(k, axis=-1)
+        dv -= out
+        a = np.multiply(2.0, s)
+        np.subtract(3.0, a, out=a)
+        dv *= np.multiply(s, s) * a
+        out += dv
+        right = m.take(k, axis=-1)
+        right *= s
+        k -= 1
+        dm = m.take(k, axis=-1)
+        dm *= t
+        dm -= right
+        np.multiply(self.step, s, out=a)
+        a *= t
+        dm *= a
+        out += dm
+        return out.reshape(shape)
 
 
 def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, step: float,
@@ -448,11 +480,12 @@ def _cdf_table(model: DiffusionModel) -> _Hermite:
     return table
 
 
-def _cdf_pair(model: DiffusionModel, xs):
+def _cdf_pair(model: DiffusionModel, xs, row=None):
     """F_S and 1 - F_S at xs, clamped to [0, 1], from the distribution
     table: a tuple of two floats for a float, else the two rows of one
-    array."""
-    pair = _cdf_table(model)(xs)
+    array; given ``row`` (see :class:`_Hermite`), F where it is 0 and
+    1 - F where it is 1, in one array of xs's shape."""
+    pair = _cdf_table(model)(xs, row)
     if isinstance(pair, tuple):
         return tuple(min(max(v, 0.0), 1.0) for v in pair)
     return np.clip(pair, 0.0, 1.0, out=pair)

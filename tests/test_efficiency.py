@@ -15,6 +15,7 @@ from ergodist.estimators import (
     exponential_weight,
     parse_estimator,
     polynomial_weight,
+    unbiased_estimate,
 )
 from ergodist.efficiency import (
     boundary_derivative_closed,
@@ -39,6 +40,7 @@ from ergodist.efficiency import (
 from ergodist.harness import cli_main
 from ergodist.model import (
     DiffusionModel,
+    _cdf_table,
     invariant_cdf,
     invariant_density,
     ornstein_uhlenbeck,
@@ -62,6 +64,7 @@ from oracles import (
     weight_moment_direct,
     weight_primitive_quadrature,
 )
+from test_harness import _PINNED_NUMPY
 
 # values produced by the dense-trapezoid oracles in oracles.py
 R_AT_ZERO = 0.3465735903226393  # equals log(2)/2 analytically
@@ -149,13 +152,21 @@ class TestInfluenceNumerator:
 
     @pytest.mark.parametrize("name", ["ou", "quartic"])
     def test_array_matches_float_calls_bitwise(self, ou, quartic, name):
+        # an array reads F(y) for y <= x and 1 - F(y) elsewhere, NaN
+        # included; the bits are those of the float reads, at y == x and
+        # its neighbours, at +-inf and NaN, and at both table ends and past
         model = {"ou": ou, "quartic": quartic}[name]
-        ys = np.concatenate([np.linspace(-20.0, 20.0, 2001), [-0.0, 0.7, 1e-300, -1e-300]])
-        for x in (-3.0, 0.0, 0.7, 5.0):
-            got = influence_numerator(model, x, ys)
-            expect = np.array([influence_numerator(model, x, float(y)) for y in ys])
-            assert got.shape == ys.shape
-            assert np.array_equal(got, expect)
+        table = _cdf_table(model)
+        ends = [table.lo, table.hi, table.lo - 1.0, table.hi + 1.0]
+        ys = np.concatenate([np.linspace(-20.0, 20.0, 2001), [-0.0, 0.7, 1e-300, -1e-300],
+                             [np.inf, -np.inf, np.nan, -1e300, 1e300], ends])
+        for x in (-3.0, 0.0, 0.7, 5.0, float(table.nodes[4000]), *ends):
+            at = np.concatenate([ys, [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]])
+            got = influence_numerator(model, x, at)
+            expect = np.array([influence_numerator(model, x, float(y)) for y in at])
+            assert got.shape == at.shape
+            assert np.array_equal(got, expect, equal_nan=True)
+            assert np.array_equal(np.isnan(got), np.isnan(at))
 
 
 class TestLocalVariance:
@@ -473,13 +484,33 @@ class TestRepresentationDiscrepancy:
         path = simulate_path(ou, cfg)
         assert representation_discrepancy(path, wf_exp, ou, 0.0) < 0.1
 
-    def test_long_path_residual_equals_fsum_residual(self, ou, wf_exp):
+    @pytest.fixture(scope="class")
+    def long_path(self):
         # 100 000 steps: the martingale sum takes the array extraction
         cfg = SimConfig(horizon_T=500.0, dt=0.005, seed=21, init=1.5, store_wiener=True)
-        path = simulate_path(ou, cfg)
+        return simulate_path(ornstein_uhlenbeck(), cfg)
+
+    def test_long_path_residual_equals_fsum_residual(self, ou, wf_exp, long_path):
         for x in (-0.5, 0.0, 0.5):
-            assert representation_discrepancy(path, wf_exp, ou, x) == \
-                fsum_representation_residual(path, wf_exp, ou, x)
+            assert representation_discrepancy(long_path, wf_exp, ou, x) == \
+                fsum_representation_residual(long_path, wf_exp, ou, x)
+
+    # float.hex of representation_discrepancy and unbiased_estimate on
+    # long_path, measured with numpy 2.4.6; the oracle above reads the
+    # package's own influence ratio and estimate, so it cannot see their
+    # bits move
+    _PINNED_RESIDUAL_BITS = {
+        -0.5: ("0x1.7f7e7338370f0p-8", "0x1.f6f811c26c78fp-3"),
+        0.0: ("0x1.c5b6292c62480p-8", "0x1.049c7a747ec66p-1"),
+        0.5: ("0x1.242ba6413fd40p-7", "0x1.8b50497265308p-1"),
+    }
+
+    def test_long_path_residual_matches_pinned_bits(self, ou, wf_exp, long_path):
+        if np.__version__ != _PINNED_NUMPY:
+            pytest.skip(f"bits pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
+        for x, (residual, estimate) in self._PINNED_RESIDUAL_BITS.items():
+            assert representation_discrepancy(long_path, wf_exp, ou, x).hex() == residual
+            assert unbiased_estimate(long_path, wf_exp, ou, x).hex() == estimate
 
 
 @pytest.mark.slow

@@ -151,8 +151,8 @@ class TestWeightValues:
     def test_accumulator_marks_the_same_unweightable_steps(self, ou):
         # one chunk of 6 paths x 5 steps on OU (closed primitives, so no
         # reach): exp(-800) = 0 makes h = 0; a non-finite state makes its
-        # step's dX, and the next step's X, non-finite; poly h = inf is
-        # positive, so it is kept
+        # step's dX, and the next step's X, non-finite; at 1e80 h = inf is
+        # positive, but u and P u are infinite there, so that step is marked
         states = np.tile(np.linspace(-1.0, 1.0, 6)[:, None], (1, 6))
         states[2, 1] = -800.0
         states[3, 2] = np.inf
@@ -166,7 +166,8 @@ class TestWeightValues:
                                ou, 6, 5, 0.1)
         with np.errstate(all="ignore"):
             acc.add(slice(0, 6), 0, states)
-        assert acc.failures == {1: -800.0, 2: states[2, 2], 3: states[0, 3], 5: states[4, 5]}
+        assert acc.failures == {1: -800.0, 2: states[2, 2], 3: states[0, 3], 4: 1e80,
+                                5: states[4, 5]}
 
 
 class TestOutputArrays:
@@ -660,14 +661,68 @@ class TestCurveAccumulator:
         assert CurveAccumulator(uniform, edf, None, 1, 1, 1.0)._scale is not None
         assert CurveAccumulator(merged, edf, None, 1, 1, 1.0)._scale is None
 
-    def test_one_node_grid_is_searched(self):
-        # a single node has no affine map onto its index, so every point
-        # is searched rather than checked against a guess first
-        xs = np.array([0.3])
+    @pytest.mark.parametrize("node", [0.3, -0.0, 5e-324, -np.inf, np.inf, np.nan])
+    def test_one_node_grid_cells_by_one_comparison(self, node):
+        # a single node has no affine map onto its index; its cell is
+        # not (X < node), the search's cell at the node, its neighbours,
+        # NaN and the infinities. Every point compares false with a NaN
+        # node, which the search sorts last, so that grid keeps the search
+        xs = np.array([node])
         acc = CurveAccumulator(xs, [as_estimator("edf")], None, 1, 1, 1.0)
-        assert acc._scale is None
-        X = np.array([-np.inf, -2.0, np.nextafter(0.3, -1.0), 0.3, 0.7, np.inf, np.nan])
+        assert acc._scale is None and acc._one_node == (node == node)
+        X = np.array([node, np.nextafter(node, -np.inf), np.nextafter(node, np.inf),
+                      -np.inf, -2.0, 0.0, -0.0, 0.7, np.inf, np.nan])
         assert np.array_equal(acc._cells(X), np.searchsorted(xs, X, side="right"))
+
+    @pytest.mark.parametrize("xs", [np.array([0.3]), np.linspace(-2.0, 2.0, 21)],
+                             ids=["one_node", "uniform"])
+    def test_weight_only_curves_match_those_with_edf(self, ou, xs):
+        # the step counts are summed only with an EDF; leaving them out
+        # moves no bit of a weight's curve, stored or streamed
+        weights = ["unbiased:exp:delta=1", "unbiased:poly:p=2", "unbiased:const:c=1"]
+        path = simulate_path(ou, SimConfig(horizon_T=40.0, dt=0.005, seed=5))
+        alone = estimate_curves(path, xs, weights, ou)
+        with_edf = estimate_curves(path, xs, ["edf", *weights], ou)[1:]
+        for a, b in zip(alone, with_edf):
+            assert np.array_equal(a.values, b.values)
+        cfg = SimConfig(horizon_T=6.0, dt=0.01, seed=0)
+        seeds = [derive_substream_seed(11, r) for r in range(3)]
+        rows = []
+        for specs in (weights, ["edf", *weights]):
+            acc = CurveAccumulator(xs, [as_estimator(c) for c in specs], ou, len(seeds),
+                                   cfg.n_steps, cfg.dt)
+            stream_block(ou, cfg, seeds, acc.add)
+            rows.append(acc.curves()[-len(weights):])
+            assert acc.sums[0].any() == (specs[0] == "edf")
+        for a, b in zip(*rows):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_primitive_is_unweightable(self, ou):
+        # exp(730 u) at u = -0.98 is 1e-311 > 0, but its primitive
+        # -expm1(715)/730 overflows: the step cannot be weighted, and
+        # neither numpy nor the curve's finiteness check sees an infinity
+        path = Path(dt=0.01, values=np.array([0.0, -0.98, 0.5]))
+        with pytest.raises(EvaluationError, match="path 0 cannot be weighted") as err:
+            estimate_curve(path, [0.0, 1.0], exponential_weight(730.0), ou)
+        assert err.value.abscissa == -0.98
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_unweightable_step_across_both_screens(self, ou):
+        # one chunk of 3 paths x 4 steps: path 0 overflows at step 1 and
+        # has h = 0 at step 2, path 2 has h = 0 at step 0 and overflows at
+        # step 2, path 1 is clean; each path keeps its first such step and
+        # every sum stays finite
+        states = np.zeros((5, 3))
+        states[1, 0], states[2, 0] = -0.98, -800.0
+        states[0, 2], states[2, 2] = -800.0, -0.98
+        acc = CurveAccumulator(np.linspace(0.0, 1.0, 5),
+                               [as_estimator("unbiased:exp:delta=730")], ou, 3, 4, 0.01)
+        acc.add(slice(0, 3), 0, states)
+        assert acc.failures == {0: -0.98, 2: -800.0}
+        assert np.isfinite(acc.sums).all()
+        curves = acc.curves(dropped=np.array([True, False, True]))
+        assert np.isfinite(curves[0][1]).all()
 
     def test_streamed_block_matches_materialized_rows(self):
         # 1200 steps span three chunks; sigma is not constant, so both
