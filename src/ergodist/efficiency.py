@@ -216,18 +216,19 @@ def _influence_table(model: DiffusionModel) -> _Hermite:
     """The model's influence table, on the nodes of its distribution
     table: the rows A = int_lo^t F^2 r, C1 = int_lo^t F r,
     B = int_t^hi Fbar^2 r and C2 = int_t^hi Fbar r (r as in
-    :func:`_integrands`), each summed from the tail where it is small over
-    Simpson panels between nodes, with the exact slopes F^2 r, F r,
-    -Fbar^2 r and -Fbar r."""
+    :func:`_integrands`), each the running integral of its exact slope
+    (F^2 r, F r, -Fbar^2 r, -Fbar r) over Simpson panels between nodes,
+    based at the first node for A and C1 and at the last for B and C2, so
+    each is summed from the tail where it is small."""
     cached = model._cache.get("influence_table")
     if cached is not None:
         return cached
     t = _cdf_table(model)
     rows, steps = _simpson_panels(lambda v: _integrands(model, v), t)
-    cum = np.zeros(rows.shape)
-    np.cumsum(steps[:2], axis=1, out=cum[:2, 1:])
-    np.cumsum(steps[2:, ::-1], axis=1, out=cum[2:, -2::-1])
     rows[2:] *= -1.0
+    steps[2:] *= -1.0
+    n = steps.shape[1]
+    cum = np.stack([_running_from(p, k) for p, k in zip(steps, (0, 0, n, n))])
     table = _Hermite(t.nodes, cum, rows)
     model._cache["influence_table"] = table
     return table

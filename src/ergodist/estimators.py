@@ -723,7 +723,8 @@ class WeightConditionReport:
 
     A flag is a convergence screen, not a proof: the square moment of the
     dX coefficient times sigma, the absolute moment of the dt coefficient,
-    and the vanishing of R*sigma^2*f_S in the left tail.
+    and the vanishing of R*sigma^2*f_S in the left tail (a probe that is
+    not finite counts as not vanishing).
     """
 
     x: float
@@ -758,14 +759,14 @@ def check_weight_conditions(wf: WeightFunction, model: DiffusionModel,
     G = normalizing_constant(model)
     raw = _density_integrand(model)
     tail_values = []
-    for k in range(7):
-        y = -2.0 * 2.0**k
-        tail_values.append(abs(dx_weight(wf, model, x, y)) * float(model.diffusion_sq(y))
-                           * raw(y) / G)
+    with np.errstate(all="ignore"):  # inf * 0 = nan where the kernel overflows far out
+        for k in range(7):
+            y = -2.0 * 2.0**k
+            tail_values.append(abs(dx_weight(wf, model, x, y)) * float(model.diffusion_sq(y))
+                               * raw(y) / G)
     last3 = tail_values[-3:]
-    tail_ok = tail_values[-1] < 1e-10 and all(
-        last3[i + 1] <= last3[i] + 1e-300 for i in range(len(last3) - 1)
-    )
+    tail_ok = bool(all(map(math.isfinite, tail_values)) and tail_values[-1] < 1e-10 and all(
+        last3[i + 1] <= last3[i] + 1e-300 for i in range(len(last3) - 1)))
     return WeightConditionReport(
         x=x,
         sq_moment_ok=sq_ok,

@@ -12,10 +12,10 @@ is finite, the process is ergodic with invariant density
 
 This module computes the scale exponent and scale function, G(S), the
 invariant density/CDF/quantile, stationary expectations, and a numerical
-ergodicity screen. F, 1 - F and the quantile all read one distribution
-table per model. Per-model caches (normalizer, exponent and distribution
-tables) are write-once; racing writers compute identical values, so
-instances are safe for concurrent reads.
+ergodicity screen. G(S), F, 1 - F and the quantile all read one
+distribution table per model, whose mass is G(S). Per-model caches are
+write-once; racing writers compute identical values, so instances are
+safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     _evaluate,
+    compensated_sum,
     integrate,
     integrate_line,
     integrate_panels,
@@ -53,8 +54,8 @@ _CDF_PANELS = 8192
 # it is not grown (a query there means a law too wide to tabulate)
 _EXP_STEP = 1.0 / 128.0
 _EXP_MAX_HALFWIDTH = 1024.0
-# one-sided mass below this is treated as numerically zero when locating
-# the support cutoffs of the invariant law
+# a tail shell holding at most this share of the mass integrated so far
+# ends the support search on its side
 _TAIL_MASS = 1e-13
 
 
@@ -195,7 +196,10 @@ def _checked_exp(e: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
     """Node values of a running integral based at node ``k0``, accumulated
-    outward from it, given the integrals over the panels between nodes."""
+    outward from it, given the integrals over the panels between nodes:
+    the one rule for every table's node values. A row summed from the last
+    node, such as 1 - F, is given its negated panels (int_t^hi g =
+    int_hi^t -g)."""
     vals = np.zeros(panels.size + 1)
     np.cumsum(panels[k0:], out=vals[k0 + 1:])
     np.cumsum(panels[:k0][::-1], out=vals[:k0][::-1])
@@ -403,26 +407,12 @@ def _density_integrand(model: DiffusionModel) -> Callable:
 
 
 def normalizing_constant(model: DiffusionModel) -> float:
-    """G(S), cached on the model after the first computation.
-
-    Raises :class:`DivergenceError` when the integral fails the tail
-    criterion or the exponent overflows (both mean the model is not
-    ergodic along the probed range).
-    """
-    g = model._cache.get("g")
-    if g is not None:
-        return g
-    try:
-        res = integrate_line(_density_integrand(model))
-    except ExponentOverflowError as exc:
-        raise DivergenceError(
-            f"normalizer divergence-suspected: scale exponent overflow at y={exc.abscissa!r}"
-        ) from exc
-    value = res.value
-    if not (value > 0.0) or not math.isfinite(value):
-        raise DivergenceError(f"normalizer must be finite and positive, got {value!r}")
-    model._cache["g"] = value
-    return value
+    """G(S): the mass of the model's distribution table (:func:`_cdf_table`),
+    built when cold. Raises :class:`DivergenceError` as that build does: the
+    model is then not ergodic along the probed range."""
+    if "g" not in model._cache:
+        _cdf_table(model)
+    return model._cache["g"]
 
 
 def invariant_density(model: DiffusionModel, y):
@@ -432,51 +422,58 @@ def invariant_density(model: DiffusionModel, y):
     return _density_integrand(model)(y) / g
 
 
-def _tail_cutoff(model: DiffusionModel, side: int) -> float:
-    """Abscissa beyond which the one-sided invariant mass is < _TAIL_MASS."""
-    f = _density_integrand(model)
-    g = normalizing_constant(model)
-    L = DEFAULT_QUADRATURE.initial_halfwidth
-    cap = L * 2.0**20
-    while True:
-        a, b = (L, 2.0 * L) if side > 0 else (-2.0 * L, -L)
-        shell = integrate(f, a, b, _PANEL_SPEC).value / g
-        if shell < _TAIL_MASS:
-            return side * 2.0 * L
-        L *= 2.0
-        if L > cap:
-            raise DivergenceError("invariant mass tail did not fall off; model not ergodic?")
-
-
 def _support(model: DiffusionModel) -> tuple[float, float]:
-    """[lo, hi] of the model's distribution table: beyond each end the
-    invariant law holds less than _TAIL_MASS."""
+    """[lo, hi] of the model's distribution table, found without G(S): past
+    [-8, 8], each side doubles L from 8 until the shell [L, 2L] holds at most
+    _TAIL_MASS of all the mass integrated so far, and ends at 2L.
+    DivergenceError when the exponent overflows or L passes 8 * 2^20."""
     cached = model._cache.get("support")
-    if cached is None:
-        cached = model._cache["support"] = (_tail_cutoff(model, -1), _tail_cutoff(model, +1))
+    if cached is not None:
+        return cached
+    f = _density_integrand(model)
+    L0 = DEFAULT_QUADRATURE.initial_halfwidth
+    ends = []
+    try:
+        total = integrate(f, -L0, L0, _PANEL_SPEC).value
+        for side in (-1.0, 1.0):
+            for k in range(21):
+                L = side * L0 * 2.0**k
+                shell = integrate(f, min(L, 2.0 * L), max(L, 2.0 * L), _PANEL_SPEC).value
+                if shell <= _TAIL_MASS * total:
+                    ends.append(2.0 * L)
+                    break
+                total += shell
+            else:
+                raise DivergenceError("invariant mass tail did not fall off; model not ergodic?")
+    except ExponentOverflowError as exc:
+        raise DivergenceError(f"invariant law divergence-suspected: {exc}") from exc
+    cached = model._cache["support"] = tuple(ends)
     return cached
 
 
 def _cdf_table(model: DiffusionModel) -> _Hermite:
     """The model's distribution table: _CDF_PANELS + 1 nodes over its
-    support [lo, hi] (:func:`_support`), with the rows F and 1 - F and their
-    exact slopes f and -f. F is summed from the left tail and 1 - F from
-    the right, so each keeps its relative accuracy in its own tail."""
+    support (:func:`_support`), with the rows F and 1 - F, based at the
+    first and the last node so each keeps its relative accuracy in its own
+    tail, and their exact slopes f and -f. Its mass, the compensated sum of
+    its panel integrals, is G(S), cached under "g"; DivergenceError when
+    that is not finite and positive."""
     cached = model._cache.get("cdf_table")
     if cached is not None:
         return cached
-    g = normalizing_constant(model)
     lo, hi = _support(model)
     nodes = np.linspace(lo, hi, _CDF_PANELS + 1)
     panels, f = _table_panels("CDF table", model.label, _density_integrand(model), nodes,
                               _PANEL_SPEC)
+    g = compensated_sum(panels)
+    if not 0.0 < g < math.inf:
+        raise DivergenceError(f"normalizer must be finite and positive, got {g!r}")
     panels, f = panels / g, f / g
-    F = np.concatenate([[0.0], np.cumsum(panels)])
+    F, Fbar = _running_from(panels, 0), _running_from(-panels, panels.size)
     np.maximum.accumulate(F, out=F)
-    Fbar = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
     np.minimum.accumulate(Fbar, out=Fbar)
-    table = _Hermite(nodes, np.stack([F, Fbar]), np.stack([f, -f]))
-    model._cache["cdf_table"] = table
+    model._cache["g"] = g
+    table = model._cache["cdf_table"] = _Hermite(nodes, np.stack([F, Fbar]), np.stack([f, -f]))
     return table
 
 
@@ -542,7 +539,8 @@ def check_ergodicity(model: DiffusionModel, probe_radius: float) -> ErgodicityRe
     es_ok: the growth ratio (x*S(x) + sigma^2(x)) / (1 + x^2) stays bounded
     along doubling probe radii (its max fits a finite growth constant).
     vs_diverges: |V_S(+/-L)| increases strictly along L = probe_radius*2^k;
-    exponent saturation counts as divergence. g_finite: G(S) converged.
+    exponent saturation counts as divergence. g_finite: the distribution
+    table was built, and its mass G(S) is finite and positive.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be > 0")

@@ -38,7 +38,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .model import DiffusionModel, invariant_quantile, normalizing_constant
+from .model import DiffusionModel, invariant_quantile
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,7 +135,6 @@ def derive_substream_seed(master_seed: int, replication_index: int) -> int:
 
 def _initial_value(model: DiffusionModel, cfg: SimConfig, rng: np.random.Generator) -> float:
     if cfg.init == "stationary":
-        normalizing_constant(model)  # fail fast when the model is not ergodic
         u = rng.random()
         if u <= 0.0:
             u = 2.0**-53

@@ -41,6 +41,7 @@ from ergodist.harness import cli_main
 from ergodist.model import (
     DiffusionModel,
     _cdf_table,
+    _support,
     invariant_cdf,
     invariant_density,
     ornstein_uhlenbeck,
@@ -574,6 +575,21 @@ class TestMomentScreens:
         "shifted_down": lambda: shifted_ou(-20.0),
         "wavy": lambda: wavy_model(np),
     }
+    # every table's nodes, hence every digest, rest on these supports
+    SUPPORTS = {
+        "ou": (-16.0, 16.0),
+        "ou_narrow": (-16.0, 16.0),
+        "ou_wide": (-128.0, 128.0),
+        "quartic": (-16.0, 16.0),
+        "custom_ou": (-16.0, 16.0),
+        "shifted_up": (-16.0, 64.0),
+        "shifted_down": (-64.0, 16.0),
+        "wavy": (-16.0, 16.0),
+    }
+
+    @pytest.mark.parametrize("label", sorted(SWEEP_MODELS))
+    def test_support_is_pinned(self, label):
+        assert _support(self.SWEEP_MODELS[label]()) == self.SUPPORTS[label]
 
     @pytest.mark.parametrize("label", sorted(SWEEP_MODELS))
     def test_screens_match_direct_passes(self, label):

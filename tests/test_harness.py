@@ -371,6 +371,28 @@ class TestCli:
         assert inner["weight_moment_ok"] is True
         assert inner["thresholds"]["0.0"]["sq_moment_ok"] is True
 
+    @pytest.mark.parametrize("model", ["ou", "quartic"])
+    def test_check_conditions_overflowing_tail_probe(self, model, tmp_path):
+        # exp:delta=6's kernel overflows at the y = -128 tail probe
+        # (inf * 0 = nan): that counts as not vanishing, with no warning
+        out = tmp_path / "cc.json"
+        rc = cli_main(["check-conditions", "--model", model, "--nu", "gauss:0,1",
+                       "--estimator", "unbiased:exp:delta=6", "--x", "0", "--out", str(out)])
+        assert rc == 0
+        cell = json.load(open(out))["estimators"]["unbiased:exp:delta=6"]["thresholds"]["0.0"]
+        assert cell["tail_vanishes"] is False
+
+    def test_headline_script_quick(self, tmp_path):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                              os.path.join(root, "scripts", "run_efficiency_experiment.py"),
+                              str(tmp_path), "--quick"], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        reports = json.load(open(tmp_path / "result.json"))["reports"]
+        assert len(reports) == 3
+
     def test_compare_outputs_reads_two_json_files(self, tmp_path):
         old, new = tmp_path / "old.json", tmp_path / "new.json"
         rc = cli_main(["check-conditions", "--model", "ou", "--nu", "uniform:-2,2",

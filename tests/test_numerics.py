@@ -200,7 +200,7 @@ class TestIntegratePanels:
         # a custom model has no closed exponent, so every table is quadrature
         m = model.DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
                                  diffusion_sq=lambda x: 1.0, label="custom")
-        model.normalizing_constant(m)
+        model._support(m)
         calls = []
 
         def counting(f, edges, spec=numerics.DEFAULT_QUADRATURE, split=1):

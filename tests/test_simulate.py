@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergodist import simulate
-from ergodist.errors import ConfigError, EvaluationError, SimulationError
+from ergodist.errors import ConfigError, DivergenceError, EvaluationError, SimulationError
 from ergodist.estimators import CurveAccumulator, as_estimator
 from ergodist.model import (
     DiffusionModel,
@@ -103,6 +103,14 @@ class TestSimulatePath:
             if abs(path.values[-1]) < 3.0:
                 inside += 1
         assert inside >= 99
+
+    def test_stationary_start_of_flat_drift_diverges(self):
+        # the stationary start reads the distribution table, whose support
+        # search finds no tail on a flat drift
+        flat = DiffusionModel(drift=lambda x: 0.0, diffusion=lambda x: 1.0,
+                              diffusion_sq=lambda x: 1.0, label="flat")
+        with pytest.raises(DivergenceError):
+            simulate_path(flat, SimConfig(horizon_T=1.0, dt=0.1, seed=0))
 
     def test_explosion_reports_step(self):
         blowup = DiffusionModel(drift=lambda x: x**3, diffusion=lambda x: 1.0,
