@@ -37,7 +37,9 @@ from .estimators import (
     CurveAccumulator,
     EstimatorChoice,
     WeightFunction,
+    _below,
     as_estimator,
+    dx_weight,
     kernel,
     primitive,
     unbiased_estimate,
@@ -347,7 +349,7 @@ def _weight_table(wf: WeightFunction, model: DiffusionModel) -> _Hermite:
     P = primitive(wf, model, t.lo, t.hi)
 
     def rows(v: np.ndarray) -> np.ndarray:
-        h = on_array(wf.h, v)
+        h = on_array(lambda u: wf.h_pair(u)[0], v)
         return np.stack([h, P(v) * h])
 
     slopes, panels = _simpson_panels(rows, t)
@@ -389,30 +391,35 @@ def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: fl
     return weight_primitive(wf, model, x, y) + influence_primitive(model, x, y)
 
 
-def compensator(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
+def compensator(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Centered drift-side coefficient of the error representation:
-    1{y<x} K_x(y) [2 h(y) S(y) + h'(y) sigma^2(y)] - F_S(x).
+    1{y<x} K_x(y) [2 h(y) S(y) + h'(y) sigma^2(y)] - F_S(x), at a float y
+    (a float) or on an array of y (an array of its shape).
 
     Its stationary expectation is zero; that is what makes the estimator
     unbiased.
     """
-    fx = invariant_cdf(model, x)
-    if y >= x:
-        return -fx
-    bracket = (2.0 * float(wf.h(y)) * float(model.drift(y))
-               + float(wf.h_prime(y)) * float(model.diffusion_sq(y)))
-    return kernel(wf, model, x, y) * bracket - fx
+
+    def coefficient(v):
+        h, hp = wf.h_pair(v)
+        return kernel(wf, model, x, v) * (2.0 * h * on_array(model.drift, v)
+                                          + hp * on_array(model.diffusion_sq, v))
+
+    return _below(x, y, coefficient) - invariant_cdf(model, x)
 
 
-def boundary_derivative_closed(wf: WeightFunction, model: DiffusionModel,
-                               x: float, z: float) -> float:
-    """Closed form of the boundary-function derivative:
-    2*1{z<x} h(z) K_x(z) + 2*infl(x, z) / (sigma^2(z) f_S(z))."""
+def boundary_derivative_closed(wf: WeightFunction, model: DiffusionModel, x: float, z):
+    """Closed form of the boundary-function derivative, ``dx_weight`` plus
+    the influence ratio: 2*1{z<x} h(z) K_x(z) + 2*infl(x, z) / (sigma^2(z)
+    f_S(z)), at a float or on an array of z as :func:`compensator`.
+    TailError at the first z where f_S(z) underflows below 1e-300."""
     fz = invariant_density(model, z)
-    if fz < 1e-300:
-        raise TailError(f"invariant density underflows at z={z!r}")
-    first = 2.0 * float(wf.h(z)) * kernel(wf, model, x, z) if z < x else 0.0
-    return first + 2.0 * influence_numerator(model, x, z) / (float(model.diffusion_sq(z)) * fz)
+    low = np.ravel(fz < 1e-300)
+    if low.any():
+        raise TailError(f"invariant density underflows at z={float(np.ravel(z)[low.argmax()])!r}")
+    out = (dx_weight(wf, model, x, z)
+           + 2.0 * influence_numerator(model, x, z) / (on_array(model.diffusion_sq, z) * fz))
+    return out if isinstance(z, np.ndarray) else float(out)
 
 
 def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
@@ -759,7 +766,7 @@ def empirical_risk(
     eval_xs = xs
     if nu.kind == "point_masses":
         eval_xs = np.unique(np.concatenate([xs, [x for x, _ in nu.atoms]]))
-    truth = np.array([invariant_cdf(model, float(x)) for x in eval_xs])
+    truth = _cdf_pair(model, eval_xs)[0]
     weights = _nu_quad_weights(nu, eval_xs)
     sim_r = replace(sim, init="stationary", store_wiener=False)
     ctx = _RiskContext(model=model, choices=choices, sim=sim_r, eval_xs=eval_xs, truth=truth)

@@ -66,21 +66,17 @@ _SEARCH_POINTS = 4096
 class WeightFunction:
     """Positive, continuously differentiable weight with its derivative.
 
-    ``h`` and ``h_prime`` may be written for floats (``math`` functions,
-    an ``if`` on u) or for numpy arrays: every array read of them goes
-    through :func:`ergodist.numerics.on_array`, which broadcasts a scalar
-    result and falls back to float calls. ``h_pair(u, out)`` is the one
-    evaluator of h and h' on an array; ``inv_h_primitive(u, out)``, set
-    only for the built-in weights, is a closed-form antiderivative of 1/h,
-    which with a constant sigma gives the kernel in closed form. The
-    built-in weights write them into ``out`` (a pair of arrays, one array)
-    where given, which the curve accumulator keeps from chunk to chunk; a
-    constant weight's pair is two scalars. Only the four factories
-    construct a weight.
+    ``h_pair(u, out=None)`` is the one evaluator of h and h': it takes a
+    float, a 0-d array or an array and gives (h(u), h'(u)). The built-in
+    weights write them into ``out`` (a pair of arrays of u's shape) where
+    given, which the curve accumulator keeps from chunk to chunk; a
+    constant weight's pair is two scalars, which a reader broadcasts
+    through :func:`ergodist.numerics.on_array`. ``inv_h_primitive(u,
+    out)``, set only for the built-in weights, is a closed-form
+    antiderivative of 1/h, which with a constant sigma gives the kernel in
+    closed form. Only the four factories construct a weight.
     """
 
-    h: Callable
-    h_prime: Callable
     kind: str
     params: dict
     h_pair: Callable
@@ -106,33 +102,22 @@ def polynomial_weight(p: int = 1) -> WeightFunction:
         raise ValueError("polynomial weight requires p >= 1")
     two_p = 2 * p
 
-    def odd(u):  # u^(2p-1)
-        if p == 1:
-            return u
-        sq = u * u
-        r = u * sq
-        for _ in range(p - 2):
-            r = r * sq
-        return r
-
-    def pair(u, out=(None, None)):
-        h, hp = out
+    def pair(u, out=None):
+        h, hp = out or (None, None)
         if p == 1:
             h = np.multiply(u, u, out=h)
             h += 1.0
             return h, np.multiply(two_p, u, out=hp)
-        hp = np.multiply(u, u, out=hp)  # u^2, then h'
-        h = np.multiply(u, hp, out=h)  # r, then h
+        sq = np.multiply(u, u, out=hp)  # u^2, then h' where given
+        h = np.multiply(u, sq, out=h)  # r, then h
         for _ in range(p - 2):
-            h *= hp
-        np.multiply(two_p, h, out=hp)
+            h *= sq
+        hp = np.multiply(two_p, h, out=hp)
         h *= u
         h += 1.0
         return h, hp
 
     return WeightFunction(
-        h=lambda u: 1.0 + odd(u) * u,
-        h_prime=lambda u: two_p * odd(u),
         kind="poly",
         params={"p": p},
         inv_h_primitive=np.arctan if p == 1 else _poly_inv_h_primitive(p),
@@ -202,10 +187,10 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
     if not 0.0 < delta < math.inf:
         raise ValueError(f"exponential weight requires a finite delta > 0, got {delta!r}")
 
-    def pair(u, out=(None, None)):
-        h = np.multiply(delta, u, out=out[0])
-        np.exp(h, out=h)
-        return h, np.multiply(delta, h, out=out[1])
+    def pair(u, out=None):
+        h, hp = out or (None, None)
+        h = np.exp(np.multiply(delta, u, out=h), out=h)
+        return h, np.multiply(delta, h, out=hp)
 
     def inv(u, out=None):  # normalized so the primitive vanishes at 0
         if out is None:
@@ -217,8 +202,6 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
         return out
 
     return WeightFunction(
-        h=lambda u: np.exp(delta * u),
-        h_prime=lambda u: delta * np.exp(delta * u),
         kind="exp",
         params={"delta": delta},
         inv_h_primitive=inv,
@@ -232,8 +215,6 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     if not 0.0 < c < math.inf:
         raise ValueError(f"constant weight requires a finite c > 0, got {c!r}")
     return WeightFunction(
-        h=lambda u: c,
-        h_prime=lambda u: 0.0,
         kind="const",
         params={"c": c},
         inv_h_primitive=lambda u, out=None: u / c if out is None else np.divide(u, c, out=out),
@@ -242,10 +223,13 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
 
 
 def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> WeightFunction:
-    """Arbitrary positive weight with no closed-form primitive: kernels are
-    quadratures; curves and the weight table read :func:`primitive`'s table.
-    Its ``h_pair`` is two fresh ``on_array`` reads and ignores ``out``."""
-    return WeightFunction(h=h, h_prime=h_prime, kind="custom", params={"label": label},
+    """Arbitrary positive weight h with derivative h_prime, each written for
+    floats (``math`` functions, an ``if`` on u) or for numpy arrays, and no
+    closed-form primitive: kernels are quadratures; curves and the weight
+    table read :func:`primitive`'s table. Its ``h_pair`` is two fresh
+    :func:`ergodist.numerics.on_array` reads, arrays of u's shape, and
+    ignores ``out``."""
+    return WeightFunction(kind="custom", params={"label": label},
                           h_pair=lambda u, out=None: (on_array(h, u), on_array(h_prime, u)))
 
 
@@ -258,7 +242,8 @@ def _kernel_integrand(wf: WeightFunction, model: DiffusionModel) -> Callable:
 
     def g(v):
         v = np.asarray(v, dtype=float)
-        return 1.0 / (_sigma_sq(model, v) * _positive(wf.h, v, "weight function h"))
+        return 1.0 / (_sigma_sq(model, v) * _positive(lambda u: wf.h_pair(u)[0], v,
+                                                      "weight function h"))
 
     return g
 
@@ -342,13 +327,14 @@ def _below(x: float, y, coefficient: Callable):
 
 def dx_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Coefficient of dX in the estimator: 2*1{y<x}*K_x(y)*h(y); 0 for y >= x."""
-    return _below(x, y, lambda v: 2.0 * kernel(wf, model, x, v) * on_array(wf.h, v))
+    return _below(x, y, lambda v: 2.0 * kernel(wf, model, x, v)
+                  * on_array(lambda u: wf.h_pair(u)[0], v))
 
 
 def dt_weight(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """Coefficient of dt: 1{y<x}*K_x(y)*h'(y)*sigma^2(y); 0 for y >= x."""
-    return _below(x, y, lambda v: kernel(wf, model, x, v) * on_array(wf.h_prime, v)
-                  * on_array(model.diffusion_sq, v))
+    return _below(x, y, lambda v: kernel(wf, model, x, v)
+                  * on_array(lambda u: wf.h_pair(u)[1], v) * on_array(model.diffusion_sq, v))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from .errors import (ConfigError, DivergenceError, EvaluationError, RiskRunError
 from .estimators import as_estimator, check_weight_conditions, parse_estimator
 from .model import (
     DiffusionModel,
+    _cdf_pair,
     check_ergodicity,
-    invariant_cdf,
     invariant_density,
     model_from_spec,
 )
@@ -325,8 +325,7 @@ def _cmd_truth(args) -> int:
     model = _model_from_arg(args.model)
     xs = _parse_grid_arg(args.grid)
     with _out_stream(args.out) as fh:
-        _write_csv(fh, ["x", "F", "f"], xs, [invariant_cdf(model, float(x)) for x in xs],
-                   [invariant_density(model, float(x)) for x in xs])
+        _write_csv(fh, ["x", "F", "f"], xs, _cdf_pair(model, xs)[0], invariant_density(model, xs))
     return 0
 
 

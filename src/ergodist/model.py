@@ -536,23 +536,27 @@ def stationary_expectation(model: DiffusionModel, g: Callable[[float], float]) -
 def check_ergodicity(model: DiffusionModel, probe_radius: float) -> ErgodicityReport:
     """Numerical screen (not a proof) of the ergodicity conditions.
 
-    es_ok: the growth ratio (x*S(x) + sigma^2(x)) / (1 + x^2) stays bounded
-    along doubling probe radii (its max fits a finite growth constant).
-    vs_diverges: |V_S(+/-L)| increases strictly along L = probe_radius*2^k;
-    exponent saturation counts as divergence. g_finite: the distribution
-    table was built, and its mass G(S) is finite and positive.
+    es_ok: the growth ratio (x*S(x) + sigma^2(x)) / (1 + x^2), its terms
+    divided by max(|x|, 1) so none overflows, stays bounded above (-inf
+    included) along doubling probe radii (its max fits a finite growth
+    constant). vs_diverges: |V_S(+/-L)| increases strictly along L =
+    probe_radius*2^k; exponent saturation counts as divergence, silently.
+    g_finite: the distribution table was built, and its mass G(S) is
+    finite and positive.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be > 0")
     radii = [probe_radius * 2.0**k for k in range(7)]
 
     def growth_ratio(y: float) -> float:
-        return (y * float(model.drift(y)) + _sigma_sq(model, y)) / (1.0 + y * y)
+        k = max(abs(y), 1.0)
+        s, s2 = float(model.drift(y)), float(_sigma_sq(model, y))
+        return (y / k * s + s2 / k) / (1.0 / k + y / k * y)
 
     es_ok = True
     for sign in (+1.0, -1.0):
         seq = [growth_ratio(sign * r) for r in radii]
-        if not all(math.isfinite(v) for v in seq):
+        if any(math.isnan(v) or v == math.inf for v in seq):
             es_ok = False
             continue
         inner_max = max(seq[:-1])
@@ -565,7 +569,8 @@ def check_ergodicity(model: DiffusionModel, probe_radius: float) -> ErgodicityRe
         prev = 0.0
         for r in radii:
             try:
-                v = abs(scale_function(model, sign * r))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v = abs(scale_function(model, sign * r))
             except ExponentOverflowError:
                 break  # saturation: |V_S| off the float range counts as divergence
             if not v > prev:

@@ -88,14 +88,23 @@ def exact_fraction_sum(xs) -> float:
     return float(sum(Fraction(v) * c for v, c in counts.items()))
 
 
-def _ou_influence_grid(x: float, ys: np.ndarray) -> np.ndarray:
-    """infl(x, y) on a grid in the cancellation-free product form, using
-    scipy's normal distribution (independent of the package under test)."""
+def _ou_law_grid(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and 1 - F of OU(1, 1)'s invariant law N(0, 1/2) on a grid, from
+    scipy's normal distribution."""
     from scipy.stats import norm
 
     root2 = math.sqrt(2.0)
-    F = norm.cdf(ys * root2)
-    S = norm.sf(ys * root2)
+    return norm.cdf(ys * root2), norm.sf(ys * root2)
+
+
+def _ou_influence_grid(x: float, ys: np.ndarray, law=None) -> np.ndarray:
+    """infl(x, y) on a grid in the cancellation-free product form, using
+    scipy's normal distribution (independent of the package under test);
+    ``law`` is :func:`_ou_law_grid` of ys where already formed."""
+    from scipy.stats import norm
+
+    root2 = math.sqrt(2.0)
+    F, S = _ou_law_grid(ys) if law is None else law
     Fx = float(norm.cdf(x * root2))
     Sx = float(norm.sf(x * root2))
     return np.where(ys <= x, F * Sx, Fx * S)
@@ -111,15 +120,17 @@ def trapezoid_local_variance(x: float, lo: float = -8.0, hi: float = 8.0,
 
 
 def trapezoid_ou_bound_gaussian_nu(n_x: int = 1601, n_y: int = 200_001) -> float:
-    """Dense double trapezoid for the OU bound with standard gaussian weight."""
+    """Dense double trapezoid for the OU bound with standard gaussian weight;
+    the law on the inner grid is formed once for every x."""
     from scipy.stats import norm
 
     ys = np.linspace(-8.0, 8.0, n_y)
     f = np.exp(-ys * ys) / math.sqrt(math.pi)
+    law = _ou_law_grid(ys)
     xs = np.linspace(-8.0, 8.0, n_x)
     R = np.empty_like(xs)
     for i, x in enumerate(xs):
-        infl = _ou_influence_grid(float(x), ys)
+        infl = _ou_influence_grid(float(x), ys, law)
         R[i] = np.trapezoid(4.0 * infl * infl / f, ys)
     return float(np.trapezoid(R * norm.pdf(xs), xs))
 
@@ -233,7 +244,7 @@ def martingale_weight(wf, model, x: float, y: float) -> float:
     2 * 1{y<x} h(y) K_x(y) sigma(y)."""
     if y >= x:
         return 0.0
-    return 2.0 * float(wf.h(y)) * kernel(wf, model, x, y) * float(model.diffusion(y))
+    return 2.0 * float(wf.h_pair(y)[0]) * kernel(wf, model, x, y) * float(model.diffusion(y))
 
 
 def edf(path, x: float) -> float:
@@ -290,7 +301,8 @@ def weight_moment_direct(wf, model, nu) -> tuple[bool, float]:
     P = primitive(wf, model, table.lo, table.hi)
     mids = ys[:-1] + 0.5 * step
     Pys, Pmids = P(ys), P(mids)
-    hys, hmids = on_array(wf.h, ys), on_array(wf.h, mids)
+    h = lambda u: wf.h_pair(u)[0]
+    hys, hmids = on_array(h, ys), on_array(h, mids)
 
     def inner(x: float) -> float:
         if x <= table.lo:
@@ -298,7 +310,7 @@ def weight_moment_direct(wf, model, nu) -> tuple[bool, float]:
         px = float(P(x)) if x <= table.hi else kernel(wf, model, x, 0.0)
 
         def part(a: float, b: float) -> float:  # Simpson on [a, b], below x
-            f = lambda v: 2.0 * (px - float(P(v))) * float(wf.h(v))
+            f = lambda v: 2.0 * (px - float(P(v))) * float(h(v))
             return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
 
         def running(t: float) -> float:  # the integral from lo to min(t, x)
@@ -324,7 +336,7 @@ def weight_primitive_quadrature(wf, model, x: float, y: float) -> float:
     def integrand(v: float) -> float:
         if v >= x:
             return 0.0
-        return 2.0 * kernel(wf, model, x, v) * float(wf.h(v))
+        return 2.0 * kernel(wf, model, x, v) * float(wf.h_pair(v)[0])
 
     return kinked_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
 

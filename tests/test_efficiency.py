@@ -464,6 +464,82 @@ class TestOdeResidual:
                 assert abs(ode_residual(wf, ou, x, float(y))) < 1e-3
 
 
+class TestIdentityCoefficientsOnArrays:
+    ZS = np.concatenate([np.linspace(-3.0, 3.0, 25), [0.7, -0.0]])
+    WEIGHTS = ["exp:delta=1", "poly:p=1", "poly:p=2", "poly:p=3", "const:c=2.5"]
+    MODELS = {"ou": lambda: ornstein_uhlenbeck(2.0, 0.5), "quartic": quartic_well,
+              "custom_ou": lambda: DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                                                  diffusion_sq=lambda x: 1.0, label="custom_ou")}
+
+    @staticmethod
+    def weights():
+        yield from (parse_estimator(f"unbiased:{spec}").weight
+                    for spec in TestIdentityCoefficientsOnArrays.WEIGHTS)
+        yield custom_weight(lambda u: 1.0 + u**4, lambda u: 4.0 * u**3)
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_array_equals_float_calls(self, label):
+        # bit for bit where the kernel has a closed form; where it is a
+        # quadrature (a custom weight, or a model without a constant
+        # sigma), an array takes the kernel's panel route and a float its
+        # own adaptive quadrature, which agree to rounding
+        model = self.MODELS[label]()
+        for wf in self.weights():
+            exact = wf.inv_h_primitive is not None and model.sigma_const is not None
+            for x in (-1.0, 0.0, 0.7):
+                for fn in (compensator, boundary_derivative_closed):
+                    got = fn(wf, model, x, self.ZS)
+                    want = [fn(wf, model, x, float(z)) for z in self.ZS]
+                    assert isinstance(got, np.ndarray) and got.shape == self.ZS.shape
+                    assert all(type(w) is float for w in want)
+                    if exact:
+                        assert np.array_equal(got, want)
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_tail_error_names_the_first_underflowing_z(self, ou, wf_exp):
+        zs = np.array([0.0, 1.0, -40.0, 45.0])
+        with pytest.raises(TailError, match=r"z=-40\.0"):
+            boundary_derivative_closed(wf_exp, ou, 0.0, zs)
+
+    def _record(self, monkeypatch, module, names):
+        shapes = {name: [] for name in names}
+        for name, seen in shapes.items():
+            real = getattr(module, name)
+
+            def recorded(wf, model, x, y, real=real, seen=seen):
+                seen.append(np.shape(y))
+                return real(wf, model, x, y)
+
+            monkeypatch.setattr(module, name, recorded)
+        return shapes
+
+    @staticmethod
+    def all_arrays(shapes):
+        return shapes and all(len(s) == 1 and s[0] >= 7 for s in shapes)
+
+    def test_direct_and_ode_integrands_reach_them_as_arrays(self, ou, wf_poly, monkeypatch):
+        shapes = self._record(monkeypatch, efficiency,
+                              ["compensator", "boundary_derivative_closed"])
+        boundary_derivative_direct(wf_poly, ou, 0.5, 1.0)
+        assert self.all_arrays(shapes["compensator"])
+        shapes["compensator"].clear()
+        ode_residual(wf_poly, ou, 0.5, -0.5)
+        assert self.all_arrays(shapes["boundary_derivative_closed"])
+        assert shapes["compensator"] == [()]  # the residual's own value at y
+
+    def test_regroup_integrand_reaches_them_as_arrays(self, tmp_path, monkeypatch):
+        from ergodist import harness
+
+        shapes = self._record(monkeypatch, harness, ["boundary_derivative_closed"])
+        rc = cli_main(["identity-checks", "--model", "ou", "--estimator", "unbiased:poly:p=2",
+                       "--x", "0.5", "--z-grid", "-1:1:3", "--out", str(tmp_path / "idc.json")])
+        assert rc == 0
+        seen = shapes["boundary_derivative_closed"]
+        assert seen.count(()) == 3  # the derivative identity's one call per z
+        assert self.all_arrays([s for s in seen if s != ()])
+
+
 class TestRepresentationDiscrepancy:
     def test_requires_increments(self, ou, wf_exp):
         path = Path(dt=0.1, values=np.zeros(11))

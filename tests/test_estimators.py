@@ -33,7 +33,7 @@ from ergodist.model import (
     ornstein_uhlenbeck,
     stationary_expectation,
 )
-from ergodist.numerics import QuadratureSpec, on_array
+from ergodist.numerics import QuadratureSpec
 
 from oracles import edf, stored_block
 from test_model import growth_probes, unconverged_ranges
@@ -85,8 +85,8 @@ class TestWeightConstruction:
     def test_derivative_matches_finite_differences(self, wf):
         h = 1e-6
         for u in (-2.0, -0.5, 0.0, 0.5, 2.0):
-            fd = (float(wf.h(u + h)) - float(wf.h(u - h))) / (2.0 * h)
-            assert float(wf.h_prime(u)) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            fd = (float(wf.h_pair(u + h)[0]) - float(wf.h_pair(u - h)[0])) / (2.0 * h)
+            assert float(wf.h_pair(u)[1]) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_negative_custom_weight_rejected_at_evaluation(self, ou):
         bad = custom_weight(h=lambda u: u, h_prime=lambda u: 1.0)
@@ -111,13 +111,12 @@ class TestWeightValues:
     ])
 
     def pairs(self, wf):
-        """h and h' by the one-pass pair, by the two array reads, and by
-        the two functions on each float."""
+        """h and h' by one read of the array, and by a read of each point
+        as a float and as a 0-d array."""
         with np.errstate(all="ignore"):
             yield wf.h_pair(self.U)
-            yield on_array(wf.h, self.U), on_array(wf.h_prime, self.U)
-            yield (np.array([wf.h(u) for u in self.U.tolist()]),
-                   np.array([wf.h_prime(u) for u in self.U.tolist()]))
+            for point in (float, np.array):
+                yield tuple(map(np.array, zip(*(wf.h_pair(point(u)) for u in self.U.tolist()))))
 
     def test_poly_1_is_numpy_square_bit_for_bit(self):
         u = self.U
@@ -140,10 +139,11 @@ class TestWeightValues:
                 ulps = np.abs(_ordered_bits(g[finite]) - _ordered_bits(w[finite]))
                 assert ulps.max() <= 2 * p
 
-    def test_exp_pair_is_h_and_h_prime_bit_for_bit(self):
+    def test_exp_pair_is_numpy_exp_bit_for_bit(self):
         wf = exponential_weight(0.7)
         with np.errstate(all="ignore"):
-            want = (wf.h(self.U), wf.h_prime(self.U))
+            e = np.exp(0.7 * self.U)
+            want = (e, 0.7 * e)
         for got in self.pairs(wf):
             for g, w in zip(got, want):
                 assert np.array_equal(g, w, equal_nan=True)
@@ -172,7 +172,7 @@ class TestWeightValues:
 
 class TestOutputArrays:
     """The built-in weights' callables write into given arrays the bits
-    of their fresh-array calls."""
+    of their fresh-array calls and of their calls on each float."""
 
     U = np.concatenate([
         [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300,
@@ -192,11 +192,25 @@ class TestOutputArrays:
         out = self.dirty(self.U.size)
         with np.errstate(all="ignore"):
             got = wf.h_pair(self.U, out)
-            want = on_array(wf.h, self.U), on_array(wf.h_prime, self.U)
-        for g, w in zip(got, want):
+            fresh = wf.h_pair(self.U)
+            floats = zip(*(wf.h_pair(u) for u in self.U.tolist()))
+        for g, f, w in zip(got, fresh, floats):
+            w = np.array(w)
             assert np.array_equal(np.broadcast_to(g, w.shape), w, equal_nan=True)
+            assert np.array_equal(np.broadcast_to(f, w.shape), w, equal_nan=True)
         if wf.kind != "const":
             assert all(g is o for g, o in zip(got, out))
+
+    @pytest.mark.parametrize("spec", WEIGHTS)
+    def test_h_pair_takes_a_float_a_0d_array_and_an_array(self, spec):
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        for u in (0.5, -2.0, 0.0):
+            want = [float(np.broadcast_to(w, (1,))[0]) for w in wf.h_pair(np.array([u]))]
+            for arg, out in ((u, None), (np.array(u), None),
+                             (np.array(u), (np.empty(()), np.empty(())))):
+                got = wf.h_pair(arg, out)
+                assert [np.shape(g) for g in got] == [(), ()]
+                assert [float(g) for g in got] == want
 
     @pytest.mark.parametrize("spec", WEIGHTS)
     @pytest.mark.parametrize("s", [1.0, 0.7])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,16 @@ _PINNED_SHA256 = {
 # sha256 of the CSV that `simulate` writes for one OU path from x0 = 1.5
 # (see test_simulate_csv_matches_pinned_digest), with numpy 2.4.6.
 _PINNED_SIMULATE_SHA256 = "8b6180dfdc006563ab9c33c5a228652be691ab76b02c22a5d053526f63f97278"
+# sha256 of the JSON that `identity-checks` prints for each argument list
+# (see test_identity_checks_json_matches_pinned_digest), with numpy 2.4.6.
+_PINNED_IDENTITY_SHA256 = {
+    "ou_exp": (["--model", "ou", "--estimator", "unbiased:exp:delta=1", "--seeds", "2",
+                "--T", "5"],
+               "b6478143adc2cf2f91645a9f5489285a8244ac2cf5323582475d56447e743491"),
+    "quartic_poly": (["--model", "quartic", "--estimator", "unbiased:poly:p=2", "--x", "0.5",
+                      "--x", "-1"],
+                     "3fe8692964f3adb884ff7cc2a9f878fd9ca5c7e75a1a293b60f115bbd70a470a"),
+}
 
 
 class TestImport:
@@ -270,6 +281,14 @@ class TestByteIdentity:
                        "--x0", "1.5", "--burn-in", "3", "--store-wiener", "--out", str(out)])
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SIMULATE_SHA256
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_IDENTITY_SHA256))
+    def test_identity_checks_json_matches_pinned_digest(self, name, capsys):
+        if np.__version__ != _PINNED_NUMPY:
+            pytest.skip(f"digests pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
+        args, digest = _PINNED_IDENTITY_SHA256[name]
+        assert cli_main(["identity-checks", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestRiskCsvFormat:
@@ -338,6 +357,19 @@ class TestCli:
         out = tmp_path / "cm.json"
         rc = cli_main(["check-model", "--model", "ou", "--out", str(out)])
         assert rc == 0
+        data = json.load(open(out))
+        assert data["es_ok"] and data["vs_diverges"] and data["g_finite"]
+
+    @pytest.mark.parametrize("model,radius", [("ou", "1e300"), ("quartic", "1e100")])
+    def test_check_model_at_a_huge_probe_radius(self, tmp_path, model, radius):
+        # x S(x) and x^2 overflow there; the ratio is formed without them,
+        # and V_S's saturation is divergence, not a warning
+        out = tmp_path / "cm.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_main(["check-model", "--model", model, "--probe-radius", radius,
+                           "--out", str(out)])
+        assert rc == 0 and not caught
         data = json.load(open(out))
         assert data["es_ok"] and data["vs_diverges"] and data["g_finite"]
 
