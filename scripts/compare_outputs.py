@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Compare the outputs of two experiment runs, or two JSON files, field by
-field.
+"""Compare the outputs of two experiment runs, or two JSON or CSV files,
+field by field.
 
 For every numeric field of result.json (lists element by element) and every
 column of every risk_*.csv, prints the largest absolute move and the
 largest relative move |new - old| / max(|old|, |new|) from OLD_DIR to
 NEW_DIR. Given two JSON files instead, such as two ``check-conditions
---out`` payloads, it compares their fields the same way. ``config.output_dir``
+--out`` payloads, it compares their fields the same way; given two CSV
+files, such as two ``simulate --out`` paths, their columns, as for a
+risk_*.csv (an empty cell, like a path's last dW, reads as NaN and
+matches an empty cell). ``config.output_dir``
 is skipped: outputs written before result.json stopped echoing it name
 their directory there, which differs between two otherwise identical runs.
 A non-numeric field is listed only when it differs. Each file's line of
@@ -17,9 +20,10 @@ shown by one command.
 Usage:
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
     python scripts/compare_outputs.py OLD.json NEW.json
+    python scripts/compare_outputs.py OLD.csv NEW.csv
 
 Exits 1 when a field or file is present on one side only or a list changed
-length, 2 on bad arguments, else 0.
+length, 2 on bad arguments (a CSV file against a JSON one among them), else 0.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ def _result_fields(path: str) -> dict:
 def _csv_columns(path: str) -> dict:
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return {col: [float(r[col]) for r in rows] for col in (rows[0] if rows else {})}
+    return {col: [float(r[col] or "nan") for r in rows] for col in (rows[0] if rows else {})}
 
 
 def _sha256(path: str) -> str:
@@ -103,8 +107,9 @@ def _sha256(path: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and all(os.path.isfile(p) for p in argv):
-        pairs = [(os.path.basename(argv[1]), argv, _result_fields)]
+    csvs = [p.endswith(".csv") for p in argv]
+    if len(argv) == 2 and all(os.path.isfile(p) for p in argv) and csvs[0] == csvs[1]:
+        pairs = [(os.path.basename(argv[1]), argv, _csv_columns if csvs[0] else _result_fields)]
     elif len(argv) == 2 and all(os.path.isdir(d) for d in argv):
         names = sorted({os.path.basename(p) for d in argv
                         for p in glob.glob(os.path.join(d, "risk_*.csv"))})

@@ -21,6 +21,7 @@ safe for concurrent reads.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -542,10 +543,15 @@ def check_ergodicity(model: DiffusionModel, probe_radius: float) -> ErgodicityRe
     constant). vs_diverges: |V_S(+/-L)| increases strictly along L =
     probe_radius*2^k; exponent saturation counts as divergence, silently.
     g_finite: the distribution table was built, and its mass G(S) is
-    finite and positive.
+    finite and positive. A probe radius whose largest probe 2^6 *
+    probe_radius is not finite raises ValueError naming the largest
+    usable radius, sys.float_info.max / 2^6.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be > 0")
+    if not math.isfinite(probe_radius * 2.0**6):
+        raise ValueError(f"probe_radius must be at most {sys.float_info.max / 2.0**6!r}, so "
+                         f"that its largest probe, 2^6 times it, is finite; got {probe_radius!r}")
     radii = [probe_radius * 2.0**k for k in range(7)]
 
     def growth_ratio(y: float) -> float:

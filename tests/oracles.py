@@ -4,9 +4,10 @@ Everything here is deliberately computed by a different route than the
 package under test: power series, exact rational arithmetic, dense
 trapezoid rules on closed-form densities, and scipy's own distribution
 functions. Values asserted in the tests were produced by these oracles.
-The last eight are the exception, test-only helpers built on the package:
+The last nine are the exception, test-only helpers built on the package:
 ``occupation_mean`` and ``martingale_weight``, quantities it never
 computes; ``edf``, the EDF at one threshold straight from its definition;
+``step_float_per_step``, the float kernel as one checked step at a time;
 ``stored_block``, which keeps the rows that ``stream_block`` hands over;
 ``influence_moment_direct`` and ``weight_moment_direct``, the moment
 screens by a full pass over the table's nodes at each outer point;
@@ -251,6 +252,26 @@ def edf(path, x: float) -> float:
     """Fraction of left grid points strictly below x; always in [0, 1]."""
     left = path.values[:-1]
     return float(np.count_nonzero(left < x)) / len(left)
+
+
+def step_float_per_step(model, dt: float, states: np.ndarray, incs: np.ndarray) -> None:
+    """The float kernel stepped one Python float at a time, each drift and
+    sigma value converted by float(), up to the first non-finite state,
+    an OverflowError a step to inf: a drop-in for ``simulate._step_float``
+    and the reference for its chunk comprehension."""
+    drift = model.drift
+    sigma = None if model.sigma_const is not None else model.diffusion
+    x = float(states[0, 0])
+    rows = []
+    for inc in incs[:, 0].tolist():
+        try:
+            x = x + float(drift(x)) * dt + (inc if sigma is None else float(sigma(x)) * inc)
+        except OverflowError:
+            x = math.inf
+        rows.append(x)
+        if not math.isfinite(x):
+            break
+    states[1:len(rows) + 1, 0] = rows
 
 
 class StoredBlock(NamedTuple):

@@ -373,6 +373,16 @@ class TestCli:
         data = json.load(open(out))
         assert data["es_ok"] and data["vs_diverges"] and data["g_finite"]
 
+    @pytest.mark.parametrize("radius", ["1e307", "inf"])
+    def test_check_model_probe_past_the_float_range_exits_2(self, tmp_path, capsys, radius):
+        # the largest probe is 2^6 times the radius; the message names the
+        # largest radius whose probes are all finite
+        out = tmp_path / "cm.json"
+        rc = cli_main(["check-model", "--model", "ou", "--probe-radius", radius,
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert repr(sys.float_info.max / 64) in capsys.readouterr().err
+
     def test_simulate_csv(self, tmp_path):
         out = tmp_path / "p.csv"
         rc = cli_main(["simulate", "--model", "ou", "--T", "0.1", "--dt", "0.01",
@@ -446,6 +456,31 @@ class TestCli:
         assert "0 of 1 files byte-identical" in out.stdout
         assert "1 of 1 files byte-identical" in run(old, old).stdout
         assert run(old, tmp_path).returncode == 2
+
+    def test_compare_outputs_reads_two_csv_files(self, tmp_path):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        rc = cli_main(["simulate", "--model", "ou", "--T", "0.1", "--dt", "0.01",
+                       "--seed", "4", "--store-wiener", "--out", str(old)])
+        assert rc == 0
+        rows = list(csv.reader(open(old, newline="")))
+        rows[3][1] = repr(float(rows[3][1]) * (1.0 + 1e-9))
+        csv.writer(open(new, "w", newline="")).writerows(rows)
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                              "compare_outputs.py")
+        run = lambda *args: subprocess.run([sys.executable, script, *map(str, args)],
+                                           capture_output=True, text=True)
+        out = run(old, new)
+        assert out.returncode == 0
+        moves = {line.split()[1]: line for line in out.stdout.splitlines()
+                 if "max_rel=" in line}
+        # the last row's empty dW cell matches the other side's
+        assert "n=11" in moves["dW"] and "max_rel=0.000e+00" in moves["dW"]
+        assert "max_rel=0.000e+00" in moves["t"]
+        assert "max_rel=1.000e-09" in moves["x"]
+        assert "0 of 1 files byte-identical" in out.stdout
+        assert "1 of 1 files byte-identical" in run(old, old).stdout
+        (tmp_path / "other.json").write_text("{}")
+        assert run(old, tmp_path / "other.json").returncode == 2
 
     def test_experiment_exit_and_files(self, tmp_path):
         cfg_path = tmp_path / "exp.json"

@@ -25,7 +25,8 @@ from ergodist.simulate import (
     write_path_csv,
 )
 
-from oracles import ks_critical_value, ks_statistic, occupation_mean, stored_block
+from oracles import (ks_critical_value, ks_statistic, occupation_mean, step_float_per_step,
+                     stored_block)
 
 
 def frozen_model(x0_scale: float = 1e-12) -> DiffusionModel:
@@ -214,6 +215,17 @@ def assert_rows_match_paths(model, cfg, seeds, block):
             assert np.array_equal(block.wiener_increments[j], path.wiener_increments)
 
 
+def per_step_path(monkeypatch, model, cfg):
+    """simulate_path with the per-step float kernel: its path, or the
+    exception it raised."""
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_step_float", step_float_per_step)
+        try:
+            return simulate_path(model, cfg)
+        except Exception as exc:
+            return exc
+
+
 class TestSimulateBlock:
     @pytest.mark.parametrize("make", [ornstein_uhlenbeck, quartic_well, shifted_ou, wavy_model],
                              ids=["ou", "quartic", "shifted_ou", "wavy"])
@@ -273,15 +285,20 @@ class TestSimulateBlock:
         assert len(rows) == len(seeds)
         assert_rows_match_paths(model, cfg, seeds, block)
 
-    def test_scalar_only_drift_still_simulates(self):
+    def test_scalar_only_drift_still_simulates(self, monkeypatch):
+        # each path of the block runs the float kernel; every row is its
+        # seed's path, and the per-step loop's
         model = DiffusionModel(drift=lambda x: -x * (1.0 + math.exp(-x * x)),
                                diffusion=lambda x: 1.0, diffusion_sq=lambda x: 1.0,
                                label="math_exp")
-        cfg = SimConfig(horizon_T=2.0, dt=0.01, seed=0, init=0.5)
+        cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0, init=0.5)
         seeds = [4, 5, 6]
         block = stored_block(model, cfg, seeds)
         assert np.all(block.exploded == -1)
         assert_rows_match_paths(model, cfg, seeds, block)
+        for j, seed in enumerate(seeds):
+            want = per_step_path(monkeypatch, model, replace(cfg, seed=seed))
+            assert np.array_equal(block.values[j], want.values)
 
     @pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
     def test_stream_hands_bounded_chunks(self, ou, vector, monkeypatch):
@@ -346,6 +363,82 @@ class TestSimulateBlock:
         assert len(chunks) == min(2, -(-n_steps // simulate._CHUNK_STEPS))
         if len(chunks) == 2:
             assert chunks[1][1].base is chunks[0][1].base
+
+
+def float_model(drift, diffusion=None, label="float") -> DiffusionModel:
+    """A model with the given drift and unit sigma (sigma_const set), or
+    the given state-dependent sigma."""
+    if diffusion is None:
+        return DiffusionModel(drift=drift, diffusion=lambda x: 1.0,
+                              diffusion_sq=lambda x: 1.0, label=label, sigma_const=1.0)
+    return DiffusionModel(drift=drift, diffusion=diffusion,
+                          diffusion_sq=lambda x: diffusion(x) ** 2, label=label)
+
+
+def below_minus_one_raises(x):
+    if x < -1.0:
+        raise ValueError(f"drift undefined at {x!r}")
+    return -x
+
+
+def raises_past_explosion(x):
+    if not math.isfinite(x):
+        raise ValueError(f"drift undefined at {x!r}")
+    return x * x * x
+
+
+# 1200 steps after 100 of burn-in span three chunks of each loop
+_FLOAT_CFG = SimConfig(horizon_T=12.0, dt=0.01, seed=3, init=0.5, burn_in_T=1.0,
+                       store_wiener=True)
+_BLOWUP_CFG = SimConfig(horizon_T=50.0, dt=0.05, seed=0, init=0.0)
+
+_FLOAT_CASES = {
+    "python_float": (float_model(lambda x: -2.0 * math.tanh(x)), _FLOAT_CFG, False),
+    # a numpy value at the chunk's first state: each value goes through float()
+    "numpy_scalar": (float_model(lambda x: -np.tanh(x)), _FLOAT_CFG, False),
+    "zero_d_array": (float_model(lambda x: np.array(-np.tanh(x))), _FLOAT_CFG, False),
+    "float32": (float_model(lambda x: np.float32(-x)), _FLOAT_CFG, False),
+    # a float at the chunk's first state, an np.float32 below 0: the
+    # comprehension's last state is not a float, so the reference steps it
+    "float32_below_0": (float_model(lambda x: -x if x > 0.0 else np.float32(-x)),
+                        _FLOAT_CFG, True),
+    "state_sigma": (float_model(lambda x: -x, lambda x: 1.0 + 0.25 * math.cos(x)),
+                    _FLOAT_CFG, False),
+    # math.exp raises OverflowError once X passes 709.78
+    "math_exp_overflow": (float_model(lambda x: 0.25 * math.exp(x)),
+                          replace(_BLOWUP_CFG, dt=0.005), True),
+    "raises_past_explosion": (float_model(raises_past_explosion), _BLOWUP_CFG, True),
+    "raises_at_finite_state": (float_model(below_minus_one_raises),
+                               replace(_FLOAT_CFG, seed=1), True),
+}
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("case", list(_FLOAT_CASES))
+    def test_simulate_path_equals_per_step_loop(self, case, monkeypatch):
+        model, cfg, checked = _FLOAT_CASES[case]
+        want = per_step_path(monkeypatch, model, cfg)
+        calls = []
+        real = simulate._step_float_checked
+        monkeypatch.setattr(simulate, "_step_float_checked",
+                            lambda *a: calls.append(1) or real(*a))
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                simulate_path(model, cfg)
+            assert str(got.value) == str(want)
+            assert getattr(got.value, "step_index", None) == getattr(want, "step_index", None)
+        else:
+            got = simulate_path(model, cfg)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.wiener_increments, want.wiener_increments)
+        assert bool(calls) == checked
+
+    @pytest.mark.parametrize("case, error", [
+        ("math_exp_overflow", SimulationError), ("raises_past_explosion", SimulationError),
+        ("raises_at_finite_state", ValueError)])
+    def test_failing_cases_fail_in_the_per_step_loop(self, case, error, monkeypatch):
+        model, cfg, _ = _FLOAT_CASES[case]
+        assert isinstance(per_step_path(monkeypatch, model, cfg), error)
 
 
 class TestConstantSigma:
