@@ -16,9 +16,11 @@ hands the chunk after burn-in to a consumer: a curve accumulator, which
 keeps per-cell sums and no path, or ``simulate_path``, which stores the
 one path of a block of one. The vector kernel steps every path of a
 block as one numpy vector. The float kernel steps one path as a Python
-float, each chunk by one list comprehension; a chunk whose last state is
-not a float, or that raised, is stepped again by the per-step reference
-loop, which stops at the first non-finite state. It runs a block of one,
+float: by one list comprehension per chunk when the model sets
+``sigma_const`` and its drift gives a Python float at the chunk's first
+state, else (or when the comprehension raised or its last state is not a
+float) by the per-step reference loop, which stops at the first
+non-finite state. It runs a block of one,
 and each path of a block of a model whose drift or diffusion does not
 map a state vector to the values of its scalar calls (one written with
 ``math.exp``, say). sigma_const * dW_i is the same IEEE product as the
@@ -226,13 +228,11 @@ def _stream(model: DiffusionModel, cfg: SimConfig, step: Callable, x: np.ndarray
                 dw *= sd
                 step(model, cfg.dt, states[:c + 1],
                      dw if s is None else np.multiply(dw, s, out=sdw[:c]))
-                finite = np.isfinite(states[1:c + 1])
-                if not finite.all():
-                    bad = ~finite
-                    new = bad.any(axis=0) & (exploded < 0)
-                    exploded[new] = first + start + bad.argmax(axis=0)[new]
-                    if exploded.min() >= 0:
-                        return exploded
+                bad = ~np.isfinite(states[1:c + 1])
+                new = bad.any(axis=0) & (exploded < 0)
+                exploded[new] = first + start + bad.argmax(axis=0)[new]
+                if exploded.min() >= 0:
+                    return exploded
                 if first == n_burn:
                     consume(cols, start, states[:c + 1], dw)
                 states[0] = states[c]
@@ -258,38 +258,27 @@ def _step_float(model: DiffusionModel, dt: float, states: np.ndarray, incs: np.n
     """Fill rows 1.. of the one column of ``states`` from row 0, stepping
     a Python float; incs as for :func:`_step_vector`.
 
-    One list comprehension steps the chunk, with no per-step check. When
-    drift and sigma give Python floats at the chunk's first state, it adds
-    their values as they come: a value of another type (an ``np.float64``,
-    a size-1 array, a ``Decimal``) would pass its type on to every later
-    state, so a float last state shows that every state was a float.
-    Otherwise it converts each value by float(), as the reference does.
-    The rows are kept when nothing raised and the last state is a float;
-    any other chunk is stepped again by :func:`_step_float_checked`, the
-    reference, so every path, explosion step and exception is the
-    reference's. A non-finite state stays non-finite, so the comprehension
-    runs on past an explosion and ``_stream`` still marks its first step.
-    Drift and sigma are thus called once more at each chunk's first state,
-    may be called on states past an explosion, and are called twice on a
-    chunk that is stepped again."""
+    With ``sigma_const`` set and a drift that gives a Python float at the
+    chunk's first state, one list comprehension steps the chunk with no
+    per-step check. A drift value of another type would pass its type on
+    to every later state, so the chunk is kept when nothing raised and
+    its last state is a float. Any other chunk is stepped by
+    :func:`_step_float_checked`, the reference, so every path, explosion
+    step and exception is the reference's. The comprehension runs on past
+    an explosion (a non-finite state stays so, and ``_stream`` marks the
+    first), so the drift must return or raise at inf and nan, not loop."""
     drift = model.drift
     sigma = None if model.sigma_const is not None else model.diffusion
     col = incs[:, 0].tolist()
     x = x0 = float(states[0, 0])
-    try:
-        if type(drift(x)) is float and (sigma is None or type(sigma(x)) is float):
-            if sigma is None:
+    rows = None
+    if sigma is None:
+        try:
+            if type(drift(x)) is float:
                 rows = [x := x + drift(x) * dt + inc for inc in col]
-            else:
-                rows = [x := x + drift(x) * dt + sigma(x) * inc for inc in col]
-        elif sigma is None:
-            rows = [x := x + float(drift(x)) * dt + inc for inc in col]
-        else:
-            rows = [x := x + float(drift(x)) * dt + float(sigma(x)) * inc for inc in col]
-        kept = type(x) is float
-    except Exception:
-        kept = False
-    if not kept:
+        except Exception:
+            pass
+    if rows is None or type(x) is not float:
         rows = _step_float_checked(drift, sigma, dt, x0, col)
     states[1:len(rows) + 1, 0] = rows
 

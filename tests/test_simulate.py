@@ -290,7 +290,7 @@ class TestSimulateBlock:
         # seed's path, and the per-step loop's
         model = DiffusionModel(drift=lambda x: -x * (1.0 + math.exp(-x * x)),
                                diffusion=lambda x: 1.0, diffusion_sq=lambda x: 1.0,
-                               label="math_exp")
+                               label="math_exp", sigma_const=1.0)
         cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0, init=0.5)
         seeds = [4, 5, 6]
         block = stored_block(model, cfg, seeds)
@@ -392,18 +392,20 @@ _FLOAT_CFG = SimConfig(horizon_T=12.0, dt=0.01, seed=3, init=0.5, burn_in_T=1.0,
                        store_wiener=True)
 _BLOWUP_CFG = SimConfig(horizon_T=50.0, dt=0.05, seed=0, init=0.0)
 
+# the flag: whether the per-step loop steps (or steps again) a chunk
 _FLOAT_CASES = {
     "python_float": (float_model(lambda x: -2.0 * math.tanh(x)), _FLOAT_CFG, False),
-    # a numpy value at the chunk's first state: each value goes through float()
-    "numpy_scalar": (float_model(lambda x: -np.tanh(x)), _FLOAT_CFG, False),
-    "zero_d_array": (float_model(lambda x: np.array(-np.tanh(x))), _FLOAT_CFG, False),
-    "float32": (float_model(lambda x: np.float32(-x)), _FLOAT_CFG, False),
+    # a non-float at the chunk's first state: the per-step loop steps it
+    "numpy_scalar": (float_model(lambda x: -np.tanh(x)), _FLOAT_CFG, True),
+    "zero_d_array": (float_model(lambda x: np.array(-np.tanh(x))), _FLOAT_CFG, True),
+    "float32": (float_model(lambda x: np.float32(-x)), _FLOAT_CFG, True),
     # a float at the chunk's first state, an np.float32 below 0: the
     # comprehension's last state is not a float, so the reference steps it
     "float32_below_0": (float_model(lambda x: -x if x > 0.0 else np.float32(-x)),
                         _FLOAT_CFG, True),
+    # no sigma_const: the per-step loop steps it
     "state_sigma": (float_model(lambda x: -x, lambda x: 1.0 + 0.25 * math.cos(x)),
-                    _FLOAT_CFG, False),
+                    _FLOAT_CFG, True),
     # math.exp raises OverflowError once X passes 709.78
     "math_exp_overflow": (float_model(lambda x: 0.25 * math.exp(x)),
                           replace(_BLOWUP_CFG, dt=0.005), True),
@@ -432,6 +434,26 @@ class TestFloatKernel:
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.wiener_increments, want.wiener_increments)
         assert bool(calls) == checked
+
+    @pytest.mark.parametrize("case, stepped_twice", [
+        ("python_float", False), ("numpy_scalar", False), ("state_sigma", False),
+        ("float32_below_0", True)])
+    def test_drift_calls_per_step(self, case, stepped_twice):
+        # one call per step, one more at each chunk's first state when the
+        # model sets sigma_const; a chunk the reference steps again calls
+        # the drift for its steps twice
+        model, cfg, _ = _FLOAT_CASES[case]
+        calls = []
+        counted = replace(model, drift=lambda x: calls.append(1) or model.drift(x))
+        simulate_path(counted, cfg)
+        steps = simulate._burn_steps(cfg) + cfg.n_steps
+        chunks = -(-simulate._burn_steps(cfg) // simulate._CHUNK_STEPS) + -(
+            -cfg.n_steps // simulate._CHUNK_STEPS)
+        probes = chunks if model.sigma_const is not None else 0
+        if stepped_twice:
+            assert len(calls) > steps + probes
+        else:
+            assert len(calls) == steps + probes
 
     @pytest.mark.parametrize("case, error", [
         ("math_exp_overflow", SimulationError), ("raises_past_explosion", SimulationError),
