@@ -25,6 +25,8 @@ which that decomposition applies.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -706,13 +708,6 @@ def _block_errors(ctx: _RiskContext, reps: range) -> list[list[np.ndarray] | Non
             for j in range(len(seeds))]
 
 
-_POOL_CTX: _RiskContext | None = None
-
-
-def _pool_worker(reps: range):
-    return _block_errors(_POOL_CTX, reps)
-
-
 def empirical_risk(
     model: DiffusionModel,
     estimator,
@@ -734,11 +729,11 @@ def empirical_risk(
     sums streamed from the block, which stores no path. Reports per-x
     bias, the variance of sqrt(T)-scaled errors, the scaled integrated
     risk rho = T * mean over reps of the nu-integral of squared error, and
-    the ratio to the quadrature bound. Blocks run in a process pool when
-    ``workers > 1``. A path's curves do not depend on the other paths of
-    its block, and reductions run in replication order with compensated
-    summation, so results do not depend on how replications are split
-    into blocks or on worker scheduling.
+    the ratio to the quadrature bound. With ``workers > 1`` each block
+    runs in a forked child (see :func:`_run_blocks`). A path's curves do
+    not depend on the other paths of its block, and reductions run in
+    replication order with compensated summation, so results do not depend
+    on how replications are split into blocks or on worker scheduling.
 
     Replications whose path explodes are dropped; more than 1% of them
     aborting fails the run.
@@ -819,15 +814,72 @@ def empirical_risk(
 
 
 def _run_blocks(ctx: _RiskContext, blocks: list[range], workers: int) -> list:
-    global _POOL_CTX
-    if workers > 1:
-        import multiprocessing as mp  # only here: a serial run does not load it
+    """Each block's :func:`_block_errors`, in block order.
 
-        if "fork" in mp.get_all_start_methods():
-            _POOL_CTX = ctx
+    With ``workers > 1`` and more than one block, each block runs in a
+    forked child that inherits ``ctx`` and pickles ``(ok, value)`` (the
+    block's curves, or the exception it raised) into a pipe; the parent
+    only reads and waits. The first exception in block order is raised
+    again in the parent, and a child that ends without a result raises
+    :class:`RiskRunError`. Every child is waited for, and killed first if
+    the parent stops early. Otherwise the blocks run here, one by one.
+    """
+    if workers < 2 or len(blocks) < 2 or not hasattr(os, "fork"):
+        return [_block_errors(ctx, b) for b in blocks]
+    pids: list[int] = []
+    fds: list[int] = []
+    payloads: list[bytes] = []
+    try:
+        for reps in blocks:
+            r, w = os.pipe()
+            fds.append(r)
             try:
-                with mp.get_context("fork").Pool(processes=workers) as pool:
-                    return pool.map(_pool_worker, blocks)
+                pid = os.fork()
+                if pid == 0:
+                    _block_child(ctx, reps, w)
+                pids.append(pid)
             finally:
-                _POOL_CTX = None
-    return [_block_errors(ctx, b) for b in blocks]  # serial, or no fork here
+                os.close(w)
+        for r in fds:
+            with open(r, "rb", closefd=False) as f:
+                payloads.append(f.read())
+    finally:
+        for r in fds:
+            os.close(r)
+        if len(payloads) < len(pids):  # stopped early: do not wait out a busy child
+            import signal  # only here: its import builds enums a run does not need
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results = []
+    for reps, status, payload in zip(blocks, statuses, payloads):
+        if status != 0:
+            raise RiskRunError(
+                f"the worker for replications {reps.start}..{reps.stop - 1} ended without "
+                f"a result (wait status {status}, exit code "
+                f"{os.waitstatus_to_exitcode(status)})"
+            )
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _block_child(ctx: _RiskContext, reps: range, w: int) -> None:
+    """The body of a forked block worker: write the pickled ``(ok, value)``
+    of block ``reps`` to fd ``w`` and exit 0, or exit 1 without a result.
+    It never returns into the caller's stack and never flushes the stdio
+    buffers it inherited."""
+    code = 1
+    try:
+        try:
+            result = (True, _block_errors(ctx, reps))
+        except Exception as exc:
+            result = (False, exc)
+        with open(w, "wb", closefd=False) as f:
+            f.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)

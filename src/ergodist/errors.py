@@ -17,6 +17,9 @@ class EvaluationError(ErgodistError):
         self.abscissa = abscissa
         super().__init__(message or f"non-finite function value at x={abscissa!r}")
 
+    def __reduce__(self):  # pickle rebuilds from these, not from args alone
+        return type(self), (self.abscissa, str(self)), self.__dict__
+
 
 class ExponentOverflowError(EvaluationError):
     """The scale exponent exceeded the floating-point range (saturating error)."""
@@ -46,6 +49,9 @@ class SimulationError(ErgodistError):
         self.step_index = step_index
         super().__init__(message or f"non-finite state at step {step_index}")
 
+    def __reduce__(self):
+        return type(self), (self.step_index, str(self)), self.__dict__
+
 
 class ConfigError(ErgodistError, ValueError):
     """Invalid configuration. ``violations`` lists every offending field."""
@@ -54,6 +60,10 @@ class ConfigError(ErgodistError, ValueError):
         self.violations = list(violations)
         super().__init__("invalid configuration: " + "; ".join(self.violations))
 
+    def __reduce__(self):
+        return type(self), (self.violations,), self.__dict__
+
 
 class RiskRunError(ErgodistError):
-    """Too many replications of a Monte Carlo risk run failed."""
+    """A Monte Carlo risk run failed: too many of its replications
+    exploded, or a block worker ended without a result."""

@@ -280,7 +280,7 @@ def _step_float(model: DiffusionModel, dt: float, states: np.ndarray, incs: np.n
             pass
     if rows is None or type(x) is not float:
         rows = _step_float_checked(drift, sigma, dt, x0, col)
-    states[1:len(rows) + 1, 0] = rows
+    states[1:len(rows) + 1, 0] = np.fromiter(rows, float, len(rows))
 
 
 def _step_float_checked(drift: Callable, sigma: Callable | None, dt: float, x: float,

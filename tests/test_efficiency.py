@@ -1,12 +1,23 @@
 import json
 import math
+import os
+import pickle
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ergodist import efficiency
-from ergodist.errors import ConfigError, RiskRunError, TailError
+from ergodist.errors import (
+    ConfigError,
+    EvaluationError,
+    ExponentOverflowError,
+    RiskRunError,
+    SimulationError,
+    TailError,
+)
 from ergodist.estimators import (
     as_estimator,
     constant_weight,
@@ -731,6 +742,14 @@ class TestMomentScreens:
             assert what in message and ou.label in message and nu.kind in message
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="blocks run serially")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestEmpiricalRisk:
     def grid(self):
         return np.linspace(-5.0, 5.0, 21)
@@ -817,6 +836,84 @@ class TestEmpiricalRisk:
             assert a.scaled_risk == b.scaled_risk
             assert np.array_equal(a.bias, b.bias)
             assert np.array_equal(a.scaled_variance, b.scaled_variance)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [
+        EvaluationError(-1.5, "weight function h must be positive and finite"),
+        EvaluationError(2.0),
+        ExponentOverflowError(3.0, "scale exponent overflowed"),
+        SimulationError(7, "trajectory exploded at step 7"),
+        ConfigError(["replications must be >= 2, got 1", "grid needs at least 2 points"]),
+    ], ids=lambda e: type(e).__name__)
+    def test_errors_survive_pickle(self, exc):
+        # a block worker sends its exception to the parent pickled
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc) and back.args == exc.args
+        assert vars(back) == vars(exc)
+
+    @needs_fork
+    def test_worker_error_matches_serial(self, ou):
+        # h = 1 - u^2/2 turns negative in the tails: each block raises in
+        # its weight table, and 2 workers raise what 1 worker raises
+        w = custom_weight(lambda u: 1 - 0.5 * u * u, lambda u: -u)
+        sim = SimConfig(horizon_T=5.0, dt=0.01, seed=3)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(EvaluationError) as err:
+                empirical_risk(ou, w, nu_gaussian(0, 1), sim, 6, np.linspace(-5.0, 5.0, 11),
+                               workers=workers)
+            raised.append((type(err.value), str(err.value), err.value.abscissa))
+        assert raised[0] == raised[1]
+        assert raised[0][1].startswith("weight function h must be positive and finite")
+        _assert_no_child_left()
+
+    @needs_fork
+    def test_worker_without_result_fails_the_run(self, ou, monkeypatch):
+        real = efficiency._block_errors
+
+        def dies_after_first(ctx, reps):
+            if reps.start > 0:
+                os._exit(5)
+            return real(ctx, reps)
+
+        monkeypatch.setattr(efficiency, "_block_errors", dies_after_first)
+        sim = SimConfig(horizon_T=1.0, dt=0.01, seed=8)
+        with pytest.raises(RiskRunError, match=r"replications 3\.\.5 ended without a result "
+                                               r"\(wait status \d+, exit code 5\)"):
+            empirical_risk(ou, "edf", nu_gaussian(0, 1), sim, 6, self.grid(), workers=2)
+        _assert_no_child_left()
+
+    @needs_fork
+    def test_stopped_parent_kills_its_workers(self, ou, monkeypatch):
+        # the second block would run for a minute; a timer stops the parent
+        # while it reads, and the worker is killed, not waited out
+        real = efficiency._block_errors
+
+        def stalls_after_first(ctx, reps):
+            if reps.start > 0:
+                time.sleep(60.0)
+            return real(ctx, reps)
+
+        class Stopped(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stopped
+
+        monkeypatch.setattr(efficiency, "_block_errors", stalls_after_first)
+        previous = signal.signal(signal.SIGALRM, stop)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(Stopped):
+                empirical_risk(ou, "edf", nu_gaussian(0, 1), SimConfig(1.0, 0.01, 8), 6,
+                               self.grid(), workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30.0
+        _assert_no_child_left()
 
     def test_exploded_path_is_dropped_mid_chunk(self):
         # x' = x^3 from 0 with these seeds throws the fourth path off at

@@ -241,6 +241,20 @@ class TestImport:
                              check=True)
         assert out.stdout.strip() == "False"
 
+    def test_two_worker_run_loads_no_multiprocessing(self, tmp_path):
+        # forked block workers need os.fork and pickle alone; importing
+        # multiprocessing cost 16-22 ms of each run
+        code = ("import json, sys\n"
+                "from ergodist.harness import ExperimentConfig, run_experiment\n"
+                "run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])))\n"
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code,
+                              json.dumps(make_config(tmp_path, workers=2))],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                             check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestByteIdentity:
     @pytest.mark.parametrize("blocks", ["one_block", "blocks_of_5"])
