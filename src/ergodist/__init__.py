@@ -18,6 +18,7 @@ from .errors import (
     RiskRunError,
     SimulationError,
     TailError,
+    WorkerError,
 )
 from .model import (
     DiffusionModel,
@@ -58,6 +59,7 @@ __all__ = [
     "RiskRunError",
     "SimulationError",
     "TailError",
+    "WorkerError",
     "check_ergodicity",
     "compensated_sum",
     "integrate",

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, RiskRunError, TailError
+from .errors import ConfigError, DivergenceError, RiskRunError, TailError, WorkerError
 from .estimators import (
     _PATH_CHUNKS,
     CurveAccumulator,
@@ -60,12 +60,10 @@ from .model import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
-    _FIRST_SPLIT,
     QuadratureSpec,
     compensated_sum,
     integrate,
     integrate_line,
-    integrate_panels,
     on_array,
 )
 from .simulate import _CHUNK_STEPS, Path, SimConfig, derive_substream_seed, stream_block
@@ -94,7 +92,6 @@ class NuMeasure:
     a: float = 0.0
     b: float = 1.0
     atoms: tuple[tuple[float, float], ...] = ()
-    mass: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "uniform", "point_masses"):
@@ -117,59 +114,65 @@ class NuMeasure:
 
     @property
     def total_mass(self) -> float:
-        if self.kind == "point_masses":
-            return float(sum(w for _, w in self.atoms))
-        return self.mass
+        return float(sum(w for _, w in self.atoms)) if self.kind == "point_masses" else 1.0
 
     def density(self, x):
         """Lebesgue density (gaussian/uniform kinds only)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "gaussian":
             z = (x - self.mean) / self.sd
-            return self.mass * np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+            return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
         if self.kind == "uniform":
             inside = (x >= self.a) & (x <= self.b)
-            return np.where(inside, self.mass / (self.b - self.a), 0.0)
+            return np.where(inside, 1.0 / (self.b - self.a), 0.0)
         raise ValueError("point-mass nu has no density")
 
     def mass_outside(self, lo: float, hi: float) -> float:
         if self.kind == "gaussian":
             zlo = (lo - self.mean) / (self.sd * math.sqrt(2.0))
             zhi = (hi - self.mean) / (self.sd * math.sqrt(2.0))
-            return self.mass * 0.5 * (2.0 + math.erf(zlo) - math.erf(zhi))
+            return 0.5 * (2.0 + math.erf(zlo) - math.erf(zhi))
         if self.kind == "uniform":
             width = self.b - self.a
             covered = max(0.0, min(hi, self.b) - max(lo, self.a))
-            return self.mass * (width - covered) / width
+            return (width - covered) / width
         return float(sum(w for x, w in self.atoms if not lo <= x <= hi))
 
 
-def nu_gaussian(mean: float = 0.0, sd: float = 1.0, mass: float = 1.0) -> NuMeasure:
-    return NuMeasure(kind="gaussian", mean=mean, sd=sd, mass=mass)
+def nu_gaussian(mean: float = 0.0, sd: float = 1.0) -> NuMeasure:
+    return NuMeasure(kind="gaussian", mean=mean, sd=sd)
 
 
-def nu_uniform(a: float, b: float, mass: float = 1.0) -> NuMeasure:
-    return NuMeasure(kind="uniform", a=a, b=b, mass=mass)
+def nu_uniform(a: float, b: float) -> NuMeasure:
+    return NuMeasure(kind="uniform", a=a, b=b)
 
 
 def nu_point_masses(atoms: Sequence[tuple[float, float]]) -> NuMeasure:
     return NuMeasure(kind="point_masses", atoms=tuple((float(x), float(w)) for x, w in atoms))
 
 
+# the keys a dict nu spec of each kind may hold besides "kind"
+_NU_KEYS = {"gaussian": ("mean", "sd"), "uniform": ("a", "b"), "point_masses": ("atoms",)}
+
+
 def parse_nu(spec) -> NuMeasure:
-    """Parse 'gauss:m,s' | 'uniform:a,b' | 'point:x=w[;x=w...]' or a dict."""
+    """Parse 'gauss:m,s' | 'uniform:a,b' | 'point:x=w[;x=w...]' or a dict;
+    ValueError on a dict key its kind does not take."""
     if isinstance(spec, NuMeasure):
         return spec
     if isinstance(spec, dict):
         kind = spec.get("kind")
+        if kind not in _NU_KEYS:
+            raise ValueError(f"bad nu spec {spec!r}")
+        unknown = [k for k in spec if k != "kind" and k not in _NU_KEYS[kind]]
+        if unknown:
+            raise ValueError(f"{kind} nu spec has unknown keys {unknown!r}; "
+                             f"it takes {list(_NU_KEYS[kind])!r}")
         if kind == "gaussian":
-            return nu_gaussian(float(spec.get("mean", 0.0)), float(spec.get("sd", 1.0)),
-                               float(spec.get("mass", 1.0)))
+            return nu_gaussian(float(spec.get("mean", 0.0)), float(spec.get("sd", 1.0)))
         if kind == "uniform":
-            return nu_uniform(float(spec["a"]), float(spec["b"]), float(spec.get("mass", 1.0)))
-        if kind == "point_masses":
-            return nu_point_masses([(float(x), float(w)) for x, w in spec["atoms"]])
-        raise ValueError(f"bad nu spec {spec!r}")
+            return nu_uniform(float(spec["a"]), float(spec["b"]))
+        return nu_point_masses([(float(x), float(w)) for x, w in spec["atoms"]])
     name, _, args = str(spec).partition(":")
     if name in ("gauss", "gaussian"):
         m, s = (args.split(",") + ["1"])[:2] if args else ("0", "1")
@@ -299,32 +302,19 @@ def efficiency_bound(model: DiffusionModel, nu: NuMeasure) -> float:
     a, b = (nu.a, nu.b) if nu.kind == "uniform" else (nu.mean - half, nu.mean + half)
     t = _cdf_table(model)
     lo = max(a, t.lo)
-    edges = [lo, max(lo, min(b, t.hi))]
-    value, error, converged = integrate_panels(
-        lambda x: local_variance(model, x) * nu.density(x), edges, DEFAULT_QUADRATURE,
-        _FIRST_SPLIT)
-    if not converged[0]:
+    hi = max(lo, min(b, t.hi))
+    result = integrate(lambda x: local_variance(model, x) * nu.density(x), lo, hi,
+                       DEFAULT_QUADRATURE)
+    if not result.converged:
         warnings.warn(f"efficiency bound of {model.label} under {nu!r}: quadrature did not "
-                      f"converge on {edges!r} (error estimate {float(error[0])!r})",
+                      f"converge on {[lo, hi]!r} (error estimate {result.error_estimate!r})",
                       RuntimeWarning, stacklevel=2)
-    return float(value[0])
+    return result.value
 
 
 # ---------------------------------------------------------------------------
 # error-decomposition machinery (executable identities)
 # ---------------------------------------------------------------------------
-
-def kinked_integral(f: Callable[[float], float], a: float, b: float,
-                    kink: float, spec: QuadratureSpec) -> float:
-    """int_a^b f (signed), in one panel, or in two split at the indicator
-    kink where it lies between a and b."""
-    if a == b:
-        return 0.0
-    lo, hi = (a, b) if a < b else (b, a)
-    edges = [lo, kink, hi] if lo < kink < hi else [lo, hi]
-    total = float(integrate_panels(f, edges, spec, _FIRST_SPLIT)[0].sum())
-    return total if b >= a else -total
-
 
 def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
     """2 * int_0^y infl(x, v) / (sigma^2(v) f_S(v)) dv (signed).
@@ -438,7 +428,7 @@ def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
     g = normalizing_constant(model)
     raw = _density_integrand(model)
     integrand = lambda v: compensator(wf, model, x, v) * (raw(v) / g)
-    total = kinked_integral(integrand, table.lo, z, x, _DIRECT_SPEC)
+    total = integrate(integrand, table.lo, z, _DIRECT_SPEC, kink=x).value
     fz = invariant_density(model, z)
     if fz < 1e-300:
         raise TailError(f"invariant density underflows at z={z!r}")
@@ -606,7 +596,7 @@ def _nu_weighted_screen(inner: Callable[[np.ndarray], np.ndarray], nu: NuMeasure
     try:
         if nu.kind == "uniform":
             result = integrate(inner, nu.a, nu.b, _SCREEN_OUTER)
-            value = nu.mass / (nu.b - nu.a) * result.value
+            value = 1.0 / (nu.b - nu.a) * result.value
         else:
             result = integrate_line(lambda x: inner(x) * nu.density(x), _SCREEN_OUTER)
             value = result.value
@@ -708,6 +698,15 @@ def _block_errors(ctx: _RiskContext, reps: range) -> list[list[np.ndarray] | Non
             for j in range(len(seeds))]
 
 
+def grid_hull_violations(nu: NuMeasure, lo: float, hi: float) -> list[str]:
+    """[violation] if the grid hull [lo, hi] misses 1e-6 of nu's mass or more, else []."""
+    outside = nu.mass_outside(lo, hi)
+    if outside < 1e-6 * nu.total_mass:
+        return []
+    return [f"grid hull [{lo!r}, {hi!r}] misses nu mass {outside!r} "
+            "(must be < 1e-6 of the total)"]
+
+
 def empirical_risk(
     model: DiffusionModel,
     estimator,
@@ -747,12 +746,7 @@ def empirical_risk(
     elif not np.all(np.diff(xs) > 0.0):
         violations.append("grid must be sorted strictly increasing")
     if xs.size >= 2:
-        outside = nu.mass_outside(float(xs[0]), float(xs[-1]))
-        if outside >= 1e-6 * nu.total_mass:
-            violations.append(
-                f"grid hull [{xs[0]!r}, {xs[-1]!r}] misses nu mass {outside!r} "
-                "(must be < 1e-6 of the total)"
-            )
+        violations += grid_hull_violations(nu, float(xs[0]), float(xs[-1]))
     if violations:
         raise ConfigError(violations)
 
@@ -821,7 +815,7 @@ def _run_blocks(ctx: _RiskContext, blocks: list[range], workers: int) -> list:
     block's curves, or the exception it raised) into a pipe; the parent
     only reads and waits. The first exception in block order is raised
     again in the parent, and a child that ends without a result raises
-    :class:`RiskRunError`. Every child is waited for, and killed first if
+    :class:`WorkerError`. Every child is waited for, and killed first if
     the parent stops early. Otherwise the blocks run here, one by one.
     """
     if workers < 2 or len(blocks) < 2 or not hasattr(os, "fork"):
@@ -855,7 +849,7 @@ def _run_blocks(ctx: _RiskContext, blocks: list[range], workers: int) -> list:
     results = []
     for reps, status, payload in zip(blocks, statuses, payloads):
         if status != 0:
-            raise RiskRunError(
+            raise WorkerError(
                 f"the worker for replications {reps.start}..{reps.stop - 1} ended without "
                 f"a result (wait status {status}, exit code "
                 f"{os.waitstatus_to_exitcode(status)})"

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ErgodistError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):  # rebuilt without __init__, whose arguments vary by class
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EvaluationError(ErgodistError):
@@ -16,9 +21,6 @@ class EvaluationError(ErgodistError):
     def __init__(self, abscissa: float, message: str | None = None):
         self.abscissa = abscissa
         super().__init__(message or f"non-finite function value at x={abscissa!r}")
-
-    def __reduce__(self):  # pickle rebuilds from these, not from args alone
-        return type(self), (self.abscissa, str(self)), self.__dict__
 
 
 class ExponentOverflowError(EvaluationError):
@@ -49,9 +51,6 @@ class SimulationError(ErgodistError):
         self.step_index = step_index
         super().__init__(message or f"non-finite state at step {step_index}")
 
-    def __reduce__(self):
-        return type(self), (self.step_index, str(self)), self.__dict__
-
 
 class ConfigError(ErgodistError, ValueError):
     """Invalid configuration. ``violations`` lists every offending field."""
@@ -60,10 +59,11 @@ class ConfigError(ErgodistError, ValueError):
         self.violations = list(violations)
         super().__init__("invalid configuration: " + "; ".join(self.violations))
 
-    def __reduce__(self):
-        return type(self), (self.violations,), self.__dict__
-
 
 class RiskRunError(ErgodistError):
     """A Monte Carlo risk run failed: too many of its replications
     exploded, or a block worker ended without a result."""
+
+
+class WorkerError(RiskRunError):
+    """A block worker ended without a result (killed, or crashed outside Python)."""

@@ -309,11 +309,7 @@ def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
         return -_running_from(panels, int(at[-1]))[at[:-1]].reshape(y.shape)
     if closed is not None:
         return float(closed(x)) - float(closed(y))
-    if x == y:
-        return 0.0
-    a, b = (y, x) if y <= x else (x, y)
-    val = integrate(_kernel_integrand(wf, model), a, b).value
-    return val if x >= y else -val
+    return integrate(_kernel_integrand(wf, model), y, x).value
 
 
 def _below(x: float, y, coefficient: Callable):

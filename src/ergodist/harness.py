@@ -28,19 +28,19 @@ from .efficiency import (
     RiskReport,
     empirical_risk,
     efficiency_bound,
+    grid_hull_violations,
     influence_moment_finite,
     local_variance,
     boundary_derivative_closed,
     boundary_derivative_direct,
     boundary_function,
-    kinked_integral,
     ode_residual,
     parse_nu,
     representation_discrepancy,
     weight_moment_finite,
 )
 from .errors import (ConfigError, DivergenceError, EvaluationError, RiskRunError,
-                     SimulationError, TailError)
+                     SimulationError, TailError, WorkerError)
 from .estimators import as_estimator, check_weight_conditions, parse_estimator
 from .model import (
     DiffusionModel,
@@ -49,7 +49,7 @@ from .model import (
     invariant_density,
     model_from_spec,
 )
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, integrate
 from .simulate import SimConfig, simulate_path, write_path_csv
 
 DEFAULT_GRID = (-5.0, 5.0, 81)
@@ -99,13 +99,16 @@ class ExperimentConfig:
         if self.replications < 2:
             violations.append(f"replications: must be >= 2, got {self.replications!r}")
         try:
-            parse_nu(self.nu_spec)
+            nu = parse_nu(self.nu_spec)
         except (ValueError, KeyError, TypeError) as exc:
             violations.append(f"nu: {exc}")
+            nu = None
         if self.grid_count < 2:
             violations.append(f"grid: count must be >= 2, got {self.grid_count!r}")
-        if not self.grid_lo < self.grid_hi:
-            violations.append(f"grid: need lo < hi, got [{self.grid_lo!r}, {self.grid_hi!r}]")
+        if not -math.inf < self.grid_lo < self.grid_hi < math.inf:
+            violations.append(f"grid: need finite lo < hi, got {[self.grid_lo, self.grid_hi]!r}")
+        elif nu is not None:
+            violations += grid_hull_violations(nu, self.grid_lo, self.grid_hi)
         w = self.workers
         if w != "auto" and (isinstance(w, bool) or not isinstance(w, int) or w < 1):
             violations.append(f"workers: must be a positive integer or 'auto', got {w!r}")
@@ -277,8 +280,8 @@ def _parse_grid_arg(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError([f"grid: expected lo:hi:count, got {text!r}"])
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or not lo < hi:
-        raise ConfigError([f"grid: need lo < hi and count >= 1, got {text!r}"])
+    if count < 1 or not -math.inf < lo < hi < math.inf:
+        raise ConfigError([f"grid: need finite lo < hi and count >= 1, got {text!r}"])
     return np.linspace(lo, hi, count)
 
 
@@ -443,8 +446,8 @@ def _cmd_identity_checks(args) -> int:
             closed = boundary_derivative_closed(wf, model, x, float(z))
             m_rel = max(m_rel, abs(direct - closed) / max(abs(closed), 1e-12))
             total = boundary_function(wf, model, x, float(z))
-            single = kinked_integral(lambda v: boundary_derivative_closed(wf, model, x, v),
-                                     0.0, float(z), x, _REGROUP_SPEC)
+            single = integrate(lambda v: boundary_derivative_closed(wf, model, x, v),
+                               0.0, float(z), _REGROUP_SPEC, kink=x).value
             regroup = max(regroup, abs(total - single))
             if abs(z) > 1e-9:
                 resid = max(resid, abs(ode_residual(wf, model, x, float(z))))
@@ -572,7 +575,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     """Entry point: exit 0 on success, 2 on validation errors and on a
     quantity asked for past the tables' tails, 3 on numerical divergence or
     a non-finite or non-positive function value (a finiteness condition
-    failed), 4 on simulation explosion."""
+    failed), 4 on simulation explosion or a dead block worker."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -589,6 +592,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"finiteness condition failed: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"worker failed: {exc}", file=sys.stderr)
+        return 4
     except (SimulationError, RiskRunError) as exc:
         print(f"simulation explosion: {exc}", file=sys.stderr)
         return 4

@@ -35,8 +35,9 @@ from .errors import (
     TailError,
 )
 from .numerics import (
-    DEFAULT_QUADRATURE,
+    _LINE_HALFWIDTH,
     QuadratureSpec,
+    _doubling,
     _evaluate,
     compensated_sum,
     integrate,
@@ -354,7 +355,7 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
         raise DivergenceError(
             f"scale exponent of {model.label} asked for at |y| = {halfwidth!r}, past the "
             f"table limit {_EXP_MAX_HALFWIDTH!r}: the law is too wide or not ergodic")
-    w = max(halfwidth, DEFAULT_QUADRATURE.initial_halfwidth)
+    w = max(halfwidth, _LINE_HALFWIDTH)
     integrand = lambda v: on_array(model.drift, v) / _sigma_sq(model, v)
     table = model._cache["exp_table"] = _running_table(
         "scale exponent table", model.label, integrand, -w, w, _EXP_STEP,
@@ -385,11 +386,7 @@ def scale_function(model: DiffusionModel, x: float) -> float:
         y = np.asarray(y, dtype=float)
         return _checked_exp(-scale_exponent(model, y), y)
 
-    if x == 0.0:
-        return 0.0
-    if x > 0.0:
-        return integrate(integrand, 0.0, x).value
-    return -integrate(integrand, x, 0.0).value
+    return integrate(integrand, 0.0, x).value
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +421,20 @@ def invariant_density(model: DiffusionModel, y):
 
 
 def _support(model: DiffusionModel) -> tuple[float, float]:
-    """[lo, hi] of the model's distribution table, found without G(S): past
-    [-8, 8], each side doubles L from 8 until the shell [L, 2L] holds at most
-    _TAIL_MASS of all the mass integrated so far, and ends at 2L.
-    DivergenceError when the exponent overflows or L passes 8 * 2^20."""
+    """[lo, hi] of the model's distribution table, found without G(S) by
+    :func:`ergodist.numerics._doubling`: each side ends with its first shell
+    that holds at most _TAIL_MASS of the mass integrated before it.
+    DivergenceError when the exponent overflows or a tail does not fall off."""
     cached = model._cache.get("support")
     if cached is not None:
         return cached
-    f = _density_integrand(model)
-    L0 = DEFAULT_QUADRATURE.initial_halfwidth
-    ends = []
     try:
-        total = integrate(f, -L0, L0, _PANEL_SPEC).value
-        for side in (-1.0, 1.0):
-            for k in range(21):
-                L = side * L0 * 2.0**k
-                shell = integrate(f, min(L, 2.0 * L), max(L, 2.0 * L), _PANEL_SPEC).value
-                if shell <= _TAIL_MASS * total:
-                    ends.append(2.0 * L)
-                    break
-                total += shell
-            else:
-                raise DivergenceError("invariant mass tail did not fall off; model not ergodic?")
+        _, left, right = _doubling(_density_integrand(model), _PANEL_SPEC,
+                                   lambda shell, total: shell <= _TAIL_MASS * total)
     except ExponentOverflowError as exc:
         raise DivergenceError(f"invariant law divergence-suspected: {exc}") from exc
-    cached = model._cache["support"] = tuple(ends)
+    cached = model._cache["support"] = (-_LINE_HALFWIDTH * 2.0**len(left),
+                                        _LINE_HALFWIDTH * 2.0**len(right))
     return cached
 
 

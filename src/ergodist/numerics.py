@@ -11,6 +11,9 @@ subinterval of every panel on its 15 Kronrod nodes in one integrand call
 |K15 - G7| as a subinterval's error estimate, a subinterval is accepted
 when that is within its share of its panel's width times the panel's
 tolerance ``max(abs_tol, rel_tol * |estimate|)``; the others are bisected.
+:func:`integrate` is the one finite-interval front end (signed, split at
+a kink), and :func:`_doubling` the one whole-line tail search, behind
+:func:`integrate_line` and the model's support.
 
 An integrand is read on a 1-D array of abscissae by :func:`on_array`, the
 one array-call contract of the package: an array of the same shape or a
@@ -36,9 +39,10 @@ from .errors import BracketError, DivergenceError, EvaluationError
 
 Func = Callable[[float], float]
 
-# Halfwidth growth cap for whole-line integrals; past this the integral is
-# treated as divergence-suspected rather than merely slow.
-_LINE_DOUBLING_CAP = 2.0**20
+# Halfwidth of the core of a whole-line search, and the most shells
+# [L, 2L] it takes on one side before it declares divergence.
+_LINE_HALFWIDTH = 8.0
+_LINE_SHELLS = 21
 
 
 @dataclass(frozen=True)
@@ -46,16 +50,15 @@ class QuadratureSpec:
     """Tolerances and limits for the quadrature routines.
 
     Defaults are tight enough that quadrature "truth" values dominate Monte
-    Carlo noise by several orders of magnitude. Slowly decaying integrands
-    (heavier than ~x^-2 tails) need a larger ``initial_halfwidth`` and a
-    looser ``tail_tol`` to converge under the doubling cap.
+    Carlo noise by several orders of magnitude. ``tail_tol`` bounds each
+    side's last shell of a whole-line integral; tails of about x^-2 or
+    heavier need a looser one to stop within the shells allowed.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 40
     tail_tol: float = 1e-12
-    initial_halfwidth: float = 8.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0):
@@ -66,8 +69,6 @@ class QuadratureSpec:
             raise ValueError("max_depth must be >= 1")
         if not (self.tail_tol > 0.0):
             raise ValueError("tail_tol must be > 0")
-        if not (self.initial_halfwidth > 0.0):
-            raise ValueError("initial_halfwidth must be > 0")
 
 
 @dataclass(frozen=True)
@@ -219,48 +220,62 @@ def integrate_panels(
     return values, errors, converged & ~capped
 
 
-def integrate(f: Func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadResult:
-    """The integral of ``f`` on [a, b]: the one-panel case of
-    :func:`integrate_panels`, started from ``_FIRST_SPLIT`` subintervals.
+def integrate(f: Func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
+              kink: float | None = None) -> QuadResult:
+    """The signed integral of ``f`` from a to b (limits in either order):
+    :func:`integrate_panels` on one panel, or on two split at ``kink`` when
+    it lies strictly between the limits, each started from
+    ``_FIRST_SPLIT`` subintervals. Swapping the limits negates the value
+    exactly.
 
     Depth exhaustion yields ``converged=False`` rather than an error.
     """
     if a == b and math.isfinite(a):
         return QuadResult(0.0, 0.0, True)
-    value, err, conv = integrate_panels(f, [a, b], spec, _FIRST_SPLIT)
-    return QuadResult(float(value[0]), float(err[0]), bool(conv[0]))
+    lo, hi = (a, b) if a <= b else (b, a)
+    edges = [lo, kink, hi] if kink is not None and lo < kink < hi else [lo, hi]
+    values, errors, conv = (r.tolist() for r in integrate_panels(f, edges, spec, _FIRST_SPLIT))
+    value = sum(values)
+    return QuadResult(value if a <= b else -value, sum(errors), all(conv))
+
+
+def _doubling(f: Func, spec: QuadratureSpec, stop: Callable[[float, float], bool]
+              ) -> tuple[QuadResult, list[QuadResult], list[QuadResult]]:
+    """The whole-line tail search: ``f`` integrated on the core [-8, 8],
+    then on each side's shells [L, 2L] outward, L = 8 * 2^k, left side
+    first, each side ending with its first shell s for which
+    ``stop(s, total)`` holds, total being the core and the shells before s
+    that ended no side. Returns (core, left shells, right shells);
+    DivergenceError after _LINE_SHELLS shells on one side."""
+    core = integrate(f, -_LINE_HALFWIDTH, _LINE_HALFWIDTH, spec)
+    total = core.value
+    sides = []
+    for side in (-1.0, 1.0):
+        shells = []
+        for k in range(_LINE_SHELLS):
+            L = side * _LINE_HALFWIDTH * 2.0**k
+            shells.append(integrate(f, min(L, 2.0 * L), max(L, 2.0 * L), spec))
+            if stop(shells[-1].value, total):
+                break
+            total += shells[-1].value
+        else:
+            raise DivergenceError(f"tail shells did not fall off by |x| = {2.0 * abs(L)!r}; "
+                                  "integral is divergence-suspected")
+        sides.append(shells)
+    return core, *sides
 
 
 def integrate_line(f: Func, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> QuadResult:
-    """Integral of ``f`` over the whole real line by symmetric tail doubling.
-
-    Integrates [-L, L] and doubles L from ``spec.initial_halfwidth`` until
-    both one-sided shell contributions on [L, 2L] and [-2L, -L] fall below
-    ``spec.tail_tol``. Raises :class:`DivergenceError` if the halfwidth
-    exceeds ``2**20 * initial_halfwidth`` without tail convergence.
+    """Integral of ``f`` over the whole real line by :func:`_doubling`, each
+    side stopping at its first shell of magnitude at most ``spec.tail_tol``:
+    the core, the left shells and the right shells, summed in that order.
     """
-    L = spec.initial_halfwidth
-    cap = spec.initial_halfwidth * _LINE_DOUBLING_CAP
-    core = integrate(f, -L, L, spec)
-    value = core.value
-    err = core.error_estimate
-    conv = core.converged
-    while True:
-        hi = integrate(f, L, 2.0 * L, spec)
-        lo = integrate(f, -2.0 * L, -L, spec)
-        value += hi.value + lo.value
-        err += hi.error_estimate + lo.error_estimate
-        conv = conv and hi.converged and lo.converged
-        L *= 2.0
-        if abs(hi.value) <= spec.tail_tol and abs(lo.value) <= spec.tail_tol:
-            break
-        if L > cap:
-            raise DivergenceError(
-                f"tail contributions not below {spec.tail_tol!r} at halfwidth {L!r}; "
-                "integral is divergence-suspected"
-            )
-    # Allowance for the truncated mass beyond the final shells.
-    return QuadResult(value, err + 2.0 * spec.tail_tol, conv)
+    core, left, right = _doubling(f, spec, lambda shell, _: abs(shell) <= spec.tail_tol)
+    parts = [core, *left, *right]
+    # the error allows for the truncated mass beyond each side's last shell
+    return QuadResult(sum(p.value for p in parts),
+                      sum(p.error_estimate for p in parts) + 2.0 * spec.tail_tol,
+                      all(p.converged for p in parts))
 
 
 def invert_monotone(f: Func, target: float, lo: float, hi: float, tol: float) -> float:

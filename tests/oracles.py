@@ -27,13 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ergodist.efficiency import (_SCREEN_OUTER, _influence_ratio_vec, _influence_table,
-                                 _running, _trapezoid_weights, boundary_function,
-                                 kinked_integral)
+                                 _running, _trapezoid_weights, boundary_function)
 from ergodist.errors import DivergenceError, EvaluationError
 from ergodist.estimators import kernel, primitive, unbiased_estimate
 from ergodist.model import _cdf_table, invariant_cdf
-from ergodist.numerics import (DEFAULT_QUADRATURE, compensated_sum, integrate, integrate_line,
-                               on_array)
+from ergodist.numerics import compensated_sum, integrate, integrate_line, on_array
 from ergodist.simulate import stream_block
 
 
@@ -359,7 +357,7 @@ def weight_primitive_quadrature(wf, model, x: float, y: float) -> float:
             return 0.0
         return 2.0 * kernel(wf, model, x, v) * float(wf.h_pair(v)[0])
 
-    return kinked_integral(integrand, 0.0, y, x, DEFAULT_QUADRATURE)
+    return integrate(integrand, 0.0, y, kink=x).value
 
 
 def _direct_outer(inner, nu) -> tuple[bool, float]:
@@ -367,7 +365,7 @@ def _direct_outer(inner, nu) -> tuple[bool, float]:
         if nu.kind == "point_masses":
             value = compensated_sum(w * inner(x) for x, w in nu.atoms)
         elif nu.kind == "uniform":
-            dens = nu.mass / (nu.b - nu.a)
+            dens = 1.0 / (nu.b - nu.a)
             value = dens * integrate(inner, nu.a, nu.b, _SCREEN_OUTER).value
         else:
             value = integrate_line(lambda x: inner(x) * float(nu.density(x)),

@@ -17,6 +17,7 @@ from ergodist.errors import (
     RiskRunError,
     SimulationError,
     TailError,
+    WorkerError,
 )
 from ergodist.estimators import (
     as_estimator,
@@ -125,6 +126,16 @@ class TestNuMeasure:
         assert nu.mean == 1.0 and nu.sd == 2.0
         nu = parse_nu({"kind": "point_masses", "atoms": [(0.5, 1.0)]})
         assert nu.atoms == ((0.5, 1.0),)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "gaussian", "sdd": 3.0}, "sdd"),
+        ({"kind": "gaussian", "mean": 0.0, "sd": 1.0, "mass": 1.0}, "mass"),
+        ({"kind": "uniform", "a": -1.0, "b": 1.0, "mass": 2.0}, "mass"),
+        ({"kind": "point_masses", "atoms": [(0.0, 1.0)], "sd": 1.0}, "sd"),
+    ])
+    def test_parse_dict_rejects_unknown_keys(self, spec, key):
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            parse_nu(spec)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -851,6 +862,16 @@ class TestEmpiricalRisk:
         assert type(back) is type(exc)
         assert str(back) == str(exc) and back.args == exc.args
         assert vars(back) == vars(exc)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("exc", [
+        EvaluationError(2.0), ConfigError(["grid needs at least 2 points"]),
+        RiskRunError("3/10 replications aborted"), WorkerError("the worker ended"),
+    ], ids=lambda e: type(e).__name__)
+    def test_errors_survive_every_pickle_protocol(self, exc, protocol):
+        # one __reduce__ on the base class rebuilds each without __init__
+        back = pickle.loads(pickle.dumps(exc, protocol=protocol))
+        assert type(back) is type(exc) and back.args == exc.args and vars(back) == vars(exc)
 
     @needs_fork
     def test_worker_error_matches_serial(self, ou):

@@ -80,6 +80,19 @@ class TestExperimentConfig:
             run_experiment(ExperimentConfig.from_dict(raw))
         assert not out.exists()
 
+    def test_grid_hull_checked_with_the_rest(self, tmp_path):
+        # the hull of -1..1 misses most of gauss:0,1; it is listed next to
+        # the replications fault, in plain floats, and no directory is made
+        out = tmp_path / "never"
+        raw = make_config(out, replications=1, grid={"lo": -1.0, "hi": 1.0, "count": 5})
+        with pytest.raises(ConfigError) as err:
+            run_experiment(ExperimentConfig.from_dict(raw))
+        replications, hull = err.value.violations
+        assert replications.startswith("replications:")
+        assert hull.startswith("grid hull [-1.0, 1.0] misses nu mass 0.3173")
+        assert "np.float64" not in str(err.value)
+        assert not out.exists()
+
     def test_default_grid(self):
         assert DEFAULT_GRID == (-5.0, 5.0, 81)
 
@@ -520,7 +533,10 @@ class TestCli:
         # fractional counts and seeds are refused, not truncated
         ("replications", 4.7), ("sim", {"T": 1.0, "dt": 0.01, "seed": 5.9}),
         ("grid", {"lo": -5.0, "hi": 5.0, "count": 11.6}), ("output_dir", None),
-        ("nu", "gauss:nan,1")])
+        ("nu", "gauss:nan,1"), ("grid", {"lo": -math.inf, "hi": 5.0, "count": 11}),
+        # a dict nu takes only its kind's keys: a typo or a left-over "mass" is refused
+        ("nu", {"kind": "gaussian", "sdd": 3.0}),
+        ("nu", {"kind": "uniform", "a": -2.0, "b": 2.0, "mass": 1.0})])
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
         cfg_path = tmp_path / "exp.json"
         json.dump(make_config(tmp_path / "out", **{field: value}), open(cfg_path, "w"))
@@ -566,6 +582,30 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("simulation explosion:") and len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="blocks run serially")
+    def test_dead_worker_exits_4_as_a_worker_failure(self, tmp_path, capsys, monkeypatch):
+        # a block worker that ends without a result is no explosion
+        real = efficiency._block_errors
+
+        def dies_after_first(ctx, reps):
+            if reps.start > 0:
+                os._exit(5)
+            return real(ctx, reps)
+
+        monkeypatch.setattr(efficiency, "_block_errors", dies_after_first)
+        cfg_path = tmp_path / "cfg.json"
+        json.dump(make_config(tmp_path, estimators=["edf"], workers=2), open(cfg_path, "w"))
+        assert cli_main(["experiment", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("worker failed: the worker for replications 2..3 ended without "
+                              "a result") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", ["-inf:1:3", "0:inf:3"])
+    def test_non_finite_grid_exits_2(self, capsys, grid):
+        assert cli_main(["bound", "--model", "ou", "--nu", "gauss:0,1", f"--grid={grid}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("nu", ["gauss:nan,1", "gauss:0,inf", "uniform:0,inf",
                                     "uniform:-inf,0", "point:nan=1", "point:0=inf"])

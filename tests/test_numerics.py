@@ -33,7 +33,6 @@ class TestQuadratureSpec:
             {"rel_tol": -1e-3},
             {"max_depth": 0},
             {"tail_tol": 0.0},
-            {"initial_halfwidth": -1.0},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -61,9 +60,32 @@ class TestIntegrate:
     def test_empty_interval(self):
         assert integrate(lambda x: 5.0, 1.0, 1.0).value == 0.0
 
-    def test_reversed_limits_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: 1.0, 1.0, 0.0)
+    @pytest.mark.parametrize("kink", [None, 0.9])
+    def test_reversed_limits_negate(self, kink):
+        f = lambda x: np.sin(3.0 * x) + x * x
+        forward = integrate(f, 0.2, 1.7, kink=kink)
+        backward = integrate(f, 1.7, 0.2, kink=kink)
+        assert backward.value == -forward.value
+        assert backward.error_estimate == forward.error_estimate
+        assert backward.converged and forward.converged
+
+    def test_kink_inside_splits_into_two_panels(self):
+        f = lambda x: np.where(x < 0.9, np.sin(3.0 * x), x * x)
+        values, _, _ = integrate_panels(f, [0.2, 0.9, 1.7], numerics.DEFAULT_QUADRATURE,
+                                        numerics._FIRST_SPLIT)
+        assert integrate(f, 0.2, 1.7, kink=0.9).value == values[0] + values[1]
+
+    @pytest.mark.parametrize("kink", [0.2, 1.7, -3.0, 5.0])
+    def test_kink_at_or_outside_a_limit_ignored(self, kink):
+        f = lambda x: np.sin(3.0 * x) + x * x
+        assert integrate(f, 0.2, 1.7, kink=kink) == integrate(f, 0.2, 1.7)
+
+    def test_kernel_at_its_own_threshold_is_zero(self):
+        # a custom weight has no closed primitive: the scalar quadrature path
+        wf = estimators.custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        m = model.DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                                 diffusion_sq=lambda x: 1.0, label="custom")
+        assert estimators.kernel(wf, m, 0.7, 0.7) == 0.0
 
     def test_nonfinite_integrand_reports_abscissa(self):
         with pytest.raises(EvaluationError) as err:
@@ -238,17 +260,29 @@ class TestIntegrateLine:
         res = integrate_line(lambda x: x * math.exp(-x * x))
         assert res.value == pytest.approx(0.0, abs=1e-10)
 
-    def test_slow_cauchy_tail(self):
-        # 1/(1+x^2) integrates to pi; the x^-2 tail needs a wide start and a
-        # looser tail criterion to converge under the doubling cap
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12,
-                              tail_tol=1e-9, initial_halfwidth=1024.0)
-        res = integrate_line(lambda x: 1.0 / (1.0 + x * x), spec)
-        assert res.value == pytest.approx(math.pi, abs=1e-8)
-
     def test_divergent_integrand_detected(self):
         with pytest.raises(DivergenceError):
             integrate_line(lambda x: 1.0)
+
+    def test_one_sided_decay_detected(self):
+        with pytest.raises(DivergenceError):
+            integrate_line(lambda x: math.exp(-x * x) if x < 0.0 else 1.0)
+
+    def test_each_side_stops_at_its_own_first_small_shell(self):
+        # the left tail is below tail_tol from the first shell [-16, -8] on;
+        # the right one, exp(-x/4), first falls below it on [128, 256]
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return np.where(x < 0.0, np.exp(-x * x), np.exp(-0.25 * np.abs(x)))
+
+        res = integrate_line(f)
+        xs = np.concatenate(seen)
+        assert -16.0 < xs.min() and 128.0 < xs.max() < 256.0
+        # the left side's shell is integrated before any right-side shell
+        assert np.flatnonzero(xs < -8.0).max() < np.flatnonzero(xs > 8.0).min()
+        assert res.value == pytest.approx(0.5 * math.sqrt(math.pi) + 4.0, rel=1e-10)
 
     def test_even_function_doubling(self):
         full = integrate_line(lambda x: math.exp(-abs(x) ** 3)).value
