@@ -308,7 +308,8 @@ def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
         panels = integrate_panels(_kernel_integrand(wf, model), pts, _PANEL_SPEC)[0]
         return -_running_from(panels, int(at[-1]))[at[:-1]].reshape(y.shape)
     if closed is not None:
-        return float(closed(x)) - float(closed(y))
+        px, py = closed(np.array((x, y), dtype=float)).tolist()
+        return px - py
     return integrate(_kernel_integrand(wf, model), y, x).value
 
 

@@ -175,7 +175,7 @@ def _positive(fn: Callable, y, name: str) -> np.ndarray:
     where it is not positive and finite."""
     v = on_array(fn, y)
     ok = np.logical_and(v > 0.0, np.isfinite(v))
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
         i = int(np.argmin(ok))
         yi, vi = float(np.ravel(y)[i]), float(np.ravel(v)[i])
         raise EvaluationError(yi, f"{name} must be positive and finite, got {vi!r} at y={yi!r}")

@@ -17,10 +17,10 @@ a kink), and :func:`_doubling` the one whole-line tail search, behind
 
 An integrand is read on a 1-D array of abscissae by :func:`on_array`, the
 one array-call contract of the package: an array of the same shape or a
-scalar (broadcast), with float calls one at a time when the array call
-fails, so integrands written with ``math`` functions or ``if`` still work.
-An OverflowError there, or any non-finite value, raises EvaluationError
-with the abscissa.
+scalar (as a read-only view), with float calls one at a time when the
+array call fails, so integrands written with ``math`` functions or ``if``
+still work. An OverflowError there, or any non-finite value, raises
+EvaluationError with the abscissa.
 """
 
 from __future__ import annotations
@@ -122,19 +122,23 @@ def on_array(f: Func, x) -> np.ndarray:
     """``f`` on the array ``x`` (any shape, 0-d included) as a float array
     of x's shape.
 
-    One array call; a scalar result is broadcast as a read-only view. If
-    that call raises TypeError, ValueError or OverflowError, or returns
-    another shape, each element goes through a float call, so functions
-    written with ``math`` functions or an ``if`` on x still work. An
-    OverflowError in a float call raises EvaluationError with the abscissa.
+    One array call; a scalar result, for any x (0-d included), becomes a
+    read-only view of x's shape with every stride 0. If that call raises
+    TypeError, ValueError or OverflowError, or returns another shape, each
+    element goes through a float call, so functions written with ``math``
+    functions or an ``if`` on x still work. An OverflowError in a float
+    call raises EvaluationError with the abscissa.
     """
     x = np.asarray(x, dtype=float)
     try:
         y = np.asarray(f(x), dtype=float)
     except (TypeError, ValueError, OverflowError):
         y = None
-    if y is not None and y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape) if y.ndim == 0 else None
+    if y is not None and y.ndim == 0:
+        y = np.ndarray(x.shape, float, y, 0, (0,) * x.ndim)
+        y.flags.writeable = False
+    elif y is not None and y.shape != x.shape:
+        y = None
     if y is None:
         y = np.empty(x.shape)
         for i, t in enumerate(x.ravel().tolist()):
@@ -149,9 +153,9 @@ def _evaluate(f: Func, x: np.ndarray) -> np.ndarray:
     """``f`` on the abscissae ``x`` by :func:`on_array`; EvaluationError at
     the first non-finite value."""
     y = on_array(f, x)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        i = int(np.argmax(bad))
+    ok = np.isfinite(y)
+    if np.count_nonzero(ok) != ok.size:
+        i = int(np.argmin(ok))
         xi, yi = float(x[i]), float(y[i])
         raise EvaluationError(xi, f"integrand returned {yi!r} at x={xi!r}")
     return y
@@ -172,9 +176,10 @@ def integrate_panels(
     past ``_PANEL_CAP`` subintervals stops there and has not converged.
     """
     edges = np.asarray(edges, dtype=float)
-    if not np.isfinite(edges).all():
-        raise EvaluationError(float(edges[~np.isfinite(edges)][0]), "non-finite integration limit")
-    if (edges[1:] < edges[:-1]).any():
+    finite = np.isfinite(edges)
+    if np.count_nonzero(finite) != edges.size:
+        raise EvaluationError(float(edges[~finite][0]), "non-finite integration limit")
+    if np.count_nonzero(edges[1:] < edges[:-1]):
         raise ValueError(f"integration edges must be nondecreasing, got {edges!r}")
     n = edges.size - 1
     block = max(1, _CHUNK_INTERVALS // split)
@@ -193,7 +198,8 @@ def integrate_panels(
     errors = np.zeros(n)
     capped = np.zeros(n, dtype=bool)
     for depth in range(spec.max_depth + 1):
-        half = 0.5 * (hi - lo)
+        span = hi - lo
+        half = 0.5 * span
         mid = 0.5 * (lo + hi)
         x = mid[:, None] + half[:, None] * _GK_NODES
         y = _evaluate(f, x.ravel()).reshape(x.shape)
@@ -201,21 +207,25 @@ def integrate_panels(
         e = np.abs((y * _GK_DIFF).sum(axis=1) * half)
         tol = np.maximum(spec.abs_tol,
                          spec.rel_tol * np.abs(values + np.bincount(owner, k, minlength=n)))
-        done = (e * width[owner] <= tol[owner] * (hi - lo)) | (mid <= lo) | (mid >= hi)
+        done = (e * width[owner] <= tol[owner] * span) | (mid <= lo) | (mid >= hi)
         if depth == spec.max_depth:
             done[:] = True
-        else:
+        elif 2 * lo.size > _PANEL_CAP:  # else no panel's bisection can pass the cap
             # a panel whose bisection would pass the cap keeps what it has
             over = 2 * np.bincount(owner[~done], minlength=n) > _PANEL_CAP
             capped |= over
             done |= over[owner]
+        if np.count_nonzero(done) == done.size:
+            values += np.bincount(owner, k, minlength=n)
+            errors += np.bincount(owner, e, minlength=n)
+            break
         values += np.bincount(owner[done], k[done], minlength=n)
         errors += np.bincount(owner[done], e[done], minlength=n)
         rest = ~done
-        if not rest.any():
-            break
-        lo, hi, mid, owner = lo[rest], hi[rest], mid[rest], owner[rest]
-        lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+        # the halves [lo, mid] then [mid, hi]: rows 0-1 and 1-2, flattened
+        cut = np.array((lo, mid, hi)).compress(rest, axis=1)
+        lo, hi, owner = cut[:2].ravel(), cut[1:].ravel(), owner[rest]
+        owner = np.concatenate((owner, owner))
     converged = errors <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
     return values, errors, converged & ~capped
 

@@ -252,6 +252,23 @@ class TestKernel:
         wf = constant_weight(2.0)
         assert kernel(wf, ou, 3.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", ["exp:delta=1", "poly:p=1", "poly:p=2", "poly:p=3",
+                                      "poly:p=4", "const:c=2"])
+    @pytest.mark.parametrize("law", ["ou_1_1", "ou_02_3", "quartic"])
+    def test_float_closed_form_matches_the_array_bit_for_bit(self, spec, law, quartic):
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        m = {"ou_1_1": ornstein_uhlenbeck(1.0, 1.0), "ou_02_3": ornstein_uhlenbeck(0.2, 3.0),
+             "quartic": quartic}[law]
+        rng = np.random.default_rng(11)
+        # magnitudes from 1e-3 to 1e3, so exp:delta=1 overflows to inf at some y
+        xs, ys = (rng.uniform(-1.0, 1.0, (2, 200)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 200)))
+        with np.errstate(all="ignore"):
+            for i, x in enumerate(xs.tolist()):
+                got = kernel(wf, m, x, float(ys[i]))
+                assert isinstance(got, float)
+                want = kernel(wf, m, x, ys)[i]
+                assert np.array_equal(got, want, equal_nan=True), (x, float(ys[i]), got, want)
+
     def test_quadrature_path_matches_scipy(self, ou):
         # a custom weight has no closed primitive, so the kernel is a signed quadrature
         wf = custom_weight(h=lambda u: 1.0 + u**4, h_prime=lambda u: 4.0 * u**3)

@@ -166,6 +166,16 @@ class TestIntegratePanels:
         assert converged.all()
         assert values == pytest.approx([2.0, 4.0], abs=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3, 4), ()])
+    def test_scalar_result_is_a_read_only_view(self, shape):
+        y = numerics.on_array(lambda x: 2.5, np.zeros(shape))
+        assert y.shape == shape and y.dtype == float
+        assert y.strides == (0,) * len(shape)
+        assert not y.flags.writeable and not y.flags.owndata
+        assert np.all(y == 2.5)
+        with pytest.raises(ValueError):
+            y[...] = 1.0
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_value_reports_abscissa(self, bad):
         with pytest.raises(EvaluationError) as err:
