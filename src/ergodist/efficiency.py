@@ -14,8 +14,10 @@ whose nu-integral is the asymptotic lower bound for the scaled integrated
 mean square error of any estimator. R, the bound, the influence primitive
 and its moment screen are all read off four running integrals that each
 model tabulates once on the nodes of its distribution table (see
-``_influence_table``); the weight primitive and its moment screen read two
-more, per weight (``_weight_table``). The module also implements, as executable
+``_influence_table``). The weight primitive reads two more, per weight, on
+nodes k 2^-8 that grow on demand and read sigma and the weight only, not
+the drift (``_weight_table``); its moment screen reads them at the
+distribution table's nodes. The module also implements, as executable
 identities, the decomposition of the scaled estimation error into a
 vanishing boundary term plus a stochastic integral with the influence
 ratio as integrand, and numerical screens of the moment conditions under
@@ -53,6 +55,8 @@ from .model import (
     _density_integrand,
     _Hermite,
     _running_from,
+    _running_table,
+    _simpson_panels,
     invariant_cdf,
     invariant_density,
     normalizing_constant,
@@ -210,15 +214,6 @@ def _integrands(model: DiffusionModel, ys: np.ndarray) -> np.ndarray:
     return np.stack([F * F * r, F * r, Fbar * Fbar * r, Fbar * r])
 
 
-def _simpson_panels(f: Callable[[np.ndarray], np.ndarray],
-                    t: _Hermite) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``f`` at the nodes of the table ``t``, and their Simpson
-    integrals over each panel between nodes, with the panel midpoints."""
-    rows = f(t.nodes)
-    return rows, (t.step / 6.0) * (rows[:, :-1] + 4.0 * f(t.nodes[:-1] + 0.5 * t.step)
-                                   + rows[:, 1:])
-
-
 def _influence_table(model: DiffusionModel) -> _Hermite:
     """The model's influence table, on the nodes of its distribution
     table: the rows A = int_lo^t F^2 r, C1 = int_lo^t F r,
@@ -231,7 +226,7 @@ def _influence_table(model: DiffusionModel) -> _Hermite:
     if cached is not None:
         return cached
     t = _cdf_table(model)
-    rows, steps = _simpson_panels(lambda v: _integrands(model, v), t)
+    steps, rows = _simpson_panels(lambda v: _integrands(model, v), t.nodes)
     rows[2:] *= -1.0
     steps[2:] *= -1.0
     n = steps.shape[1]
@@ -328,25 +323,20 @@ def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
     return float(2.0 * (Fbar[0] * (run[1, 1] - run[1, 2]) + F[0] * (run[3, 3] - run[3, 4])))
 
 
-def _weight_table(wf: WeightFunction, model: DiffusionModel) -> _Hermite:
-    """The weight table of ``wf`` on the nodes of the model's distribution
-    table: the rows H = int h and Q = int P h (P from :func:`primitive`),
-    Simpson panel sums summed outward from the node nearest 0, with the
-    exact slopes h and P h. Memoized on the weight, per model."""
+def _weight_table(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -> _Hermite:
+    """The weight table of ``wf`` that covers [lo, hi]: the rows H = int_0 h
+    and Q = int_0 P h (P from :func:`primitive`), a
+    :func:`ergodist.model._running_table` of Simpson panels on the nodes
+    k 2^-8, with the exact slopes h and P h. It reads sigma and the weight
+    only. Memoized on the weight, per model."""
     key = ("weight_table", id(model))
-    cached = wf._cache.get(key)
-    if cached is not None:
-        return cached[1]
-    t = _cdf_table(model)
-    P = primitive(wf, model, t.lo, t.hi)
 
     def rows(v: np.ndarray) -> np.ndarray:
         h = on_array(lambda u: wf.h_pair(u)[0], v)
-        return np.stack([h, P(v) * h])
+        return np.stack([h, primitive(wf, model, float(v[0]), float(v[-1]))(v) * h])
 
-    slopes, panels = _simpson_panels(rows, t)
-    k0 = int(np.argmin(np.abs(t.nodes)))
-    table = _Hermite(t.nodes, np.stack([_running_from(p, k0) for p in panels]), slopes)
+    table = _running_table(f"weight table of the {wf.kind} weight", model.label, rows, lo, hi,
+                           2.0**-8, wf._cache.get(key, (None, None))[1], simpson=True)
     wf._cache[key] = (model, table)
     return table
 
@@ -365,15 +355,11 @@ def _kernel_to_0(wf: WeightFunction, model: DiffusionModel, xs: np.ndarray) -> n
 def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
     """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed), read off the weight
     table (:func:`_weight_table`) as 2 P(x) [H(m) - H(b)] - 2 [Q(m) - Q(b)]
-    with m = min(y, x) and b = min(0, x). TailError where m lies outside
-    the table and differs from b."""
-    table = _weight_table(wf, model)
+    with m = min(y, x), b = min(0, x) and P(x) = K_x(0) (:func:`kernel`)."""
     m, b = min(y, x), min(0.0, x)
-    if m != b and not table.lo <= m <= table.hi:
-        raise TailError(f"weight primitive at x={x!r} needs the weight table at {m!r}, "
-                        f"outside [{table.lo!r}, {table.hi!r}]")
+    table = _weight_table(wf, model, min(m, b), max(m, b))
     (Hm, Qm), (Hb, Qb) = table(float(m)), table(float(b))
-    return 2.0 * float(_kernel_to_0(wf, model, np.array([x]))[0]) * (Hm - Hb) - 2.0 * (Qm - Qb)
+    return 2.0 * kernel(wf, model, x, 0.0) * (Hm - Hb) - 2.0 * (Qm - Qb)
 
 
 def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
@@ -537,19 +523,23 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
     b = min(0, x), and at the nodes from x on it is its value at x. So
     E[g^2] at each x is a quadratic in u and v over six prefix sums of
     mass times 1, H, Q, H^2, H Q and Q^2, built once. The weight table is
-    based at its node nearest 0, so H and Q are small where g is.
+    based at 0, so H and Q are small where g is. The nodes are the
+    distribution table's, and the weight table is read at x clipped into
+    that table's span.
     """
-    table = _weight_table(wf, model)
-    mass = _trapezoid_weights(_cdf_table(model).values[0])
-    sums = _moment_sums(mass, table.values[0], 2.0 * table.values[1])
+    t = _cdf_table(model)
+    table = _weight_table(wf, model, t.lo, t.hi)
+    mass = _trapezoid_weights(t.values[0])
+    H, Q = table(t.nodes)
+    sums = _moment_sums(mass, H, 2.0 * Q)
     mass_above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
 
     def inner(x: np.ndarray) -> np.ndarray:
         u = 2.0 * _kernel_to_0(wf, model, x)
-        (Hx, Hb), (Qx, Qb) = table(np.stack([x, np.minimum(x, 0.0)]))
+        (Hx, Hb), (Qx, Qb) = table(np.clip(np.stack([x, np.minimum(x, 0.0)]), t.lo, t.hi))
         cut = u * Hx - 2.0 * Qx
         v = 2.0 * Qb - u * Hb
-        k = np.searchsorted(table.nodes, x, "left")  # the nodes below x
+        k = np.searchsorted(t.nodes, x, "left")  # the nodes below x
         s = sums[:, k]
         return (u * (u * s[2] - 2.0 * s[4]) + s[5] + v * (v * s[0] + 2.0 * (u * s[1] - s[3]))
                 + mass_above[k] * (cut + v) ** 2)

@@ -37,7 +37,6 @@ from .model import (
     _running_from,
     _running_table,
     _sigma_sq,
-    _support,
     normalizing_constant,
     stationary_expectation,
 )
@@ -53,8 +52,8 @@ _PATH_CHUNKS = 64
 # most distance, in cells, of a node from its index under the grid's affine
 # map for the curve accumulator to find cells by the map
 _MAP_SLACK = 1e-6
-# multiple of the model's support halfwidth past which a path is not read
-# through a tabulated primitive
+# a path is not read through a tabulated primitive past this many times the
+# larger of 16 and the grid's ends
 _PRIMITIVE_REACH = 4.0
 # points the curve accumulator searches at a time on a grid its affine map
 # does not fit: searchsorted takes no output array, so each slice's cells
@@ -269,23 +268,20 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     otherwise (custom weights, or sigma depending on the state) the
     model's :func:`ergodist.model._running_table` of 1/(sigma^2 h) on the
     nodes k 2^-10, memoized on the weight per model and first built over
-    the model's support (the distribution table's [lo, hi]) and [lo, hi].
-    A request past it rebuilds it over the request and twice its span,
-    moving none of the values it gave, so no result depends on which path
-    asked first. A read outside the table raises EvaluationError.
+    [lo, hi]. A request past it rebuilds it over the request and at least
+    twice its span on each side the request passes, moving none of the
+    values it gave, so no result depends on which path asked first. It
+    reads sigma and the weight only. A read outside the table raises
+    EvaluationError.
     """
     closed = _closed_primitive(wf, model)
     if closed is not None:
         return closed
     key = ("primitive", id(model))
-    cached = wf._cache.get(key, (None, None))[1]
-    if cached is None:
-        s_lo, s_hi = _support(model)
-        lo, hi = min(lo, s_lo), max(hi, s_hi)
     table = _running_table(f"primitive table of the {wf.kind} weight", model.label,
-                           _kernel_integrand(wf, model), lo, hi, _LINEAR_STEP, cached)
-    if table is not cached:
-        wf._cache[key] = (model, table)
+                           _kernel_integrand(wf, model), lo, hi, _LINEAR_STEP,
+                           wf._cache.get(key, (None, None))[1])
+    wf._cache[key] = (model, table)
     return table
 
 
@@ -448,9 +444,10 @@ class CurveAccumulator:
     write into given arrays) is a work array kept from chunk to chunk, so
     a chunk builds no array of its size; a custom weight's h, h' and
     tabulated P are read fresh. The arrays handed in are never written.
-    A tabulated primitive is built before the first chunk and widened,
-    moving none of its values, up to _PRIMITIVE_REACH times the model's
-    support; only then is a chunk's range read.
+    A tabulated primitive is built over the grid before the first chunk
+    and widened, moving none of its values, up to the reach:
+    _PRIMITIVE_REACH times the larger of 16 and the grid's ends, which
+    reads no drift; only then is a chunk's range read.
 
     A chunk is screened before its weights are read: a step that is not
     finite or past that reach is put at X = 0, dX = 0 in the work arrays;
@@ -496,8 +493,7 @@ class CurveAccumulator:
         for wf, closed in zip(self.weights, self._closed):
             primitive(wf, model, float(xs[0]), float(xs[-1]))
             if closed is None:
-                self.reach = _PRIMITIVE_REACH * max(abs(v) for v in (*_support(model),
-                                                                     xs[0], xs[-1]))
+                self.reach = _PRIMITIVE_REACH * max(16.0, abs(float(xs[0])), abs(float(xs[-1])))
 
     def add(self, cols: slice, start: int, states: np.ndarray, dw=None) -> None:
         """The consumer of :func:`stream_block`: the steps between

@@ -198,28 +198,31 @@ def _checked_exp(e: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
     """Node values of a running integral based at node ``k0``, accumulated
-    outward from it, given the integrals over the panels between nodes:
-    the one rule for every table's node values. A row summed from the last
-    node, such as 1 - F, is given its negated panels (int_t^hi g =
-    int_hi^t -g)."""
-    vals = np.zeros(panels.size + 1)
-    np.cumsum(panels[k0:], out=vals[k0 + 1:])
-    np.cumsum(panels[:k0][::-1], out=vals[:k0][::-1])
-    np.negative(vals[:k0], out=vals[:k0])
+    outward from it, given the integrals over the panels between nodes
+    (one such sum per row of 2-d panels): the one rule for every table's
+    node values. A row summed from the last node, such as 1 - F, is given
+    its negated panels (int_t^hi g = int_hi^t -g)."""
+    vals = np.zeros(panels.shape[:-1] + (panels.shape[-1] + 1,))
+    np.cumsum(panels[..., k0:], axis=-1, out=vals[..., k0 + 1:])
+    np.cumsum(panels[..., :k0][..., ::-1], axis=-1, out=vals[..., :k0][..., ::-1])
+    np.negative(vals[..., :k0], out=vals[..., :k0])
     return vals
 
 
 def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray,
                   spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of ``f`` over a table's panels, and ``f`` at its nodes; one
-    RuntimeWarning naming the x-range of the panels that did not converge."""
+    """Integrals of ``f`` over a table's panels, and ``f`` at its nodes,
+    read first, so a node it fails at raises before any panel is
+    integrated; one RuntimeWarning naming the x-range of the panels that
+    did not converge."""
+    at_nodes = _evaluate(f, nodes)
     values, _, converged = integrate_panels(f, nodes, spec)
     bad = np.flatnonzero(~converged)
     if bad.size:
         lo, hi = float(nodes[bad[0]]), float(nodes[bad[-1] + 1])
         warnings.warn(f"{what} of {label}: quadrature did not converge on {bad.size} of "
                       f"{converged.size} panels in [{lo!r}, {hi!r}]", RuntimeWarning, stacklevel=3)
-    return values, _evaluate(f, nodes)
+    return values, at_nodes
 
 
 class _Hermite:
@@ -317,23 +320,38 @@ class _Hermite:
         return out.reshape(shape)
 
 
+def _simpson_panels(f: Callable, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Simpson integrals of the rows of ``f`` over each panel between
+    the uniform ``nodes``, with the panel midpoints, and the rows at the
+    nodes."""
+    step = nodes[1] - nodes[0]
+    rows = f(nodes)
+    return (step / 6.0) * (rows[:, :-1] + 4.0 * f(nodes[:-1] + 0.5 * step) + rows[:, 1:]), rows
+
+
 def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, step: float,
-                   cached: _Hermite | None = None, scale: float = 1.0) -> _Hermite:
+                   cached: _Hermite | None = None, scale: float = 1.0,
+                   simpson: bool = False) -> _Hermite:
     """``cached`` if it covers [lo, hi]; else a strict table of
     scale * int_0^y g on the nodes k * step (step a power of two) that
-    cover [lo, hi], 0 and, given ``cached``, twice its span: panel
-    integrals summed outward from the node at 0, the exact slopes scale * g
-    and cells counted from that node, so growth moves no read of the
-    narrower table (see :class:`_Hermite`). ``scale`` multiplies the sums,
-    not g, so the panel tolerances meet g itself. ``what`` names the table
-    in the non-convergence warning."""
+    cover [lo, hi], 0, one panel at least and, given ``cached``, its span
+    with each end the request passes at least doubled: panel integrals
+    summed outward from the node at 0, the exact slopes scale * g and cells
+    counted from that node, so growth moves no read of the narrower table
+    (see :class:`_Hermite`). The panels are adaptive, ``what`` naming the
+    table in the non-convergence warning, or, given ``simpson``, the
+    Simpson sums of the rows of g. ``scale`` multiplies the sums, not g, so
+    the panel tolerances meet g itself."""
     if cached is not None:
         if cached.lo <= lo and hi <= cached.hi:
             return cached
-        lo, hi = min(lo, 2.0 * cached.lo), max(hi, 2.0 * cached.hi)
+        lo = min(lo, 2.0 * cached.lo) if lo < cached.lo else cached.lo
+        hi = max(hi, 2.0 * cached.hi) if hi > cached.hi else cached.hi
     below = math.ceil(max(-lo, 0.0) / step)
-    nodes = np.arange(-below, math.ceil(max(hi, 0.0) / step) + 1) * step
-    panels, slopes = _table_panels(what, label, g, nodes, _PANEL_SPEC)
+    above = max(math.ceil(max(hi, 0.0) / step), int(below == 0))
+    nodes = np.arange(-below, above + 1) * step
+    panels, slopes = (_simpson_panels(g, nodes) if simpson
+                      else _table_panels(what, label, g, nodes, _PANEL_SPEC))
     return _Hermite(nodes, scale * _running_from(panels, below), scale * slopes, below,
                     strict=True)
 

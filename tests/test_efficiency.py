@@ -24,6 +24,7 @@ from ergodist.estimators import (
     constant_weight,
     custom_weight,
     dx_weight,
+    estimate_curves,
     exponential_weight,
     parse_estimator,
     polynomial_weight,
@@ -56,6 +57,7 @@ from ergodist.model import (
     _support,
     invariant_cdf,
     invariant_density,
+    normalizing_constant,
     ornstein_uhlenbeck,
     quartic_well,
     shifted_ou,
@@ -330,7 +332,8 @@ class TestWeightPrimitive:
     @pytest.mark.parametrize("spec", ["poly:p=1", "exp:delta=1"])
     def test_table_rows_match_closed_forms(self, ou, spec):
         # the whole [-16, 16] table, tails included, at and between nodes
-        table = efficiency._weight_table(parse_estimator(f"unbiased:{spec}").weight, ou)
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        table = efficiency._weight_table(wf, ou, -16.0, 16.0)
         assert table.lo == -16.0 and table.hi == 16.0 and table(0.0) == (0.0, 0.0)
         ys = np.concatenate([table.nodes, np.linspace(-16.0, 16.0, 10_007)])
         got = table(ys)
@@ -355,28 +358,29 @@ class TestWeightPrimitive:
                 worst = max(worst, abs(weight_primitive(wf, ou, x, y) - expect) / scale)
         assert worst < 1e-10
 
-    @pytest.mark.parametrize("label,rel", [("ou", 1e-11), ("quartic", 1e-11),
-                                           ("custom_ou", 1e-11), ("wavy", 1e-11),
-                                           ("shifted_up", 3e-9), ("shifted_down", 3e-9)])
-    def test_table_matches_quadrature_on_a_grid(self, label, rel):
-        # against the adaptive quadrature it replaced; the table's error
-        # grows as step^4, and shifted_ou(+-20) has 2.5 times OU's step
+    @pytest.mark.parametrize("label", ["ou", "ou_narrow", "ou_wide", "quartic", "custom_ou",
+                                       "wavy", "shifted_up", "shifted_down"])
+    def test_table_matches_quadrature_on_a_grid(self, label):
+        # against the adaptive quadrature it replaced, on every law of the
+        # sweep: the table's nodes k 2^-8 do not follow the law, so neither
+        # does its accuracy
         model = TestMomentScreens.SWEEP_MODELS[label]()
         for spec in ("exp:delta=1", "poly:p=1", "poly:p=2", "const:c=1"):
             wf = parse_estimator(f"unbiased:{spec}").weight
             for x in np.linspace(-3.0, 3.0, 7).tolist():
                 for y in np.linspace(-3.0, 3.0, 9).tolist():
                     assert weight_primitive(wf, model, x, y) == pytest.approx(
-                        weight_primitive_quadrature(wf, model, x, y), rel=rel, abs=1e-15)
+                        weight_primitive_quadrature(wf, model, x, y), rel=1e-11, abs=1e-15)
 
     def test_outside_the_table(self, ou, wf_exp):
-        # past the right end only P(x) is needed, from its kernel fallback;
-        # min(y, x) past the left end needs the table there
+        # past the law's support [-16, 16] the weight table grows to the
+        # point asked for: Phi reads no law
         assert weight_primitive(wf_exp, ou, 40.0, 1.5) == pytest.approx(
             weight_primitive_quadrature(wf_exp, ou, 40.0, 1.5), rel=1e-12)
         assert weight_primitive(wf_exp, ou, -40.0, 3.0) == 0.0
-        with pytest.raises(TailError, match="-40.0"):
-            weight_primitive(wf_exp, ou, 1.0, -40.0)
+        for x, y in ((1.0, -40.0), (0.0, -20.0)):
+            assert weight_primitive(wf_exp, ou, x, y) == pytest.approx(
+                weight_primitive_quadrature(wf_exp, ou, x, y), rel=1e-12)
 
     def test_constant_weight_closed_form(self, ou):
         wf = constant_weight(1.0)
@@ -397,6 +401,52 @@ class TestWeightPrimitive:
         expect = quad(lambda v: dx_weight(wf_exp, ou, 1.0, v), 0.0, 2.0,
                       points=[1.0], epsabs=1e-12)[0]
         assert weight_primitive(wf_exp, ou, 1.0, 2.0) == pytest.approx(expect, abs=1e-9)
+
+
+def _drift_blind(model: DiffusionModel) -> DiffusionModel:
+    """``model`` with a drift that raises on every call and no closed scale
+    exponent, so neither the drift nor the law can be read."""
+
+    def drift(x):
+        raise RuntimeError("the drift was read")
+
+    return replace(model, drift=drift, scale_exponent_closed=None, label="blind", _cache={})
+
+
+class TestDriftBlindEstimatorSide:
+    # the estimators are for an unknown drift: curves and Phi read sigma
+    # and the weight only, so a model whose drift cannot be read gives the
+    # bits of the real model
+    WEIGHTS = ("unbiased:exp:delta=1", "unbiased:poly:p=2",
+               custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u))
+
+    @pytest.mark.parametrize("make", [lambda: ornstein_uhlenbeck(1.0, 1.0),
+                                      lambda: wavy_model(np)], ids=["sigma_const", "wavy"])
+    def test_curves_and_phi_match_the_real_model(self, make):
+        real = make()
+        blind = _drift_blind(real)
+        with pytest.raises(RuntimeError):
+            normalizing_constant(blind)
+        path = simulate_path(real, SimConfig(horizon_T=20.0, dt=0.01, seed=5))
+        xs = np.linspace(-2.0, 2.0, 21)
+        choices = ["edf", *self.WEIGHTS]
+        for got, want in zip(estimate_curves(path, xs, choices, blind),
+                             estimate_curves(path, xs, choices, real)):
+            assert np.array_equal(got.values, want.values)
+        points = [(x, y) for x in (-1.5, 0.0, 1.0, 18.0) for y in (-20.0, -3.0, 0.5, 20.0)]
+        for w in self.WEIGHTS:
+            wf = as_estimator(w).weight
+            for x, y in points:
+                assert weight_primitive(wf, blind, x, y) == weight_primitive(wf, real, x, y)
+
+    @pytest.mark.parametrize("spec", ["poly:p=1", "exp:delta=1"])
+    def test_phi_is_bit_equal_across_a_drift_vicinity(self, spec):
+        # OU(0.2, 1) has the support [-32, 32], the others [-16, 16]
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        points = [(x, y) for x in (-2.0, -0.5, 0.0, 1.5) for y in (-3.0, -0.7, 0.4, 2.5)]
+        values = [[weight_primitive(wf, ornstein_uhlenbeck(theta, 1.0), x, y) for x, y in points]
+                  for theta in (1.0, 0.8, 1.25, 0.2)]
+        assert all(v == values[0] for v in values[1:])
 
 
 class TestBoundaryFunction:

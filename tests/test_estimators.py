@@ -88,6 +88,16 @@ class TestWeightConstruction:
             fd = (float(wf.h_pair(u + h)[0]) - float(wf.h_pair(u - h)[0])) / (2.0 * h)
             assert float(wf.h_pair(u)[1]) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_table_checks_its_nodes_before_it_integrates(self):
+        # h(0) = 0 at the node 0: the build raises there before it
+        # integrates a panel, so no warning on panels that did not converge
+        wf = custom_weight(lambda u: u * u, lambda u: 2.0 * u)
+        m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                           diffusion_sq=lambda x: 1.0, label="custom_ou")
+        with pytest.raises(EvaluationError, match="h must be positive and finite, got 0.0"):
+            primitive(wf, m, -1.0, 1.0)
+
     def test_negative_custom_weight_rejected_at_evaluation(self, ou):
         bad = custom_weight(h=lambda u: u, h_prime=lambda u: 1.0)
         path = Path(dt=0.1, values=np.array([-1.0, -0.5, 0.5]))

@@ -322,6 +322,32 @@ class TestExponentTable:
             model_module._exponent_table(m, 2.0 * model_module._EXP_MAX_HALFWIDTH)
 
 
+class TestRunningTable:
+    @pytest.mark.parametrize("simpson", [False, True], ids=["adaptive", "simpson"])
+    def test_grows_only_on_the_side_a_request_passes(self, simpson):
+        # a request past one end at least doubles that end and leaves the
+        # other where it was; every node the two tables share keeps its bits
+        g = (lambda v: np.stack([np.cos(v), np.exp(-v * v)])) if simpson else np.cos
+        build = lambda lo, hi, cached=None: model_module._running_table(
+            "test table", "cos", g, lo, hi, 2.0**-4, cached, simpson=simpson)
+        first = build(-4.0, 4.0)
+        grown = build(0.0, 5.0, first)
+        assert (grown.lo, grown.hi) == (-4.0, 8.0)
+        left = build(-9.0, 1.0, grown)
+        assert (left.lo, left.hi) == (-9.0, 8.0)
+        for narrow, wide in ((first, grown), (grown, left)):
+            shift = wide.origin - narrow.origin
+            n = narrow.nodes.size
+            assert np.array_equal(wide.nodes[shift:shift + n], narrow.nodes)
+            assert np.array_equal(wide.values[..., shift:shift + n], narrow.values)
+            assert np.array_equal(wide.slopes[..., shift:shift + n], narrow.slopes)
+        assert build(-2.0, 3.0, left) is left
+
+    def test_a_request_for_the_origin_alone_builds_one_panel(self):
+        t = model_module._running_table("test table", "cos", np.cos, 0.0, 0.0, 2.0**-4)
+        assert t.nodes.tolist() == [0.0, 2.0**-4] and t(0.0) == 0.0
+
+
 class TestScalarTableReads:
     def test_float_reads_match_array_reads_bit_for_bit(self):
         # both rows of the distribution table on 10^4 random points, some
@@ -399,8 +425,7 @@ class TestTabulatedGoldens:
         m = make()
         wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
         xs = (-1.7, -0.3, 0.45, 2.2)
-        P = primitive(wf, m, -1.0, 1.0)
-        assert (P.lo, P.hi) == (-16.0, 16.0)  # the model's support
+        P = primitive(wf, m, -2.5, 3.1)
         inside = [P(u) for u in (-2.5, -0.3, 0.7, 3.1)]
         past = primitive(wf, m, -30.0, 30.0)
         got = {
