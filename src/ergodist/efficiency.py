@@ -49,6 +49,7 @@ from .estimators import (
     unbiased_estimate,
 )
 from .model import (
+    _EXP_MAX_HALFWIDTH,
     DiffusionModel,
     _cdf_pair,
     _cdf_table,
@@ -226,7 +227,8 @@ def _influence_table(model: DiffusionModel) -> _Hermite:
     if cached is not None:
         return cached
     t = _cdf_table(model)
-    steps, rows = _simpson_panels(lambda v: _integrands(model, v), t.nodes)
+    rows = _integrands(model, t.nodes)
+    steps = _simpson_panels(lambda v: _integrands(model, v), t.nodes, rows)
     rows[2:] *= -1.0
     steps[2:] *= -1.0
     n = steps.shape[1]
@@ -276,8 +278,12 @@ def local_variance(model: DiffusionModel, x):
     no kink lies inside a panel. R is 0 outside the distribution table's
     support.
     """
-    F, Fbar, (A, _, B, _) = _running(model, np.atleast_1d(np.asarray(x, dtype=float)))
     # a table read deep in a tail can undershoot its running integral
+    if isinstance(x, float) and x == x:  # float reads, with the array read's bits
+        F, Fbar = _cdf_pair(model, x)
+        A, _, B, _ = _influence_table(model)._at(x)
+        return float(max(4.0 * (Fbar * Fbar * A + F * F * B), 0.0))
+    F, Fbar, (A, _, B, _) = _running(model, np.atleast_1d(np.asarray(x, dtype=float)))
     R = np.maximum(4.0 * (Fbar * Fbar * A + F * F * B), 0.0)
     return float(R[0]) if np.ndim(x) == 0 else R
 
@@ -328,7 +334,13 @@ def _weight_table(wf: WeightFunction, model: DiffusionModel, lo: float, hi: floa
     and Q = int_0 P h (P from :func:`primitive`), a
     :func:`ergodist.model._running_table` of Simpson panels on the nodes
     k 2^-8, with the exact slopes h and P h. It reads sigma and the weight
-    only. Memoized on the weight, per model."""
+    only. Memoized on the weight, per model. It grows no further than
+    |y| = _EXP_MAX_HALFWIDTH, as the exponent table: a request past that
+    raises TailError naming the weight primitive Phi."""
+    if max(-lo, hi) > _EXP_MAX_HALFWIDTH:
+        raise TailError(f"weight primitive Phi of the {wf.kind} weight on {model.label} asked "
+                        f"for over [{lo!r}, {hi!r}], past the weight table's limit |y| <= "
+                        f"{_EXP_MAX_HALFWIDTH!r}")
     key = ("weight_table", id(model))
 
     def rows(v: np.ndarray) -> np.ndarray:
@@ -355,7 +367,8 @@ def _kernel_to_0(wf: WeightFunction, model: DiffusionModel, xs: np.ndarray) -> n
 def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
     """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed), read off the weight
     table (:func:`_weight_table`) as 2 P(x) [H(m) - H(b)] - 2 [Q(m) - Q(b)]
-    with m = min(y, x), b = min(0, x) and P(x) = K_x(0) (:func:`kernel`)."""
+    with m = min(y, x), b = min(0, x) and P(x) = K_x(0) (:func:`kernel`);
+    TailError past the weight table's limit."""
     m, b = min(y, x), min(0.0, x)
     table = _weight_table(wf, model, min(m, b), max(m, b))
     (Hm, Qm), (Hb, Qb) = table(float(m)), table(float(b))

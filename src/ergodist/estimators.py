@@ -268,7 +268,7 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     otherwise (custom weights, or sigma depending on the state) the
     model's :func:`ergodist.model._running_table` of 1/(sigma^2 h) on the
     nodes k 2^-10, memoized on the weight per model and first built over
-    [lo, hi]. A request past it rebuilds it over the request and at least
+    [lo, hi]. A request past it grows it over the request and at least
     twice its span on each side the request passes, moving none of the
     values it gave, so no result depends on which path asked first. It
     reads sigma and the weight only. A read outside the table raises

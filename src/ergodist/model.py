@@ -210,19 +210,19 @@ def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
 
 
 def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray,
-                  spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of ``f`` over a table's panels, and ``f`` at its nodes,
-    read first, so a node it fails at raises before any panel is
-    integrated; one RuntimeWarning naming the x-range of the panels that
-    did not converge."""
-    at_nodes = _evaluate(f, nodes)
+                  spec: QuadratureSpec) -> np.ndarray:
+    """Integrals of ``f`` over a table's panels, with one RuntimeWarning
+    naming the x-range of the panels that did not converge. A table reads
+    ``f`` at its nodes (:func:`ergodist.numerics._evaluate`) before it
+    calls this, so a node it fails at raises before any panel is
+    integrated."""
     values, _, converged = integrate_panels(f, nodes, spec)
     bad = np.flatnonzero(~converged)
     if bad.size:
         lo, hi = float(nodes[bad[0]]), float(nodes[bad[-1] + 1])
         warnings.warn(f"{what} of {label}: quadrature did not converge on {bad.size} of "
                       f"{converged.size} panels in [{lo!r}, {hi!r}]", RuntimeWarning, stacklevel=3)
-    return values, at_nodes
+    return values
 
 
 class _Hermite:
@@ -239,7 +239,8 @@ class _Hermite:
     outside [lo, hi] instead of clipping it. A Python float is read with
     Python floats, by the array route's arithmetic in the same order, so
     the two agree bit for bit; it gives a float, or a tuple of floats for
-    several rows. An array read given ``row``, an integer array of the
+    several rows, or, given an int ``row`` (``_at(x, row)``), a float of
+    that row alone. An array read given ``row``, an integer array of the
     points' shape, reads only row ``row[i]`` at point i (one flat ``take``
     per coefficient) and gives an array of the points' shape, with the
     bits of that row in a read of every row. An array read forms each
@@ -268,7 +269,7 @@ class _Hermite:
         s /= self.step
         return k, s
 
-    def _at(self, x: float):
+    def _at(self, x: float, row: int | None = None):
         x = min(max(x, self.lo), self.hi)
         k = min(max(math.floor((x - self.base) / self.step) + self.origin, 0),
                 self.nodes.size - 2)
@@ -276,9 +277,12 @@ class _Hermite:
         t = 1.0 - s
         a = s * s * (3.0 - 2.0 * s)
         b = self.step * s * t
-        out = tuple(v.item(k) + a * (v.item(k + 1) - v.item(k))
-                    + b * (t * m.item(k) - s * m.item(k + 1)) for v, m in self._rows)
-        return out if self.values.ndim > 1 else out[0]
+        if row is not None or self.values.ndim == 1:
+            v, m = self._rows[row or 0]
+            return (v.item(k) + a * (v.item(k + 1) - v.item(k))
+                    + b * (t * m.item(k) - s * m.item(k + 1)))
+        return tuple(v.item(k) + a * (v.item(k + 1) - v.item(k))
+                     + b * (t * m.item(k) - s * m.item(k + 1)) for v, m in self._rows)
 
     def __call__(self, x, row=None):
         if self.strict:
@@ -320,13 +324,21 @@ class _Hermite:
         return out.reshape(shape)
 
 
-def _simpson_panels(f: Callable, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _simpson_panels(f: Callable, nodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The Simpson integrals of the rows of ``f`` over each panel between
-    the uniform ``nodes``, with the panel midpoints, and the rows at the
-    nodes."""
+    the uniform ``nodes``, given the rows at the nodes; ``f`` is read at
+    the panel midpoints."""
     step = nodes[1] - nodes[0]
-    rows = f(nodes)
-    return (step / 6.0) * (rows[:, :-1] + 4.0 * f(nodes[:-1] + 0.5 * step) + rows[:, 1:]), rows
+    return (step / 6.0) * (rows[:, :-1] + 4.0 * f(nodes[:-1] + 0.5 * step) + rows[:, 1:])
+
+
+def _summed_on(end: np.ndarray, panels: np.ndarray, seeded: bool) -> np.ndarray:
+    """The running sums of ``panels`` in order along the last axis, going on
+    from ``end`` when ``seeded``: a cumulative sum adds in order, so these
+    are the bits the sums over the panels before them and these give."""
+    if not seeded:
+        return np.cumsum(panels, axis=-1)
+    return np.cumsum(np.concatenate((end, panels), axis=-1), axis=-1)[..., 1:]
 
 
 def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, step: float,
@@ -340,8 +352,20 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
     counted from that node, so growth moves no read of the narrower table
     (see :class:`_Hermite`). The panels are adaptive, ``what`` naming the
     table in the non-convergence warning, or, given ``simpson``, the
-    Simpson sums of the rows of g. ``scale`` multiplies the sums, not g, so
-    the panel tolerances meet g itself."""
+    Simpson sums of the rows of g. ``scale``, a power of two, multiplies
+    the sums, not g, so the panel tolerances meet g itself. A span that is
+    not finite raises EvaluationError naming the table.
+
+    Given ``cached``, the table grows by its new panels only: g is read at
+    the new nodes, then integrated over the new panels past each end the
+    request passes, one call a side, and the running sums go on in order
+    from the cached end values. A panel's integral does not depend on the
+    other panels, so every value and slope has the bits of a fresh build
+    over the whole span."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EvaluationError(hi if math.isfinite(lo) else lo,
+                              f"{what} of {label} asked for over [{lo!r}, {hi!r}], "
+                              "which is not a finite span")
     if cached is not None:
         if cached.lo <= lo and hi <= cached.hi:
             return cached
@@ -350,10 +374,38 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
     below = math.ceil(max(-lo, 0.0) / step)
     above = max(math.ceil(max(hi, 0.0) / step), int(below == 0))
     nodes = np.arange(-below, above + 1) * step
-    panels, slopes = (_simpson_panels(g, nodes) if simpson
-                      else _table_panels(what, label, g, nodes, _PANEL_SPEC))
-    return _Hermite(nodes, scale * _running_from(panels, below), scale * slopes, below,
-                    strict=True)
+    read = g if simpson else lambda v: _evaluate(g, v)
+    if cached is None:
+        rows = read(nodes)
+        panels = (_simpson_panels(g, nodes, rows) if simpson
+                  else _table_panels(what, label, g, nodes, _PANEL_SPEC))
+        return _Hermite(nodes, scale * _running_from(panels, below), scale * rows, below,
+                        strict=True)
+    # n_left new nodes before the cached ones and n_right after them; each
+    # side's panels end at the cached node it meets, whose g and running
+    # sum are its slope and value over scale, exactly as scale is a power
+    # of two
+    old_above = cached.nodes.size - 1 - cached.origin
+    n_left, n_right = below - cached.origin, above - old_above
+    left, right = nodes[:n_left + 1], nodes[nodes.size - 1 - n_right:]
+    rows_left = read(left[:-1]) if n_left else None
+    rows_right = read(right[1:]) if n_right else None
+    values, slopes = [cached.values], [cached.slopes]
+    if n_left:
+        panels = (_simpson_panels(g, left, np.concatenate(
+                      (rows_left, cached.slopes[..., :1] / scale), axis=-1)) if simpson
+                  else _table_panels(what, label, g, left, _PANEL_SPEC))
+        run = _summed_on(-cached.values[..., :1] / scale, panels[..., ::-1], cached.origin > 0)
+        values.insert(0, -scale * run[..., ::-1])
+        slopes.insert(0, scale * rows_left)
+    if n_right:
+        panels = (_simpson_panels(g, right, np.concatenate(
+                      (cached.slopes[..., -1:] / scale, rows_right), axis=-1)) if simpson
+                  else _table_panels(what, label, g, right, _PANEL_SPEC))
+        values.append(scale * _summed_on(cached.values[..., -1:] / scale, panels, old_above > 0))
+        slopes.append(scale * rows_right)
+    return _Hermite(nodes, np.concatenate(values, axis=-1), np.concatenate(slopes, axis=-1),
+                    below, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +416,7 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
     """Scale-exponent table of a custom model: the :func:`_running_table`
     of 2 S/sigma^2 on the nodes k/128 of [-w, w], w >= halfwidth.
 
-    A query past its edge rebuilds it over the query and twice its span,
+    A query past its edge grows it over the query and twice its span,
     moving no value it gave. A query past |y| = _EXP_MAX_HALFWIDTH raises
     DivergenceError instead; :func:`scale_exponent` asks for the table
     that covers its points before it reads them.
@@ -468,8 +520,9 @@ def _cdf_table(model: DiffusionModel) -> _Hermite:
         return cached
     lo, hi = _support(model)
     nodes = np.linspace(lo, hi, _CDF_PANELS + 1)
-    panels, f = _table_panels("CDF table", model.label, _density_integrand(model), nodes,
-                              _PANEL_SPEC)
+    density = _density_integrand(model)
+    f = _evaluate(density, nodes)
+    panels = _table_panels("CDF table", model.label, density, nodes, _PANEL_SPEC)
     g = compensated_sum(panels)
     if not 0.0 < g < math.inf:
         raise DivergenceError(f"normalizer must be finite and positive, got {g!r}")
@@ -495,7 +548,10 @@ def _cdf_pair(model: DiffusionModel, xs, row=None):
 
 def invariant_cdf(model: DiffusionModel, x: float) -> float:
     """F_S(x) from the model's distribution table, clamped to [0, 1]; the
-    table's end values outside its support [lo, hi]."""
+    table's end values outside its support [lo, hi]. A float reads the
+    row F alone, with the bits of the array read."""
+    if isinstance(x, float) and x == x:
+        return float(min(max(_cdf_table(model)._at(x, 0), 0.0), 1.0))
     return float(_cdf_pair(model, x)[0])
 
 

@@ -382,6 +382,17 @@ class TestWeightPrimitive:
             assert weight_primitive(wf_exp, ou, x, y) == pytest.approx(
                 weight_primitive_quadrature(wf_exp, ou, x, y), rel=1e-12)
 
+    def test_far_or_not_finite_y_raises_naming_the_table(self, ou, wf_exp):
+        # the weight table grows no further than the exponent table, so a
+        # far y raises instead of asking for some 10^9 nodes
+        limit = efficiency._EXP_MAX_HALFWIDTH
+        for x, y in ((0.0, -1e6), (1.0, -math.inf), (-2.0 * limit, 3.0)):
+            with pytest.raises(TailError, match="weight primitive Phi of the exp weight"):
+                weight_primitive(wf_exp, ou, x, y)
+        with pytest.raises(EvaluationError, match="weight table of the exp weight"):
+            weight_primitive(wf_exp, ou, 0.5, math.nan)
+        assert weight_primitive(wf_exp, ou, 0.0, math.inf) == 0.0
+
     def test_constant_weight_closed_form(self, ou):
         wf = constant_weight(1.0)
         # 2x(y^x) - (y^x)^2 for thresholds right of the origin

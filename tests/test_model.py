@@ -347,6 +347,95 @@ class TestRunningTable:
         t = model_module._running_table("test table", "cos", np.cos, 0.0, 0.0, 2.0**-4)
         assert t.nodes.tolist() == [0.0, 2.0**-4] and t(0.0) == 0.0
 
+    @staticmethod
+    def grower(kind):
+        """A new table of ``kind`` and a function (lo, hi) -> the table grown
+        over [lo, hi]: the exponent table of the wavy model (scale 2), a
+        custom weight's primitive table or its two-row weight table."""
+        from ergodist import efficiency
+        from ergodist.estimators import custom_weight, primitive
+
+        m = wavy_model()
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        if kind == "primitive":
+            return lambda lo, hi: primitive(wf, m, lo, hi)
+        if kind == "weight":
+            return lambda lo, hi: efficiency._weight_table(wf, m, lo, hi)
+        held = [None]
+
+        def exponent(lo, hi):
+            held[0] = model_module._running_table(
+                "scale exponent table", m.label, lambda v: m.drift(v) / m.diffusion_sq(v), lo,
+                hi, model_module._EXP_STEP, held[0], scale=2.0)
+            return held[0]
+
+        return exponent
+
+    @pytest.mark.parametrize("kind", ["exponent", "primitive", "weight"])
+    def test_growth_has_the_bits_of_a_fresh_build(self, kind):
+        # grown right, left, then both ways, against one build over the
+        # final span
+        grow = self.grower(kind)
+        for lo, hi in ((-1.0, 2.0), (0.0, 5.0), (-9.0, 1.0), (-30.0, 40.0)):
+            grown = grow(lo, hi)
+        assert (grown.lo, grown.hi) == (-30.0, 40.0)
+        fresh = self.grower(kind)(grown.lo, grown.hi)
+        assert np.array_equal(grown.nodes, fresh.nodes) and grown.origin == fresh.origin
+        assert np.array_equal(grown.values, fresh.values)
+        assert np.array_equal(grown.slopes, fresh.slopes)
+
+    @pytest.mark.parametrize("simpson", [False, True], ids=["adaptive", "simpson"])
+    def test_growth_reads_g_at_the_new_nodes_and_panels_only(self, simpson):
+        step = 2.0**-4
+        seen = []
+
+        def g(v):
+            seen.append(np.array(v, dtype=float))
+            return np.stack([np.cos(v), np.exp(-v * v)]) if simpson else np.cos(v)
+
+        def points(lo, hi, cached=None):
+            seen.clear()
+            t = model_module._running_table("test table", "cos", g, lo, hi, step, cached,
+                                            simpson=simpson)
+            return t, np.concatenate(seen)
+
+        first, _ = points(-4.0, 4.0)
+        grown, pts = points(-9.0, 5.0, first)
+        assert (grown.lo, grown.hi) == (-9.0, 8.0)
+        assert not np.any((first.lo <= pts) & (pts <= first.hi))
+        new_nodes = np.setdiff1d(grown.nodes, first.nodes)
+        assert np.array_equal(np.sort(pts[pts / step == np.round(pts / step)]), new_nodes)
+        # as many points as a build over the final span beyond one over the
+        # cached span
+        assert pts.size == points(grown.lo, grown.hi)[1].size - points(first.lo, first.hi)[1].size
+
+    def test_grown_exponent_table_integrates_each_panel_once(self, monkeypatch):
+        # the custom-OU exponent table of one tables_and_bounds round, grown
+        # from |y| <= 8 to 128: 32 768 panels, those of the final table,
+        # where rebuilding it at each growth integrated 63 488
+        panels = []
+        integrate_panels = model_module.integrate_panels
+
+        def counting(f, edges, *args):
+            panels.append(len(edges) - 1)
+            return integrate_panels(f, edges, *args)
+
+        monkeypatch.setattr(model_module, "integrate_panels", counting)
+        m = custom_ou()
+        for w in (8.0, 16.0, 32.0, 64.0, 128.0):
+            table = model_module._exponent_table(m, w)
+        assert sum(panels) == table.nodes.size - 1 == 32768
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_span_that_is_not_finite_names_the_table(self, bad):
+        build = lambda lo, hi, cached=None: model_module._running_table(
+            "test table", "cos", np.cos, lo, hi, 2.0**-4, cached)
+        cached = build(-1.0, 1.0)
+        for lo, hi in ((bad, 1.0), (-1.0, bad)):
+            for c in (None, cached):
+                with pytest.raises(EvaluationError, match=r"test table of cos asked for over"):
+                    build(lo, hi, c)
+
 
 class TestScalarTableReads:
     def test_float_reads_match_array_reads_bit_for_bit(self):
@@ -377,6 +466,26 @@ class TestScalarTableReads:
                         t(x)
                     with pytest.raises(EvaluationError, match="outside its span"):
                         t(np.array([0.0, x]))
+
+
+    @pytest.mark.parametrize("make", [ornstein_uhlenbeck, model_module.quartic_well, custom_ou])
+    def test_scalar_cdf_and_local_variance_match_array_reads(self, make):
+        # at nodes, between them, deep in both tails, past each end and at
+        # the infinities, where a read clips to the end values
+        from ergodist.efficiency import local_variance
+
+        m = make()
+        t = model_module._cdf_table(m)
+        step = t.step
+        xs = np.concatenate([t.nodes[::37], t.nodes[:-1:41] + 0.37 * step,
+                             t.nodes[:8] + 0.5 * step, t.nodes[-8:] - 0.5 * step,
+                             [t.lo - 1.0, t.hi + 3.0, -np.inf, np.inf]])
+        F = model_module._cdf_pair(m, xs)[0]
+        R = local_variance(m, xs)
+        for x, f, r in zip(xs.tolist(), F.tolist(), R.tolist()):
+            got_f, got_r = invariant_cdf(m, x), local_variance(m, x)
+            assert type(got_f) is float and type(got_r) is float
+            assert (got_f, got_r) == (f, r) and math.copysign(1.0, got_r) == math.copysign(1.0, r)
 
 
 def wavy_model():

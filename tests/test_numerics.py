@@ -227,12 +227,10 @@ class TestIntegratePanels:
         with pytest.raises(EvaluationError):
             integrate_panels(np.exp, [0.0, math.inf])
 
-    @pytest.mark.parametrize("build", ["cdf", "exponent", "primitive"])
-    def test_table_build_calls_once_per_round(self, build, monkeypatch):
-        # a custom model has no closed exponent, so every table is quadrature
-        m = model.DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
-                                 diffusion_sq=lambda x: 1.0, label="custom")
-        model._support(m)
+    @staticmethod
+    def _counted_table_calls(monkeypatch) -> list[dict]:
+        # one entry per integrate_panels call a table makes: its panels,
+        # its depth and the integrand calls it made
         calls = []
 
         def counting(f, edges, spec=numerics.DEFAULT_QUADRATURE, split=1):
@@ -245,6 +243,25 @@ class TestIntegratePanels:
             return integrate_panels(counted, edges, spec, split)
 
         monkeypatch.setattr(model, "integrate_panels", counting)
+        return calls
+
+    @staticmethod
+    def _assert_one_call_per_round(c: dict) -> None:
+        # one call per bisection round for every block of _CHUNK_INTERVALS panels
+        blocks = math.ceil(c["panels"] / numerics._CHUNK_INTERVALS)
+        assert c["panels"] >= 2048
+        assert c["calls"] <= blocks * (c["depth"] + 1)
+        assert c["calls"] <= c["panels"] / 100
+
+    @pytest.mark.parametrize("build", ["cdf", "exponent", "primitive"])
+    def test_table_build_calls_once_per_round(self, build, monkeypatch):
+        # a custom model has no closed exponent, so every table is quadrature;
+        # a fresh build is one call
+        m = model.DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                                 diffusion_sq=lambda x: 1.0, label="custom")
+        if build == "cdf":
+            model._support(m)
+        calls = self._counted_table_calls(monkeypatch)
         if build == "cdf":
             model._cdf_table(m)
         elif build == "exponent":
@@ -253,12 +270,20 @@ class TestIntegratePanels:
             estimators.primitive(estimators.custom_weight(lambda u: 1.0 + u * u,
                                                           lambda u: 2.0 * u), m, -3.0, 3.0)
         assert len(calls) == 1
-        c = calls[0]
-        # one call per bisection round for every block of _CHUNK_INTERVALS panels
-        blocks = math.ceil(c["panels"] / numerics._CHUNK_INTERVALS)
-        assert c["panels"] >= 2048
-        assert c["calls"] <= blocks * (c["depth"] + 1)
-        assert c["calls"] <= c["panels"] / 100
+        self._assert_one_call_per_round(calls[0])
+
+    def test_table_growth_calls_once_per_new_side(self, monkeypatch):
+        # the support search leaves the exponent table on [-16, 16]; a query
+        # at 20 grows both ends, one call each over that side's new panels
+        m = model.DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
+                                 diffusion_sq=lambda x: 1.0, label="custom")
+        model._support(m)
+        assert (m._cache["exp_table"].lo, m._cache["exp_table"].hi) == (-16.0, 16.0)
+        calls = self._counted_table_calls(monkeypatch)
+        model._exponent_table(m, 20.0)
+        assert [c["panels"] for c in calls] == [16 * 128, 16 * 128]
+        for c in calls:
+            self._assert_one_call_per_round(c)
 
 
 class TestIntegrateLine:
