@@ -349,9 +349,10 @@ class TestRunningTable:
 
     @staticmethod
     def grower(kind):
-        """A new table of ``kind`` and a function (lo, hi) -> the table grown
-        over [lo, hi]: the exponent table of the wavy model (scale 2), a
-        custom weight's primitive table or its two-row weight table."""
+        """A function (lo, hi) -> a table of ``kind`` grown over [lo, hi],
+        with a cache of its own: the exponent table of the wavy model
+        (scale 2), a custom weight's primitive table or its two-row weight
+        table."""
         from ergodist import efficiency
         from ergodist.estimators import custom_weight, primitive
 
