@@ -49,7 +49,6 @@ from .estimators import (
     unbiased_estimate,
 )
 from .model import (
-    _EXP_MAX_HALFWIDTH,
     DiffusionModel,
     _cdf_pair,
     _cdf_table,
@@ -334,13 +333,8 @@ def _weight_table(wf: WeightFunction, model: DiffusionModel, lo: float, hi: floa
     and Q = int_0 P h (P from :func:`primitive`), a
     :func:`ergodist.model._running_table` of Simpson panels on the nodes
     k 2^-8, with the exact slopes h and P h. It reads sigma and the weight
-    only. Memoized on the weight, per model. It grows no further than
-    |y| = _EXP_MAX_HALFWIDTH, as the exponent table: a request past that
-    raises TailError naming the weight primitive Phi."""
-    if max(-lo, hi) > _EXP_MAX_HALFWIDTH:
-        raise TailError(f"weight primitive Phi of the {wf.kind} weight on {model.label} asked "
-                        f"for over [{lo!r}, {hi!r}], past the weight table's limit |y| <= "
-                        f"{_EXP_MAX_HALFWIDTH!r}")
+    only. Memoized on the weight, per model; a request past the builder's
+    limit raises TailError naming the table."""
     key = ("weight_table", id(model))
 
     def rows(v: np.ndarray) -> np.ndarray:
@@ -353,26 +347,16 @@ def _weight_table(wf: WeightFunction, model: DiffusionModel, lo: float, hi: floa
     return table
 
 
-def _kernel_to_0(wf: WeightFunction, model: DiffusionModel, xs: np.ndarray) -> np.ndarray:
-    """P(x) = K_x(0) on an array of x: read off :func:`primitive` inside the
-    distribution table, one float kernel call each outside it."""
-    t = _cdf_table(model)
-    inside = (t.lo <= xs) & (xs <= t.hi)
-    px = np.empty(xs.shape)
-    px[inside] = primitive(wf, model, t.lo, t.hi)(xs[inside])
-    px[~inside] = [kernel(wf, model, x, 0.0) for x in xs[~inside].tolist()]
-    return px
-
-
 def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
     """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed), read off the weight
     table (:func:`_weight_table`) as 2 P(x) [H(m) - H(b)] - 2 [Q(m) - Q(b)]
-    with m = min(y, x), b = min(0, x) and P(x) = K_x(0) (:func:`kernel`);
-    TailError past the weight table's limit."""
+    with m = min(y, x), b = min(0, x) and P(x) = K_x(0) read off
+    :func:`primitive`; TailError past the tables' limit."""
     m, b = min(y, x), min(0.0, x)
     table = _weight_table(wf, model, min(m, b), max(m, b))
     (Hm, Qm), (Hb, Qb) = table(float(m)), table(float(b))
-    return 2.0 * kernel(wf, model, x, 0.0) * (Hm - Hb) - 2.0 * (Qm - Qb)
+    px = float(primitive(wf, model, x, x)(x))
+    return 2.0 * px * (Hm - Hb) - 2.0 * (Qm - Qb)
 
 
 def boundary_function(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
@@ -531,7 +515,8 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
                          nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(weight primitive at xi)^2] converges.
 
-    With u = 2 P(x), the primitive (:func:`weight_primitive`) at a table
+    With u = 2 P(x) (:func:`primitive`), the primitive
+    (:func:`weight_primitive`) at a table
     node y below x is u H(y) - 2 Q(y) + v, v = 2 Q(b) - u H(b) at
     b = min(0, x), and at the nodes from x on it is its value at x. So
     E[g^2] at each x is a quadratic in u and v over six prefix sums of
@@ -548,7 +533,7 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
     mass_above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
 
     def inner(x: np.ndarray) -> np.ndarray:
-        u = 2.0 * _kernel_to_0(wf, model, x)
+        u = 2.0 * primitive(wf, model, float(x.min()), float(x.max()))(x)
         (Hx, Hb), (Qx, Qb) = table(np.clip(np.stack([x, np.minimum(x, 0.0)]), t.lo, t.hi))
         cut = u * Hx - 2.0 * Qx
         v = 2.0 * Qb - u * Hb

@@ -30,17 +30,16 @@ import numpy as np
 
 from .errors import DivergenceError, EvaluationError
 from .model import (
-    _PANEL_SPEC,
+    _EXP_MAX_HALFWIDTH,
     DiffusionModel,
     _density_integrand,
     _positive,
-    _running_from,
     _running_table,
     _sigma_sq,
     normalizing_constant,
     stationary_expectation,
 )
-from .numerics import integrate, integrate_panels, on_array
+from .numerics import integrate, on_array
 from .simulate import _CHUNK_STEPS, Path
 
 # node step of the primitive table, used for custom weights and for models
@@ -53,7 +52,7 @@ _PATH_CHUNKS = 64
 # map for the curve accumulator to find cells by the map
 _MAP_SLACK = 1e-6
 # a path is not read through a tabulated primitive past this many times the
-# larger of 16 and the grid's ends
+# larger of 16 and the grid's ends, nor past the tables' limit
 _PRIMITIVE_REACH = 4.0
 # points the curve accumulator searches at a time on a grid its affine map
 # does not fit: searchsorted takes no output array, so each slice's cells
@@ -224,8 +223,9 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
 def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> WeightFunction:
     """Arbitrary positive weight h with derivative h_prime, each written for
     floats (``math`` functions, an ``if`` on u) or for numpy arrays, and no
-    closed-form primitive: kernels are quadratures; curves and the weight
-    table read :func:`primitive`'s table. Its ``h_pair`` is two fresh
+    closed-form primitive: a kernel at a float y is a quadrature; array
+    kernels, curves, Phi and the weight table read :func:`primitive`'s
+    table. Its ``h_pair`` is two fresh
     :func:`ergodist.numerics.on_array` reads, arrays of u's shape, and
     ignores ``out``."""
     return WeightFunction(kind="custom", params={"label": label},
@@ -271,8 +271,9 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     [lo, hi]. A request past it grows it over the request and at least
     twice its span on each side the request passes, moving none of the
     values it gave, so no result depends on which path asked first. It
-    reads sigma and the weight only. A read outside the table raises
-    EvaluationError.
+    reads sigma and the weight only. A request past |y| =
+    _EXP_MAX_HALFWIDTH raises TailError before any node is read, and a
+    read outside the table EvaluationError.
     """
     closed = _closed_primitive(wf, model)
     if closed is not None:
@@ -292,17 +293,16 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
 def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """K_x(y) = int_y^x dv/(sigma^2(v) h(v)); antisymmetric under swapping.
 
-    For an array of y without a closed form, one panel integration over
-    the sorted points {y} and x, summed outward from x, gives every value.
+    On an array of y, P(x) - P(y) read off :func:`primitive` (the closed
+    form, or the primitive table grown over x and every y); at a float y
+    without a closed form, one quadrature.
     """
     closed = _closed_primitive(wf, model)
     if np.ndim(y) > 0:
         y = np.asarray(y, dtype=float)
-        if closed is not None:
-            return closed(x) - closed(y)
-        pts, at = np.unique(np.append(y, x), return_inverse=True)
-        panels = integrate_panels(_kernel_integrand(wf, model), pts, _PANEL_SPEC)[0]
-        return -_running_from(panels, int(at[-1]))[at[:-1]].reshape(y.shape)
+        P = closed or primitive(wf, model, float(np.min(y, initial=x)),
+                                float(np.max(y, initial=x)))
+        return P(x) - P(y)
     if closed is not None:
         px, py = closed(np.array((x, y), dtype=float)).tolist()
         return px - py
@@ -446,8 +446,9 @@ class CurveAccumulator:
     tabulated P are read fresh. The arrays handed in are never written.
     A tabulated primitive is built over the grid before the first chunk
     and widened, moving none of its values, up to the reach:
-    _PRIMITIVE_REACH times the larger of 16 and the grid's ends, which
-    reads no drift; only then is a chunk's range read.
+    _PRIMITIVE_REACH times the larger of 16 and the grid's ends, at most
+    the tables' limit _EXP_MAX_HALFWIDTH, which reads no drift; only then
+    is a chunk's range read.
 
     A chunk is screened before its weights are read: a step that is not
     finite or past that reach is put at X = 0, dX = 0 in the work arrays;
@@ -493,7 +494,8 @@ class CurveAccumulator:
         for wf, closed in zip(self.weights, self._closed):
             primitive(wf, model, float(xs[0]), float(xs[-1]))
             if closed is None:
-                self.reach = _PRIMITIVE_REACH * max(16.0, abs(float(xs[0])), abs(float(xs[-1])))
+                self.reach = min(_PRIMITIVE_REACH * max(16.0, abs(float(xs[0])),
+                                                        abs(float(xs[-1]))), _EXP_MAX_HALFWIDTH)
 
     def add(self, cols: slice, start: int, states: np.ndarray, dw=None) -> None:
         """The consumer of :func:`stream_block`: the steps between

@@ -52,9 +52,11 @@ _EXP_LIMIT = 709.0
 # per-panel tolerance for cumulative tables (errors accumulate across panels)
 _PANEL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=30)
 _CDF_PANELS = 8192
-# node step of a custom model's exponent table, and the halfwidth past which
-# it is not grown (a query there means a law too wide to tabulate)
+# node step of a custom model's exponent table
 _EXP_STEP = 1.0 / 128.0
+# the halfwidth past which no running table grows: a request past it
+# raises TailError, or for the exponent table DivergenceError (a law too
+# wide to tabulate)
 _EXP_MAX_HALFWIDTH = 1024.0
 # a tail shell holding at most this share of the mass integrated so far
 # ends the support search on its side
@@ -347,14 +349,16 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
     """``cached`` if it covers [lo, hi]; else a strict table of
     scale * int_0^y g on the nodes k * step (step a power of two) that
     cover [lo, hi], 0, one panel at least and, given ``cached``, its span
-    with each end the request passes at least doubled: panel integrals
+    with each end the request passes at least doubled, up to
+    |y| = _EXP_MAX_HALFWIDTH: panel integrals
     summed outward from the node at 0, the exact slopes scale * g and cells
     counted from that node, so growth moves no read of the narrower table
     (see :class:`_Hermite`). The panels are adaptive, ``what`` naming the
     table in the non-convergence warning, or, given ``simpson``, the
     Simpson sums of the rows of g. ``scale``, a power of two, multiplies
     the sums, not g, so the panel tolerances meet g itself. A span that is
-    not finite raises EvaluationError naming the table.
+    not finite raises EvaluationError naming the table, and one past
+    |y| = _EXP_MAX_HALFWIDTH TailError naming it, before any node is read.
 
     Given ``cached``, the table grows by its new panels only: g is read at
     the new nodes, then integrated over the new panels past each end the
@@ -366,11 +370,15 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
         raise EvaluationError(hi if math.isfinite(lo) else lo,
                               f"{what} of {label} asked for over [{lo!r}, {hi!r}], "
                               "which is not a finite span")
+    limit = _EXP_MAX_HALFWIDTH
+    if max(-lo, hi) > limit:
+        raise TailError(f"{what} of {label} asked for over [{lo!r}, {hi!r}], past the table "
+                        f"limit |y| <= {limit!r}")
     if cached is not None:
         if cached.lo <= lo and hi <= cached.hi:
             return cached
-        lo = min(lo, 2.0 * cached.lo) if lo < cached.lo else cached.lo
-        hi = max(hi, 2.0 * cached.hi) if hi > cached.hi else cached.hi
+        lo = max(min(lo, 2.0 * cached.lo), -limit) if lo < cached.lo else cached.lo
+        hi = min(max(hi, 2.0 * cached.hi), limit) if hi > cached.hi else cached.hi
     below = math.ceil(max(-lo, 0.0) / step)
     above = max(math.ceil(max(hi, 0.0) / step), int(below == 0))
     nodes = np.arange(-below, above + 1) * step
@@ -418,8 +426,9 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
 
     A query past its edge grows it over the query and twice its span,
     moving no value it gave. A query past |y| = _EXP_MAX_HALFWIDTH raises
-    DivergenceError instead; :func:`scale_exponent` asks for the table
-    that covers its points before it reads them.
+    DivergenceError here, before the builder's TailError: the law is too
+    wide to tabulate. :func:`scale_exponent` asks for the table that
+    covers its points before it reads them.
     """
     if not halfwidth <= _EXP_MAX_HALFWIDTH:
         raise DivergenceError(
@@ -577,15 +586,16 @@ def stationary_expectation(model: DiffusionModel, g: Callable[[float], float]) -
 
     Raises :class:`DivergenceError` when the moment does not exist: either
     the tail doubling fails to converge, or g grows so fast against the
-    invariant density that the integrand leaves the floating range first.
+    invariant density that the integrand leaves the floating range or
+    asks a table past its limit (TailError) first.
     """
     G = normalizing_constant(model)
     raw = _density_integrand(model)
     try:
         return integrate_line(lambda z: np.asarray(g(z), dtype=float) * raw(z) / G).value
-    except EvaluationError as exc:
+    except (EvaluationError, TailError) as exc:
         raise DivergenceError(
-            f"moment integrand invalid or overflowing at z={exc.abscissa!r}; "
+            f"moment integrand invalid, overflowing or past a table's limit ({exc}); "
             "the moment is treated as nonexistent"
         ) from exc
 

@@ -64,10 +64,12 @@ class SimConfig:
     burn_in_T: float = 0.0
 
     def __post_init__(self) -> None:
-        violations = []
+        violations = [f"{name} must be finite, got {v!r}" for name, v in (
+            ("horizon_T", self.horizon_T), ("dt", self.dt), ("burn_in_T", self.burn_in_T))
+            if not math.isfinite(v)]
         if not (self.dt > 0.0 and self.horizon_T > 0.0 and self.dt <= self.horizon_T):
             violations.append(f"need 0 < dt <= horizon_T, got dt={self.dt!r}, T={self.horizon_T!r}")
-        else:
+        elif not violations:  # a non-finite T or dt has no step count
             n = round(self.horizon_T / self.dt)
             if n < 1:
                 violations.append("need at least one step")

@@ -52,6 +52,7 @@ from ergodist.efficiency import (
 )
 from ergodist.harness import cli_main
 from ergodist.model import (
+    _EXP_MAX_HALFWIDTH,
     DiffusionModel,
     _cdf_table,
     _support,
@@ -383,14 +384,14 @@ class TestWeightPrimitive:
                 weight_primitive_quadrature(wf_exp, ou, x, y), rel=1e-12)
 
     def test_far_or_not_finite_y_raises_naming_the_table(self, ou, wf_exp):
-        # the weight table grows no further than the exponent table, so a
-        # far y raises instead of asking for some 10^9 nodes
-        limit = efficiency._EXP_MAX_HALFWIDTH
-        for x, y in ((0.0, -1e6), (1.0, -math.inf), (-2.0 * limit, 3.0)):
-            with pytest.raises(TailError, match="weight primitive Phi of the exp weight"):
+        # no running table grows past the builder's limit, so a far y
+        # raises instead of asking for some 10^9 nodes
+        for x, y in ((0.0, -1e6), (-2.0 * _EXP_MAX_HALFWIDTH, 3.0)):
+            with pytest.raises(TailError, match="weight table of the exp weight"):
                 weight_primitive(wf_exp, ou, x, y)
-        with pytest.raises(EvaluationError, match="weight table of the exp weight"):
-            weight_primitive(wf_exp, ou, 0.5, math.nan)
+        for x, y in ((1.0, -math.inf), (0.5, math.nan)):
+            with pytest.raises(EvaluationError, match="weight table of the exp weight"):
+                weight_primitive(wf_exp, ou, x, y)
         assert weight_primitive(wf_exp, ou, 0.0, math.inf) == 0.0
 
     def test_constant_weight_closed_form(self, ou):
@@ -449,6 +450,20 @@ class TestDriftBlindEstimatorSide:
             wf = as_estimator(w).weight
             for x, y in points:
                 assert weight_primitive(wf, blind, x, y) == weight_primitive(wf, real, x, y)
+
+    def test_tabulated_phi_does_not_depend_on_which_table_came_first(self):
+        # a custom weight on a model without sigma_const: P and the weight
+        # table are both tabulated. Phi read from cold, growing the tables
+        # point by point, equals Phi read after both were built wide
+        points = [(x, y) for x in (-1.5, 0.0, 1.0, 18.0) for y in (-20.0, -3.0, 0.5, 20.0)]
+        values = []
+        for wide in (False, True):
+            m = wavy_model(np)
+            wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+            if wide:
+                weight_primitive(wf, m, 200.0, -300.0)
+            values.append([weight_primitive(wf, m, x, y) for x, y in points])
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize("spec", ["poly:p=1", "exp:delta=1"])
     def test_phi_is_bit_equal_across_a_drift_vicinity(self, spec):
@@ -908,6 +923,23 @@ class TestEmpiricalRisk:
             assert a.scaled_risk == b.scaled_risk
             assert np.array_equal(a.bias, b.bias)
             assert np.array_equal(a.scaled_variance, b.scaled_variance)
+        _assert_no_child_left()
+
+    @needs_fork
+    def test_tabulated_primitive_reports_match_in_forked_workers(self):
+        # a custom weight on a model without sigma_const, fresh objects per
+        # run, so each forked child grows its primitive table from cold:
+        # 2 workers give the 1-worker reports bit for bit
+        sim = SimConfig(horizon_T=2.0, dt=0.01, seed=6)
+        runs = []
+        for workers in (1, 2):
+            w = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+            runs.append(empirical_risk(wavy_model(np), ["edf", w, "unbiased:exp:delta=1"],
+                                       nu_gaussian(0, 1), sim, 6, self.grid(), workers=workers))
+        for a, b in zip(*runs):
+            assert a.scaled_risk == b.scaled_risk and a.bound == b.bound
+            for field in ("bias", "scaled_variance", "local_bound"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
         _assert_no_child_left()
 
     @pytest.mark.parametrize("exc", [

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from ergodist import estimators
 from ergodist import model as model_module
-from ergodist.errors import EvaluationError
+from ergodist.errors import EvaluationError, TailError
 from ergodist.estimators import (
     CurveAccumulator,
     as_estimator,
@@ -295,6 +295,26 @@ class TestKernel:
         for u in us:
             expect = quad(lambda v: 1.0 / (1.0 + v**4), 0.0, u, epsabs=1e-13, epsrel=1e-13)[0]
             assert P(u) == pytest.approx(expect, abs=1e-11)
+
+    def test_array_kernel_reads_the_primitive_table(self, ou):
+        # without a closed primitive an array kernel is P(x) - P(y) read off
+        # the one primitive table, grown over x and every y
+        wf = custom_weight(h=lambda u: 1.0 + u**4, h_prime=lambda u: 4.0 * u**3)
+        ys = np.random.default_rng(5).uniform(-40.0, 30.0, 200)
+        got = kernel(wf, ou, 0.4, ys)
+        P = primitive(wf, ou, -1.0, 1.0)
+        assert P.lo <= ys.min() and ys.max() <= P.hi
+        assert np.array_equal(got, P(0.4) - P(ys))
+
+    def test_far_request_raises_before_any_node_is_read(self, ou):
+        # the builder holds the limit: a request at -1e6 would otherwise ask
+        # for some 10^9 nodes
+        reads = []
+        wf = custom_weight(h=lambda u: reads.append(u) or 1.0 + u * u, h_prime=lambda u: 2.0 * u)
+        with pytest.raises(TailError, match=r"primitive table of the custom weight .* past the "
+                                            r"table limit \|y\| <= 1024\.0"):
+            primitive(wf, ou, -1e6, 0.0)
+        assert reads == [] and wf._cache == {}
 
     def test_unconverged_primitive_table_warns(self, ou, monkeypatch):
         # the spec of the table builder both tables share
@@ -646,6 +666,16 @@ class TestWeightConditions:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.all(dx_weight(wf, m, 0.4, ys)[ys >= 0.4] == 0.0)
 
+    def test_moment_past_the_tables_limit_is_a_flag(self):
+        # OU(2e-4, 1) has sd 50: the poly:p=3 moments' tail shells reach
+        # past |y| = 1024, where the primitive table raises TailError, so
+        # each moment is treated as nonexistent and the screen still reports
+        m = DiffusionModel(drift=lambda x: -2e-4 * x, diffusion=lambda x: 1.0,
+                           diffusion_sq=lambda x: 1.0, label="wide_ou")
+        rep = check_weight_conditions(polynomial_weight(3), m, 0.0)
+        assert not rep.sq_moment_ok and not rep.abs_moment_ok
+        assert math.isnan(rep.sq_moment) and math.isnan(rep.abs_moment)
+
 
 def custom_ou():
     """OU(1, 1) without the catalog fast paths: every kernel is quadrature."""
@@ -783,6 +813,16 @@ class TestCurveAccumulator:
             path = Path(dt=cfg.dt, values=block.values[j])
             for rows, curve in zip(streamed, estimate_curves(path, xs, choices, model)):
                 assert np.array_equal(rows[j], curve.values)
+
+    def test_reach_stops_at_the_tables_limit(self, ou):
+        # a grid end past 256 would put the reach past 1024, where the
+        # table raises TailError; the reach stops at the limit, so a path
+        # there is a recorded failure
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        acc = CurveAccumulator(np.array([0.0, 257.0]), [as_estimator(wf)], ou, 1, 2, 0.01)
+        assert acc.reach == model_module._EXP_MAX_HALFWIDTH == 1024.0
+        acc.add(slice(0, 1), 0, np.array([[0.0], [1026.0], [0.0]]))
+        assert acc.failures == {0: 1026.0}
 
     def test_widening_keeps_primitive_values(self, ou):
         # a path past the support (|y| <= 16 for OU) widens the table; its

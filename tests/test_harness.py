@@ -66,6 +66,13 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(raw).validate()
         assert "1e8" in str(err.value) or "exceeds" in str(err.value)
 
+    def test_non_finite_sim_is_listed(self, tmp_path):
+        raw = make_config(tmp_path, sim={"T": math.inf, "dt": 0.01, "seed": 0}, replications=1)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw).validate()
+        assert err.value.violations == ["sim: horizon_T must be finite, got inf",
+                                        "replications: must be >= 2, got 1"]
+
     def test_sim_faults_are_simconfig_faults(self, tmp_path):
         # T is no multiple of dt: listed next to the bad estimator, and
         # alone it stops run_experiment before output_dir is created
@@ -606,6 +613,14 @@ class TestCli:
         assert cli_main(["bound", "--model", "ou", "--nu", "gauss:0,1", f"--grid={grid}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [["--T", "inf", "--dt", "0.01"],
+                                      ["--T", "1", "--dt", "0.01", "--x0", "0", "--burn-in", "inf"]],
+                             ids=["T", "burn_in"])
+    def test_non_finite_simulation_exits_2(self, capsys, args):
+        assert cli_main(["simulate", "--model", "ou", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("nu", ["gauss:nan,1", "gauss:0,inf", "uniform:0,inf",
                                     "uniform:-inf,0", "point:nan=1", "point:0=inf"])

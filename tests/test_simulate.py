@@ -61,6 +61,14 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(horizon_T=1.0, dt=0.1, seed=1, init="stationary", burn_in_T=1.0)
 
+    @pytest.mark.parametrize("field", ["horizon_T", "dt", "burn_in_T"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_times_rejected(self, field, value):
+        # no step count: round(inf) would raise OverflowError
+        kwargs = {"horizon_T": 1.0, "dt": 0.1, "seed": 1, "init": 0.0, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SimConfig(**kwargs)
+
 
 class TestSubstreamSeeds:
     def test_deterministic(self):
