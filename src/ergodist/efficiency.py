@@ -46,6 +46,7 @@ from .estimators import (
     dx_weight,
     kernel,
     primitive,
+    primitive_at,
     unbiased_estimate,
 )
 from .model import (
@@ -350,12 +351,13 @@ def _weight_table(wf: WeightFunction, model: DiffusionModel, lo: float, hi: floa
 def weight_primitive(wf: WeightFunction, model: DiffusionModel, x: float, y: float) -> float:
     """2 * int_0^y 1{v<x} K_x(v) h(v) dv (signed), read off the weight
     table (:func:`_weight_table`) as 2 P(x) [H(m) - H(b)] - 2 [Q(m) - Q(b)]
-    with m = min(y, x), b = min(0, x) and P(x) = K_x(0) read off
-    :func:`primitive`; TailError past the tables' limit."""
+    with m = min(y, x), b = min(0, x) and P(x) = K_x(0)
+    (:func:`primitive_at`, at any finite x); TailError where m or b is past
+    the weight table's limit."""
     m, b = min(y, x), min(0.0, x)
     table = _weight_table(wf, model, min(m, b), max(m, b))
     (Hm, Qm), (Hb, Qb) = table(float(m)), table(float(b))
-    px = float(primitive(wf, model, x, x)(x))
+    px = float(primitive_at(wf, model, x))
     return 2.0 * px * (Hm - Hb) - 2.0 * (Qm - Qb)
 
 
@@ -515,7 +517,7 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
                          nu: NuMeasure) -> tuple[bool, float]:
     """Screen: nu-integral of E[(weight primitive at xi)^2] converges.
 
-    With u = 2 P(x) (:func:`primitive`), the primitive
+    With u = 2 P(x) (:func:`primitive_at`), the primitive
     (:func:`weight_primitive`) at a table
     node y below x is u H(y) - 2 Q(y) + v, v = 2 Q(b) - u H(b) at
     b = min(0, x), and at the nodes from x on it is its value at x. So
@@ -533,7 +535,7 @@ def weight_moment_finite(wf: WeightFunction, model: DiffusionModel,
     mass_above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
 
     def inner(x: np.ndarray) -> np.ndarray:
-        u = 2.0 * primitive(wf, model, float(x.min()), float(x.max()))(x)
+        u = 2.0 * primitive_at(wf, model, x)
         (Hx, Hb), (Qx, Qb) = table(np.clip(np.stack([x, np.minimum(x, 0.0)]), t.lo, t.hi))
         cut = u * Hx - 2.0 * Qx
         v = 2.0 * Qb - u * Hb

@@ -273,7 +273,8 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     values it gave, so no result depends on which path asked first. It
     reads sigma and the weight only. A request past |y| =
     _EXP_MAX_HALFWIDTH raises TailError before any node is read, and a
-    read outside the table EvaluationError.
+    read outside the table EvaluationError; :func:`primitive_at` reads P
+    past that limit.
     """
     closed = _closed_primitive(wf, model)
     if closed is not None:
@@ -286,6 +287,24 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     return table
 
 
+def primitive_at(wf: WeightFunction, model: DiffusionModel, x):
+    """P(x) = K_x(0) at a float or an array of x: the closed form, or read
+    off :func:`primitive` within |x| <= _EXP_MAX_HALFWIDTH and one float
+    :func:`kernel` each past it, so no finite moment or Phi fails on the
+    table's limit. A float x without a closed form gives a 0-d array."""
+    closed = _closed_primitive(wf, model)
+    if closed is not None:
+        return closed(x)
+    x = np.asarray(x, dtype=float)
+    far = np.isfinite(x) & (np.abs(x) > _EXP_MAX_HALFWIDTH)
+    near = x[~far]
+    px = np.empty(x.shape)
+    if near.size:
+        px[~far] = primitive(wf, model, float(near.min()), float(near.max()))(near)
+    px[far] = [kernel(wf, model, v, 0.0) for v in x[far].tolist()]
+    return px
+
+
 # ---------------------------------------------------------------------------
 # kernel and estimator coefficients (a float or an array of y)
 # ---------------------------------------------------------------------------
@@ -293,16 +312,16 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
 def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
     """K_x(y) = int_y^x dv/(sigma^2(v) h(v)); antisymmetric under swapping.
 
-    On an array of y, P(x) - P(y) read off :func:`primitive` (the closed
-    form, or the primitive table grown over x and every y); at a float y
+    On an array of y, P(x) - P(y) (:func:`primitive_at`); at a float y
     without a closed form, one quadrature.
     """
     closed = _closed_primitive(wf, model)
     if np.ndim(y) > 0:
         y = np.asarray(y, dtype=float)
-        P = closed or primitive(wf, model, float(np.min(y, initial=x)),
-                                float(np.max(y, initial=x)))
-        return P(x) - P(y)
+        if closed is not None:
+            return closed(x) - closed(y)
+        p = primitive_at(wf, model, np.append(y, x))
+        return p[-1] - p[:-1].reshape(y.shape)
     if closed is not None:
         px, py = closed(np.array((x, y), dtype=float)).tolist()
         return px - py

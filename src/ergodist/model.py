@@ -586,16 +586,15 @@ def stationary_expectation(model: DiffusionModel, g: Callable[[float], float]) -
 
     Raises :class:`DivergenceError` when the moment does not exist: either
     the tail doubling fails to converge, or g grows so fast against the
-    invariant density that the integrand leaves the floating range or
-    asks a table past its limit (TailError) first.
+    invariant density that the integrand leaves the floating range first.
     """
     G = normalizing_constant(model)
     raw = _density_integrand(model)
     try:
         return integrate_line(lambda z: np.asarray(g(z), dtype=float) * raw(z) / G).value
-    except (EvaluationError, TailError) as exc:
+    except EvaluationError as exc:
         raise DivergenceError(
-            f"moment integrand invalid, overflowing or past a table's limit ({exc}); "
+            f"moment integrand invalid or overflowing at z={exc.abscissa!r}; "
             "the moment is treated as nonexistent"
         ) from exc
 

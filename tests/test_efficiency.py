@@ -383,6 +383,17 @@ class TestWeightPrimitive:
             assert weight_primitive(wf_exp, ou, x, y) == pytest.approx(
                 weight_primitive_quadrature(wf_exp, ou, x, y), rel=1e-12)
 
+    def test_far_x_reads_p_by_quadrature(self, ou):
+        # P(x) past |x| = 1024 is one float kernel, and the weight table
+        # needs [min(m, b), max(m, b)] only: a custom h = 1 + u^2 gives the
+        # closed poly:p=1 values
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        for x, y in ((1500.0, 1.0), (3000.0, -2.5)):
+            assert weight_primitive(wf, ou, x, y) == pytest.approx(
+                weight_primitive(polynomial_weight(1), ou, x, y), rel=1e-12)
+            assert boundary_function(wf, ou, x, y) == pytest.approx(
+                boundary_function(polynomial_weight(1), ou, x, y), rel=1e-12)
+
     def test_far_or_not_finite_y_raises_naming_the_table(self, ou, wf_exp):
         # no running table grows past the builder's limit, so a far y
         # raises instead of asking for some 10^9 nodes
@@ -733,6 +744,15 @@ class TestMomentScreens:
     def test_point_mass_nu_screen(self, ou, wf_exp):
         ok, val = weight_moment_finite(wf_exp, ou, nu_point_masses([(0.0, 1.0)]))
         assert ok and val > 0.0
+
+    def test_point_mass_past_the_limit(self, ou):
+        # an atom at 2000 reads P there by quadrature: the custom twin of
+        # poly:p=1 screens as the closed weight does
+        nu = nu_point_masses([(2000.0, 0.5), (-1.0, 0.5)])
+        ok, val = weight_moment_finite(custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u),
+                                       ou, nu)
+        ok_closed, val_closed = weight_moment_finite(polynomial_weight(1), ou, nu)
+        assert ok and ok_closed and val == pytest.approx(val_closed, rel=1e-10)
 
     def test_quartic_model_screen(self, quartic):
         ok, _ = influence_moment_finite(quartic, nu_gaussian(0.0, 1.0))

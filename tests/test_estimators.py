@@ -306,6 +306,18 @@ class TestKernel:
         assert P.lo <= ys.min() and ys.max() <= P.hi
         assert np.array_equal(got, P(0.4) - P(ys))
 
+    def test_array_kernel_past_the_limit_is_a_quadrature(self, ou):
+        # points past |y| = 1024 read P by one float kernel each, so an
+        # array kernel there is finite and the table stays within the limit
+        wf = custom_weight(h=lambda u: 1.0 + u * u, h_prime=lambda u: 2.0 * u)
+        ys = np.array([-1500.0, -3.0, 2.0, 2000.0])
+        for x in (0.4, 1500.0):
+            got = kernel(wf, ou, x, ys)
+            assert np.allclose(got, np.arctan(x) - np.arctan(ys), rtol=1e-12, atol=1e-14)
+            assert got[3] == estimators.primitive_at(wf, ou, x) - kernel(wf, ou, 2000.0, 0.0)
+        P = primitive(wf, ou, 0.0, 0.0)
+        assert -model_module._EXP_MAX_HALFWIDTH <= P.lo and P.hi <= model_module._EXP_MAX_HALFWIDTH
+
     def test_far_request_raises_before_any_node_is_read(self, ou):
         # the builder holds the limit: a request at -1e6 would otherwise ask
         # for some 10^9 nodes
@@ -666,10 +678,29 @@ class TestWeightConditions:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.all(dx_weight(wf, m, 0.4, ys)[ys >= 0.4] == 0.0)
 
-    def test_moment_past_the_tables_limit_is_a_flag(self):
-        # OU(2e-4, 1) has sd 50: the poly:p=3 moments' tail shells reach
-        # past |y| = 1024, where the primitive table raises TailError, so
-        # each moment is treated as nonexistent and the screen still reports
+    def test_finite_moment_past_the_tables_limit_stays_finite(self):
+        # OU(2e-6, 1) has sd 500 and a closed exponent: the moments' tail
+        # shells reach past |y| = 1024, where P is read by quadrature, so a
+        # custom weight's finite moments are finite. With h = 1 + u^2 the
+        # dX coefficient at x = 0 is 2 arctan(-y) h(y) for y < 0
+        m = ornstein_uhlenbeck(2e-6, 1.0)
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        rep = check_weight_conditions(wf, m, 0.0)
+        assert rep.sq_moment_ok and rep.abs_moment_ok
+
+        def law(g):  # E[g(Y)] over Y < 0, Y = 500 t, t standard normal
+            return quad(lambda t: g(500.0 * t) * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
+                        -40.0, 0.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        assert rep.sq_moment == pytest.approx(
+            law(lambda y: (2.0 * math.atan(-y) * (1.0 + y * y)) ** 2), rel=1e-9)
+        assert rep.abs_moment == pytest.approx(law(lambda y: math.atan(-y) * 2.0 * -y), rel=1e-9)
+
+    def test_moment_past_the_exponent_tables_limit_is_a_flag(self):
+        # a custom OU(2e-4, 1) has sd 50 and a tabulated exponent: the
+        # poly:p=3 moments' tail shells reach past |y| = 1024, where the
+        # exponent table raises DivergenceError (a law too wide to
+        # tabulate), so each moment is treated as nonexistent
         m = DiffusionModel(drift=lambda x: -2e-4 * x, diffusion=lambda x: 1.0,
                            diffusion_sq=lambda x: 1.0, label="wide_ou")
         rep = check_weight_conditions(polynomial_weight(3), m, 0.0)
