@@ -285,6 +285,16 @@ def _parse_grid_arg(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _thresholds_arg(values: list[float] | None) -> list[float]:
+    """The ``--x`` thresholds, 0 when none is given; ConfigError at one
+    that is not finite."""
+    xs = values or [0.0]
+    for x in xs:
+        if not math.isfinite(x):
+            raise ConfigError([f"x: thresholds must be finite, got {x!r}"])
+    return xs
+
+
 def _model_from_arg(text: str) -> DiffusionModel:
     try:
         return model_from_spec(_parse_model_arg(text))
@@ -384,7 +394,7 @@ def _cmd_bound(args) -> int:
 def _cmd_check_conditions(args) -> int:
     model = _model_from_arg(args.model)
     nu = parse_nu(args.nu)
-    xs = [float(v) for v in (args.x or [0.0])]
+    xs = _thresholds_arg(args.x)
     payload: dict = {"model": model.label, "nu": args.nu}
     ok_h, val_h = influence_moment_finite(model, nu)
     payload["influence_moment_ok"] = ok_h
@@ -435,7 +445,9 @@ def _cmd_identity_checks(args) -> int:
     if choice.kind != "unbiased":
         raise ConfigError(["identity checks need a weight-function estimator"])
     wf = choice.weight
-    xs = [float(v) for v in (args.x or [0.0])]
+    xs = _thresholds_arg(args.x)
+    if args.seeds < 0:
+        raise ConfigError([f"seeds: must be >= 0, got {args.seeds!r}"])
     zs = _parse_grid_arg(args.z_grid)
     m_rel = 0.0
     regroup = 0.0

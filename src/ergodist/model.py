@@ -105,8 +105,9 @@ class ErgodicityReport:
 
 def ornstein_uhlenbeck(theta: float = 1.0, s: float = 1.0) -> DiffusionModel:
     """Mean-reverting model S(x) = -theta*x with constant diffusion s."""
-    if not (theta > 0.0 and s > 0.0):
-        raise ValueError("ornstein_uhlenbeck requires theta > 0 and s > 0")
+    if not (0.0 < theta < math.inf and 0.0 < s < math.inf):
+        raise ValueError(f"ornstein_uhlenbeck requires finite theta > 0 and s > 0, got "
+                         f"theta={theta!r}, s={s!r}")
     s2 = s * s
     return DiffusionModel(
         drift=lambda x: -theta * x,
@@ -201,8 +202,8 @@ def _checked_exp(e: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
     """Node values of a running integral based at node ``k0``, accumulated
     outward from it, given the integrals over the panels between nodes
-    (one such sum per row of 2-d panels): the one rule for every table's
-    node values. A row summed from the last node, such as 1 - F, is given
+    (one such sum per row of 2-d panels): the node values of the
+    distribution and influence tables. A row summed from the last node, such as 1 - F, is given
     its negated panels (int_t^hi g = int_hi^t -g)."""
     vals = np.zeros(panels.shape[:-1] + (panels.shape[-1] + 1,))
     np.cumsum(panels[..., k0:], axis=-1, out=vals[..., k0 + 1:])
@@ -215,9 +216,8 @@ def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray,
                   spec: QuadratureSpec) -> np.ndarray:
     """Integrals of ``f`` over a table's panels, with one RuntimeWarning
     naming the x-range of the panels that did not converge. A table reads
-    ``f`` at its nodes (:func:`ergodist.numerics._evaluate`) before it
-    calls this, so a node it fails at raises before any panel is
-    integrated."""
+    ``f`` at its nodes before it calls this, so a node it fails at raises
+    before any panel is integrated."""
     values, _, converged = integrate_panels(f, nodes, spec)
     bad = np.flatnonzero(~converged)
     if bad.size:
@@ -334,38 +334,33 @@ def _simpson_panels(f: Callable, nodes: np.ndarray, rows: np.ndarray) -> np.ndar
     return (step / 6.0) * (rows[:, :-1] + 4.0 * f(nodes[:-1] + 0.5 * step) + rows[:, 1:])
 
 
-def _summed_on(end: np.ndarray, panels: np.ndarray, seeded: bool) -> np.ndarray:
+def _summed_on(end: np.ndarray, panels: np.ndarray) -> np.ndarray:
     """The running sums of ``panels`` in order along the last axis, going on
-    from ``end`` when ``seeded``: a cumulative sum adds in order, so these
-    are the bits the sums over the panels before them and these give."""
-    if not seeded:
-        return np.cumsum(panels, axis=-1)
+    from ``end``: a cumulative sum adds in order, so these are the bits the
+    sums over the panels before them and these give."""
     return np.cumsum(np.concatenate((end, panels), axis=-1), axis=-1)[..., 1:]
 
 
 def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, step: float,
-                   cached: _Hermite | None = None, scale: float = 1.0,
-                   simpson: bool = False) -> _Hermite:
-    """``cached`` if it covers [lo, hi]; else a strict table of
-    scale * int_0^y g on the nodes k * step (step a power of two) that
-    cover [lo, hi], 0, one panel at least and, given ``cached``, its span
-    with each end the request passes at least doubled, up to
-    |y| = _EXP_MAX_HALFWIDTH: panel integrals
-    summed outward from the node at 0, the exact slopes scale * g and cells
-    counted from that node, so growth moves no read of the narrower table
-    (see :class:`_Hermite`). The panels are adaptive, ``what`` naming the
-    table in the non-convergence warning, or, given ``simpson``, the
-    Simpson sums of the rows of g. ``scale``, a power of two, multiplies
-    the sums, not g, so the panel tolerances meet g itself. A span that is
-    not finite raises EvaluationError naming the table, and one past
-    |y| = _EXP_MAX_HALFWIDTH TailError naming it, before any node is read.
+                   cached: _Hermite | None = None, simpson: bool = False) -> _Hermite:
+    """``cached`` if it covers [lo, hi]; else a strict table of int_0^y g on
+    the nodes k * step (step a power of two) that cover [lo, hi], 0, one
+    panel at least and, given ``cached``, its span with each end the
+    request passes at least doubled, up to |y| = _EXP_MAX_HALFWIDTH, with
+    the exact slopes g and cells counted from the node at 0 (see
+    :class:`_Hermite`). The panels are adaptive, ``what`` naming the table
+    in the non-convergence warning, or, given ``simpson``, the Simpson sums
+    of the rows of g. A span that is not finite raises EvaluationError
+    naming the table, and one past |y| = _EXP_MAX_HALFWIDTH TailError
+    naming it, before any node is read; a value of g that is not finite, at
+    a node or a Simpson midpoint, raises EvaluationError naming it.
 
-    Given ``cached``, the table grows by its new panels only: g is read at
-    the new nodes, then integrated over the new panels past each end the
-    request passes, one call a side, and the running sums go on in order
-    from the cached end values. A panel's integral does not depend on the
-    other panels, so every value and slope has the bits of a fresh build
-    over the whole span."""
+    The table grows by its new panels only, a fresh one from its node at 0
+    (value 0, slope g(0)): g is read at the new nodes, then integrated over
+    the new panels past each end the request passes, one call a side, and
+    the running sums go on in order from the end values. A panel's integral
+    does not depend on the other panels, so growth moves no value, and each
+    has the bits of a build over the whole span at once."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise EvaluationError(hi if math.isfinite(lo) else lo,
                               f"{what} of {label} asked for over [{lo!r}, {hi!r}], "
@@ -374,44 +369,46 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
     if max(-lo, hi) > limit:
         raise TailError(f"{what} of {label} asked for over [{lo!r}, {hi!r}], past the table "
                         f"limit |y| <= {limit!r}")
-    if cached is not None:
-        if cached.lo <= lo and hi <= cached.hi:
-            return cached
+
+    def read(v: np.ndarray) -> np.ndarray:
+        rows = g(v)
+        ok = np.isfinite(rows).reshape(-1, v.size).all(axis=0)
+        if not ok.all():
+            y = float(v[np.argmin(ok)])
+            raise EvaluationError(y, f"{what} of {label}: integrand not finite at y={y!r}")
+        return rows
+
+    if cached is None:  # a fresh table: its node at 0, value 0 and slope g(0)
+        slopes = read(np.zeros(1))
+        values, origin = np.zeros_like(slopes), 0
+    elif cached.lo <= lo and hi <= cached.hi:
+        return cached
+    else:
         lo = max(min(lo, 2.0 * cached.lo), -limit) if lo < cached.lo else cached.lo
         hi = min(max(hi, 2.0 * cached.hi), limit) if hi > cached.hi else cached.hi
+        values, slopes, origin = cached.values, cached.slopes, cached.origin
     below = math.ceil(max(-lo, 0.0) / step)
     above = max(math.ceil(max(hi, 0.0) / step), int(below == 0))
     nodes = np.arange(-below, above + 1) * step
-    read = g if simpson else lambda v: _evaluate(g, v)
-    if cached is None:
-        rows = read(nodes)
-        panels = (_simpson_panels(g, nodes, rows) if simpson
-                  else _table_panels(what, label, g, nodes, _PANEL_SPEC))
-        return _Hermite(nodes, scale * _running_from(panels, below), scale * rows, below,
-                        strict=True)
-    # n_left new nodes before the cached ones and n_right after them; each
-    # side's panels end at the cached node it meets, whose g and running
-    # sum are its slope and value over scale, exactly as scale is a power
-    # of two
-    old_above = cached.nodes.size - 1 - cached.origin
-    n_left, n_right = below - cached.origin, above - old_above
+    # n_left new nodes before the old ones and n_right after them; each
+    # side's panels end at the old node it meets, whose g and running sum
+    # are its slope and value
+    n_left, n_right = below - origin, above - (values.shape[-1] - 1 - origin)
     left, right = nodes[:n_left + 1], nodes[nodes.size - 1 - n_right:]
     rows_left = read(left[:-1]) if n_left else None
     rows_right = read(right[1:]) if n_right else None
-    values, slopes = [cached.values], [cached.slopes]
+    values, slopes = [values], [slopes]
     if n_left:
-        panels = (_simpson_panels(g, left, np.concatenate(
-                      (rows_left, cached.slopes[..., :1] / scale), axis=-1)) if simpson
-                  else _table_panels(what, label, g, left, _PANEL_SPEC))
-        run = _summed_on(-cached.values[..., :1] / scale, panels[..., ::-1], cached.origin > 0)
-        values.insert(0, -scale * run[..., ::-1])
-        slopes.insert(0, scale * rows_left)
+        panels = (_simpson_panels(read, left, np.concatenate((rows_left, slopes[0][..., :1]), -1))
+                  if simpson else _table_panels(what, label, g, left, _PANEL_SPEC))
+        values.insert(0, -_summed_on(-values[0][..., :1], panels[..., ::-1])[..., ::-1])
+        slopes.insert(0, rows_left)
     if n_right:
-        panels = (_simpson_panels(g, right, np.concatenate(
-                      (cached.slopes[..., -1:] / scale, rows_right), axis=-1)) if simpson
-                  else _table_panels(what, label, g, right, _PANEL_SPEC))
-        values.append(scale * _summed_on(cached.values[..., -1:] / scale, panels, old_above > 0))
-        slopes.append(scale * rows_right)
+        panels = (_simpson_panels(read, right,
+                                  np.concatenate((slopes[-1][..., -1:], rows_right), -1))
+                  if simpson else _table_panels(what, label, g, right, _PANEL_SPEC))
+        values.append(_summed_on(values[-1][..., -1:], panels))
+        slopes.append(rows_right)
     return _Hermite(nodes, np.concatenate(values, axis=-1), np.concatenate(slopes, axis=-1),
                     below, strict=True)
 
@@ -422,7 +419,8 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
 
 def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
     """Scale-exponent table of a custom model: the :func:`_running_table`
-    of 2 S/sigma^2 on the nodes k/128 of [-w, w], w >= halfwidth.
+    of S/sigma^2 on the nodes k/128 of [-w, w], w >= halfwidth, half the
+    exponent (:func:`scale_exponent` doubles its reads, exactly).
 
     A query past its edge grows it over the query and twice its span,
     moving no value it gave. A query past |y| = _EXP_MAX_HALFWIDTH raises
@@ -438,7 +436,7 @@ def _exponent_table(model: DiffusionModel, halfwidth: float) -> _Hermite:
     integrand = lambda v: on_array(model.drift, v) / _sigma_sq(model, v)
     table = model._cache["exp_table"] = _running_table(
         "scale exponent table", model.label, integrand, -w, w, _EXP_STEP,
-        model._cache.get("exp_table"), scale=2.0)
+        model._cache.get("exp_table"))
     return table
 
 
@@ -450,7 +448,7 @@ def scale_exponent(model: DiffusionModel, y):
     if model.scale_exponent_closed is not None:
         e = on_array(model.scale_exponent_closed, ys)
     else:
-        e = _exponent_table(model, float(np.max(np.abs(ys), initial=0.0)))(ys)
+        e = 2.0 * _exponent_table(model, float(np.max(np.abs(ys), initial=0.0)))(ys)
     return e if isinstance(y, np.ndarray) else float(e)
 
 

@@ -405,6 +405,14 @@ class TestWeightPrimitive:
                 weight_primitive(wf_exp, ou, x, y)
         assert weight_primitive(wf_exp, ou, 0.0, math.inf) == 0.0
 
+    def test_an_overflowing_weight_names_the_table(self, ou):
+        # h = e^{100 y} overflows past y ~ 7.09, so the weight table's rows
+        # are not finite there: the table raises naming itself, no NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match="weight table of the exp weight of ou.*"
+                               "integrand not finite at y=7.1015625"):
+                weight_primitive(exponential_weight(100.0), ou, 7.2, 7.1)
+
     def test_constant_weight_closed_form(self, ou):
         wf = constant_weight(1.0)
         # 2x(y^x) - (y^x)^2 for thresholds right of the origin

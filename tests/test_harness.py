@@ -73,6 +73,15 @@ class TestExperimentConfig:
         assert err.value.violations == ["sim: horizon_T must be finite, got inf",
                                         "replications: must be >= 2, got 1"]
 
+    def test_non_finite_model_parameter_is_listed(self, tmp_path):
+        raw = json.loads(json.dumps(make_config(tmp_path, replications=1)).replace(
+            '"params": {}', '"params": {"theta": Infinity}'))
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw).validate()
+        assert err.value.violations == [
+            "model: ornstein_uhlenbeck requires finite theta > 0 and s > 0, got theta=inf, s=1.0",
+            "replications: must be >= 2, got 1"]
+
     def test_sim_faults_are_simconfig_faults(self, tmp_path):
         # T is no multiple of dt: listed next to the bad estimator, and
         # alone it stops run_experiment before output_dir is created
@@ -628,6 +637,29 @@ class TestCli:
         assert cli_main(["bound", "--model", "ou", "--nu", nu]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("model", ["ou:theta=inf", "ou:s=inf", "ou:s=nan"])
+    def test_non_finite_model_exits_2(self, capsys, model):
+        assert cli_main(["bound", "--model", model, "--nu", "gauss:0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ["check-conditions", "--nu", "gauss:0,1", "--estimator", "unbiased:exp:delta=1"],
+        ["identity-checks", "--estimator", "unbiased:exp:delta=1", "--z-grid", "-1:1:3"]],
+        ids=["check_conditions", "identity_checks"])
+    def test_non_finite_threshold_exits_2(self, capsys, command, x):
+        assert cli_main([*command, "--model", "ou", f"--x={x}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid configuration: x: thresholds must be finite, got {x}\n"
+
+    def test_negative_seeds_exits_2(self, capsys):
+        rc = cli_main(["identity-checks", "--model", "ou", "--estimator", "unbiased:exp:delta=1",
+                       "--z-grid", "-1:1:3", "--seeds", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid configuration: seeds: must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("spec", ["exp:delta=inf", "exp:delta=nan", "const:c=inf"])
     def test_non_finite_weight_exits_2(self, capsys, spec):

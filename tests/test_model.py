@@ -313,7 +313,7 @@ class TestExponentTable:
         assert np.array_equal(wide(ys), before)
         shift = wide.origin - first.origin
         assert np.array_equal(wide.values[shift:shift + nodes.size], nodes)
-        assert np.max(np.abs(before + ys * ys)) < 1e-12  # 2 int_0^y (-v) dv = -y^2
+        assert np.max(np.abs(2.0 * before + ys * ys)) < 1e-12  # int_0^y (-v) dv = -y^2/2
 
     def test_query_past_the_limit_is_divergence(self):
         m = DiffusionModel(drift=lambda x: -x, diffusion=lambda x: 1.0,
@@ -350,9 +350,8 @@ class TestRunningTable:
     @staticmethod
     def grower(kind):
         """A function (lo, hi) -> a table of ``kind`` grown over [lo, hi],
-        with a cache of its own: the exponent table of the wavy model
-        (scale 2), a custom weight's primitive table or its two-row weight
-        table."""
+        with a cache of its own: the exponent table of the wavy model, a
+        custom weight's primitive table or its two-row weight table."""
         from ergodist import efficiency
         from ergodist.estimators import custom_weight, primitive
 
@@ -367,7 +366,7 @@ class TestRunningTable:
         def exponent(lo, hi):
             held[0] = model_module._running_table(
                 "scale exponent table", m.label, lambda v: m.drift(v) / m.diffusion_sq(v), lo,
-                hi, model_module._EXP_STEP, held[0], scale=2.0)
+                hi, model_module._EXP_STEP, held[0])
             return held[0]
 
         return exponent
@@ -436,6 +435,25 @@ class TestRunningTable:
             for c in (None, cached):
                 with pytest.raises(EvaluationError, match=r"test table of cos asked for over"):
                     build(lo, hi, c)
+
+    @pytest.mark.parametrize("simpson", [False, True], ids=["adaptive", "simpson"])
+    def test_a_value_that_is_not_finite_names_the_table(self, simpson):
+        # g is read with one check at the nodes, fresh or grown, and at the
+        # Simpson midpoints
+        step = 2.0**-4
+        bad = [0.25, -0.5] + ([0.25 + step / 2.0] if simpson else [])
+        for at in bad:
+            def g(v):
+                out = np.where(v == at, np.inf, np.cos(v))
+                return np.stack([out, np.exp(-v * v)]) if simpson else out
+
+            cached = model_module._running_table("test table", "cos", g, -0.125, 0.125, step,
+                                                 simpson=simpson)
+            for c in (None, cached):
+                with pytest.raises(EvaluationError, match=rf"test table of cos: integrand not "
+                                   rf"finite at y={at!r}"):
+                    model_module._running_table("test table", "cos", g, -1.0, 1.0, step, c,
+                                                simpson=simpson)
 
 
 class TestScalarTableReads:
