@@ -45,7 +45,6 @@ from .estimators import (
     as_estimator,
     dx_weight,
     kernel,
-    primitive,
     primitive_at,
     unbiased_estimate,
 )
@@ -55,9 +54,9 @@ from .model import (
     _cdf_table,
     _density_integrand,
     _Hermite,
-    _running_from,
     _running_table,
     _simpson_panels,
+    _summed_on,
     invariant_cdf,
     invariant_density,
     normalizing_constant,
@@ -229,10 +228,9 @@ def _influence_table(model: DiffusionModel) -> _Hermite:
     t = _cdf_table(model)
     rows = _integrands(model, t.nodes)
     steps = _simpson_panels(lambda v: _integrands(model, v), t.nodes, rows)
+    zero = np.zeros((2, 1))
+    cum = np.concatenate((_summed_on(zero, steps[:2]), _summed_on(zero, steps[2:, ::-1])[:, ::-1]))
     rows[2:] *= -1.0
-    steps[2:] *= -1.0
-    n = steps.shape[1]
-    cum = np.stack([_running_from(p, k) for p, k in zip(steps, (0, 0, n, n))])
     table = _Hermite(t.nodes, cum, rows)
     model._cache["influence_table"] = table
     return table
@@ -278,14 +276,10 @@ def local_variance(model: DiffusionModel, x):
     no kink lies inside a panel. R is 0 outside the distribution table's
     support.
     """
+    F, Fbar, (A, _, B, _) = _running(model, x)
     # a table read deep in a tail can undershoot its running integral
-    if isinstance(x, float) and x == x:  # float reads, with the array read's bits
-        F, Fbar = _cdf_pair(model, x)
-        A, _, B, _ = _influence_table(model)._at(x)
-        return float(max(4.0 * (Fbar * Fbar * A + F * F * B), 0.0))
-    F, Fbar, (A, _, B, _) = _running(model, np.atleast_1d(np.asarray(x, dtype=float)))
     R = np.maximum(4.0 * (Fbar * Fbar * A + F * F * B), 0.0)
-    return float(R[0]) if np.ndim(x) == 0 else R
+    return R if np.ndim(x) else float(R)
 
 
 def efficiency_bound(model: DiffusionModel, nu: NuMeasure) -> float:
@@ -331,20 +325,23 @@ def influence_primitive(model: DiffusionModel, x: float, y: float) -> float:
 
 def _weight_table(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -> _Hermite:
     """The weight table of ``wf`` that covers [lo, hi]: the rows H = int_0 h
-    and Q = int_0 P h (P from :func:`primitive`), a
+    and Q = int_0 P h (P from :func:`primitive_at`), a
     :func:`ergodist.model._running_table` of Simpson panels on the nodes
     k 2^-8, with the exact slopes h and P h. It reads sigma and the weight
-    only. Memoized on the weight, per model; a request past the builder's
-    limit raises TailError naming the table."""
+    only. Memoized on the weight, per model, and stored again only when a
+    call builds or grows it; a request past the builder's limit raises
+    TailError naming the table."""
     key = ("weight_table", id(model))
 
     def rows(v: np.ndarray) -> np.ndarray:
         h = on_array(lambda u: wf.h_pair(u)[0], v)
-        return np.stack([h, primitive(wf, model, float(v[0]), float(v[-1]))(v) * h])
+        return np.stack([h, primitive_at(wf, model, v) * h])
 
+    cached = wf._cache.get(key, (None, None))[1]
     table = _running_table(f"weight table of the {wf.kind} weight", model.label, rows, lo, hi,
-                           2.0**-8, wf._cache.get(key, (None, None))[1], simpson=True)
-    wf._cache[key] = (model, table)
+                           2.0**-8, cached, simpson=True)
+    if table is not cached:
+        wf._cache[key] = (model, table)
     return table
 
 

@@ -224,10 +224,10 @@ def custom_weight(h: Callable, h_prime: Callable, label: str = "custom") -> Weig
     """Arbitrary positive weight h with derivative h_prime, each written for
     floats (``math`` functions, an ``if`` on u) or for numpy arrays, and no
     closed-form primitive: a kernel at a float y is a quadrature; array
-    kernels, curves, Phi and the weight table read :func:`primitive`'s
-    table. Its ``h_pair`` is two fresh
-    :func:`ergodist.numerics.on_array` reads, arrays of u's shape, and
-    ignores ``out``."""
+    kernels, curves, Phi and the weight table read P through
+    :func:`primitive_at`, off :func:`primitive`'s table. Its ``h_pair`` is
+    two fresh :func:`ergodist.numerics.on_array` reads, arrays of u's
+    shape, and ignores ``out``."""
     return WeightFunction(kind="custom", params={"label": label},
                           h_pair=lambda u, out=None: (on_array(h, u), on_array(h_prime, u)))
 
@@ -267,9 +267,10 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     Closed form for the built-in weights on a constant-sigma model;
     otherwise (custom weights, or sigma depending on the state) the
     model's :func:`ergodist.model._running_table` of 1/(sigma^2 h) on the
-    nodes k 2^-10, memoized on the weight per model and first built over
-    [lo, hi]. A request past it grows it over the request and at least
-    twice its span on each side the request passes, moving none of the
+    nodes k 2^-10, memoized on the weight per model (stored again only
+    when a call builds or grows it) and first built over [lo, hi]. A
+    request past it grows it over the request and at least twice its
+    span on each side the request passes, moving none of the
     values it gave, so no result depends on which path asked first. It
     reads sigma and the weight only. A request past |y| =
     _EXP_MAX_HALFWIDTH raises TailError before any node is read, and a
@@ -280,10 +281,11 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     if closed is not None:
         return closed
     key = ("primitive", id(model))
+    cached = wf._cache.get(key, (None, None))[1]
     table = _running_table(f"primitive table of the {wf.kind} weight", model.label,
-                           _kernel_integrand(wf, model), lo, hi, _LINEAR_STEP,
-                           wf._cache.get(key, (None, None))[1])
-    wf._cache[key] = (model, table)
+                           _kernel_integrand(wf, model), lo, hi, _LINEAR_STEP, cached)
+    if table is not cached:
+        wf._cache[key] = (model, table)
     return table
 
 
@@ -296,6 +298,9 @@ def primitive_at(wf: WeightFunction, model: DiffusionModel, x):
     if closed is not None:
         return closed(x)
     x = np.asarray(x, dtype=float)
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (math.nan, math.nan)
+    if -_EXP_MAX_HALFWIDTH <= lo and hi <= _EXP_MAX_HALFWIDTH:  # every point on the table
+        return primitive(wf, model, lo, hi)(x)
     far = np.isfinite(x) & (np.abs(x) > _EXP_MAX_HALFWIDTH)
     near = x[~far]
     px = np.empty(x.shape)
@@ -315,13 +320,11 @@ def kernel(wf: WeightFunction, model: DiffusionModel, x: float, y):
     On an array of y, P(x) - P(y) (:func:`primitive_at`); at a float y
     without a closed form, one quadrature.
     """
-    closed = _closed_primitive(wf, model)
     if np.ndim(y) > 0:
         y = np.asarray(y, dtype=float)
-        if closed is not None:
-            return closed(x) - closed(y)
         p = primitive_at(wf, model, np.append(y, x))
         return p[-1] - p[:-1].reshape(y.shape)
+    closed = _closed_primitive(wf, model)
     if closed is not None:
         px, py = closed(np.array((x, y), dtype=float)).tolist()
         return px - py
@@ -631,8 +634,6 @@ class CurveAccumulator:
         failed = bool(bad.any())
         if failed:
             X = self._zero(X, dX, bad, copy)
-        # the chunk's range, which only a tabulated primitive reads
-        span = (float(X.min()), float(X.max())) if self.reach < math.inf else None
         # (dt/2) sigma^2, a broadcast scalar for a constant sigma
         half_dt = 0.5 * self.dt
         half_s2 = on_array(lambda y: half_dt * self.model.diffusion_sq(y), X)
@@ -641,9 +642,11 @@ class CurveAccumulator:
             # the second product until the primitive is read into it
             u = np.multiply(h, dX, out=term)
             u += np.multiply(hp, half_s2, out=P)
-            prim = closed or primitive(wf, self.model, *span)
+            # a tabulated P is read, and its table grown, with numpy's warnings on
+            PX = None if closed else primitive_at(wf, self.model, X)
             with np.errstate(all="ignore"):  # an overflowing P u is screened below
-                PX = prim(X, P) if closed else np.asarray(prim(X), dtype=float)
+                if closed:
+                    PX = closed(X, P)
                 Pu = np.multiply(u, PX, out=PX)
             v_sums = bins(Pu)
             if not np.isfinite(v_sums).all():
@@ -680,21 +683,23 @@ class CurveAccumulator:
                 out.append(sums[0] / self.n_steps)
                 continue
             wf, (U, V) = next(weights)
-            Px = np.asarray(primitive(wf, self.model, float(self.xs[0]),
-                                      float(self.xs[-1]))(self.xs), dtype=float)
-            out.append(2.0 * (Px * U - V) / T)
+            out.append(2.0 * (primitive_at(wf, self.model, self.xs) * U - V) / T)
         return out
 
 
 def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = None
                     ) -> list[EstimateCurve]:
-    """Evaluate estimators on a strictly increasing grid of thresholds.
+    """Evaluate estimators on a strictly increasing grid of finite
+    thresholds; ValueError naming the first threshold that is not finite.
 
     Every curve comes from one :class:`CurveAccumulator` fed the path in
     the chunks a simulated block takes, so each equals bit for bit the
     curve of the same path streamed in a block.
     """
     xs = np.asarray(xs, dtype=float)
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise ValueError(f"thresholds must be finite, got {float(bad[0])!r}")
     if xs.size and not np.all(np.diff(xs) > 0.0):
         raise ValueError("xs must be sorted strictly increasing")
     choices = [as_estimator(e) for e in estimators]

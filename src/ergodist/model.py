@@ -199,26 +199,12 @@ def _checked_exp(e: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.exp(e)
 
 
-def _running_from(panels: np.ndarray, k0: int) -> np.ndarray:
-    """Node values of a running integral based at node ``k0``, accumulated
-    outward from it, given the integrals over the panels between nodes
-    (one such sum per row of 2-d panels): the node values of the
-    distribution and influence tables. A row summed from the last node, such as 1 - F, is given
-    its negated panels (int_t^hi g = int_hi^t -g)."""
-    vals = np.zeros(panels.shape[:-1] + (panels.shape[-1] + 1,))
-    np.cumsum(panels[..., k0:], axis=-1, out=vals[..., k0 + 1:])
-    np.cumsum(panels[..., :k0][..., ::-1], axis=-1, out=vals[..., :k0][..., ::-1])
-    np.negative(vals[..., :k0], out=vals[..., :k0])
-    return vals
-
-
-def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """Integrals of ``f`` over a table's panels, with one RuntimeWarning
-    naming the x-range of the panels that did not converge. A table reads
-    ``f`` at its nodes before it calls this, so a node it fails at raises
-    before any panel is integrated."""
-    values, _, converged = integrate_panels(f, nodes, spec)
+def _table_panels(what: str, label: str, f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """Integrals of ``f`` over a table's panels to _PANEL_SPEC, with one
+    RuntimeWarning naming the x-range of the panels that did not converge.
+    A table reads ``f`` at its nodes before it calls this, so a node it
+    fails at raises before any panel is integrated."""
+    values, _, converged = integrate_panels(f, nodes, _PANEL_SPEC)
     bad = np.flatnonzero(~converged)
     if bad.size:
         lo, hi = float(nodes[bad[0]]), float(nodes[bad[-1] + 1])
@@ -334,11 +320,13 @@ def _simpson_panels(f: Callable, nodes: np.ndarray, rows: np.ndarray) -> np.ndar
     return (step / 6.0) * (rows[:, :-1] + 4.0 * f(nodes[:-1] + 0.5 * step) + rows[:, 1:])
 
 
-def _summed_on(end: np.ndarray, panels: np.ndarray) -> np.ndarray:
-    """The running sums of ``panels`` in order along the last axis, going on
-    from ``end``: a cumulative sum adds in order, so these are the bits the
-    sums over the panels before them and these give."""
-    return np.cumsum(np.concatenate((end, panels), axis=-1), axis=-1)[..., 1:]
+def _summed_on(base: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    """``base`` (last axis of length 1), then the running sums of ``panels``
+    on from it in order along the last axis: the node values of a running
+    integral based at its first node, one row per function. A cumulative
+    sum adds in order, so each value has the bits of the sums before it. A
+    row based at its last node is summed on its reversed panels."""
+    return np.cumsum(np.concatenate((base, panels), axis=-1), axis=-1)
 
 
 def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, step: float,
@@ -400,14 +388,15 @@ def _running_table(what: str, label: str, g: Callable, lo: float, hi: float, ste
     values, slopes = [values], [slopes]
     if n_left:
         panels = (_simpson_panels(read, left, np.concatenate((rows_left, slopes[0][..., :1]), -1))
-                  if simpson else _table_panels(what, label, g, left, _PANEL_SPEC))
-        values.insert(0, -_summed_on(-values[0][..., :1], panels[..., ::-1])[..., ::-1])
+                  if simpson else _table_panels(what, label, g, left))
+        # the sums from the old first node leftward, its value dropped
+        values.insert(0, -_summed_on(-values[0][..., :1], panels[..., ::-1])[..., :0:-1])
         slopes.insert(0, rows_left)
     if n_right:
         panels = (_simpson_panels(read, right,
                                   np.concatenate((slopes[-1][..., -1:], rows_right), -1))
-                  if simpson else _table_panels(what, label, g, right, _PANEL_SPEC))
-        values.append(_summed_on(values[-1][..., -1:], panels))
+                  if simpson else _table_panels(what, label, g, right))
+        values.append(_summed_on(values[-1][..., -1:], panels)[..., 1:])
         slopes.append(rows_right)
     return _Hermite(nodes, np.concatenate(values, axis=-1), np.concatenate(slopes, axis=-1),
                     below, strict=True)
@@ -529,12 +518,13 @@ def _cdf_table(model: DiffusionModel) -> _Hermite:
     nodes = np.linspace(lo, hi, _CDF_PANELS + 1)
     density = _density_integrand(model)
     f = _evaluate(density, nodes)
-    panels = _table_panels("CDF table", model.label, density, nodes, _PANEL_SPEC)
+    panels = _table_panels("CDF table", model.label, density, nodes)
     g = compensated_sum(panels)
     if not 0.0 < g < math.inf:
         raise DivergenceError(f"normalizer must be finite and positive, got {g!r}")
     panels, f = panels / g, f / g
-    F, Fbar = _running_from(panels, 0), _running_from(-panels, panels.size)
+    zero = np.zeros(1)
+    F, Fbar = _summed_on(zero, panels), _summed_on(zero, panels[::-1])[::-1]
     np.maximum.accumulate(F, out=F)
     np.minimum.accumulate(Fbar, out=Fbar)
     model._cache["g"] = g

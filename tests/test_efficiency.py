@@ -28,6 +28,7 @@ from ergodist.estimators import (
     exponential_weight,
     parse_estimator,
     polynomial_weight,
+    primitive,
     unbiased_estimate,
 )
 from ergodist.efficiency import (
@@ -329,6 +330,18 @@ def _closed_weight_rows(spec: str, y: float) -> tuple[float, float, float]:
 class TestWeightPrimitive:
     def test_zero_at_origin(self, ou, wf_exp):
         assert weight_primitive(wf_exp, ou, 1.0, 0.0) == 0.0
+
+    def test_warm_call_keeps_every_cache_entry(self, ou):
+        # a table is stored only when its builder built or grew it: a warm
+        # call, inside the tables, leaves each (model, table) entry the
+        # same object
+        wf = custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u)
+        weight_primitive(wf, ou, 1.5, -2.0)
+        before = dict(wf._cache)
+        assert set(before) == {("primitive", id(ou)), ("weight_table", id(ou))}
+        primitive(wf, ou, -1.0, 1.0)
+        weight_primitive(wf, ou, 1.0, -1.5)
+        assert all(wf._cache[k] is v for k, v in before.items()) and wf._cache == before
 
     @pytest.mark.parametrize("spec", ["poly:p=1", "exp:delta=1"])
     def test_table_rows_match_closed_forms(self, ou, spec):

@@ -495,6 +495,28 @@ class TestEstimateCurve:
         with pytest.raises(ValueError):
             estimate_curve(path, [0.0, 0.0, 1.0], "edf")
 
+    @pytest.mark.parametrize("xs, spec", [([np.nan], "edf"),
+                                          ([-np.inf], "unbiased:exp:delta=1"),
+                                          ([0.0, np.inf], "unbiased:poly:p=1"),
+                                          ([np.nan, 1.0], "edf")])
+    def test_non_finite_threshold_rejected(self, ou, xs, spec):
+        # refused by name before any path is read, with no numpy warning
+        path = simulate_path(ou, SimConfig(horizon_T=1.0, dt=0.01, seed=1))
+        bad = next(x for x in xs if not math.isfinite(x))
+        with pytest.raises(ValueError, match=f"thresholds must be finite, got {bad!r}"):
+            estimate_curve(path, xs, spec, ou)
+
+    @pytest.mark.parametrize("x", [math.nan, -math.inf, math.inf])
+    def test_single_threshold_readers_refuse_non_finite(self, ou, x):
+        from ergodist.efficiency import representation_discrepancy
+
+        wf = exponential_weight(1.0)
+        path = simulate_path(ou, SimConfig(horizon_T=1.0, dt=0.01, seed=1, store_wiener=True))
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            unbiased_estimate(path, wf, ou, x)
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            representation_discrepancy(path, wf, ou, x)
+
     def test_edf_curve_monotone(self, ou):
         path = simulate_path(ou, SimConfig(horizon_T=5.0, dt=0.01, seed=12))
         curve = estimate_curve(path, np.linspace(-3, 3, 61), "edf")
