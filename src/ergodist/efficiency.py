@@ -52,7 +52,6 @@ from .model import (
     DiffusionModel,
     _cdf_pair,
     _cdf_table,
-    _density_integrand,
     _Hermite,
     _running_table,
     _simpson_panels,
@@ -407,9 +406,7 @@ def boundary_derivative_direct(wf: WeightFunction, model: DiffusionModel,
     table = _cdf_table(model)
     if z <= table.lo:
         return 0.0
-    g = normalizing_constant(model)
-    raw = _density_integrand(model)
-    integrand = lambda v: compensator(wf, model, x, v) * (raw(v) / g)
+    integrand = lambda v: compensator(wf, model, x, v) * invariant_density(model, v)
     total = integrate(integrand, table.lo, z, _DIRECT_SPEC, kink=x).value
     fz = invariant_density(model, z)
     if fz < 1e-300:

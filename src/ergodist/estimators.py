@@ -48,15 +48,12 @@ from .simulate import _CHUNK_STEPS, Path
 _LINEAR_STEP = 2.0**-10
 # full chunks of a stored path the curve accumulator takes at a time
 _PATH_CHUNKS = 64
-# most distance, in cells, of a node from its index under the grid's affine
-# map for the curve accumulator to find cells by the map
-_MAP_SLACK = 1e-6
 # a path is not read through a tabulated primitive past this many times the
 # larger of 16 and the grid's ends, nor past the tables' limit
 _PRIMITIVE_REACH = 4.0
-# points the curve accumulator searches at a time on a grid its affine map
-# does not fit: searchsorted takes no output array, so each slice's cells
-# come back in a small fresh array and are copied into the kept one
+# points of a chunk whose missed cells the curve accumulator searches at a
+# time: searchsorted takes no output array, so each slice's misses and
+# their cells come back in small fresh arrays
 _SEARCH_POINTS = 4096
 
 
@@ -191,11 +188,7 @@ def exponential_weight(delta: float = 1.0) -> WeightFunction:
         return h, np.multiply(delta, h, out=hp)
 
     def inv(u, out=None):  # normalized so the primitive vanishes at 0
-        if out is None:
-            return -np.expm1(-delta * u) / delta
-        np.multiply(-delta, u, out=out)
-        np.expm1(out, out=out)
-        np.negative(out, out=out)
+        out = np.negative(np.expm1(np.multiply(-delta, u, out=out), out=out), out=out)
         out /= delta
         return out
 
@@ -215,7 +208,7 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     return WeightFunction(
         kind="const",
         params={"c": c},
-        inv_h_primitive=lambda u, out=None: u / c if out is None else np.divide(u, c, out=out),
+        inv_h_primitive=lambda u, out=None: np.divide(u, c, out=out),
         h_pair=lambda u, out=None: (c, 0.0),
     )
 
@@ -447,14 +440,13 @@ class CurveAccumulator:
     each X_i in its cell, the number of nodes at or below it
     (``searchsorted(xs, X_i, side="right")``). On a grid of one node x0
     the cell is 1 unless X_i < x0, which is that search for every X_i,
-    NaN and infinities included (for a node that is not NaN). On a grid
-    that the affine map onto its node indices fits (a uniform one of two
-    nodes or more), the map guesses the cell; ext[c] <= X_i < ext[c + 1],
-    on the grid padded with -inf and +inf, confirms the guess, and only
-    the points that fail it (NaN, +inf and points within rounding of a
-    node) are searched. Any other grid, such as one with a point-mass
-    nu's atoms merged in, on which the map would miss most cells, is
-    searched. Each term is
+    NaN and infinities included (for a node that is not NaN). On any
+    other grid the affine map of its ends onto 0 and n - 1 guesses the
+    cell; ext[c] <= X_i < ext[c + 1], on the grid padded with -inf and
+    +inf, confirms the guess, and only the points that fail it are
+    searched (NaN, +inf, points within rounding of a node, and on a grid
+    that is not uniform, such as one with a point-mass nu's atoms merged
+    in, the points the map puts in a neighbouring cell). Each term is
     summed per (path, cell) with one weighted ``bincount`` and added into
     the (statistic, path, cell) sums by one slice add per statistic: a
     streamed chunk's columns are distinct paths, so each sum takes one
@@ -495,15 +487,11 @@ class CurveAccumulator:
         # row 0 counts the steps (exact in floats) for an EDF, then 2 rows
         # per weight
         self.sums = np.zeros((1 + 2 * len(self.weights), paths, xs.size + 1))
-        # the affine map of the grid onto its node indices, kept only if it
-        # sends every node within _MAP_SLACK of its index (a uniform grid of
-        # two nodes or more, not one with point-mass atoms merged in), and
+        # the affine map of the grid's ends onto 0 and n - 1 (on a NaN
+        # node, whose every point the confirmation misses, any scale), and
         # the grid padded with -inf and +inf, which bounds every cell
         self._x0 = float(xs[0])
-        scale = (xs.size - 1) / (float(xs[-1]) - float(xs[0])) if xs.size > 1 else 0.0
-        with np.errstate(all="ignore"):
-            fits = np.all(np.abs((xs - self._x0) * scale - np.arange(xs.size)) < _MAP_SLACK)
-        self._scale = scale if fits and xs.size > 1 else None
+        self._scale = (xs.size - 1) / (float(xs[-1]) - self._x0) if xs.size > 1 else 1.0
         self._one_node = xs.size == 1 and self._x0 == self._x0
         self._ext = np.concatenate(([-np.inf], xs, [np.inf]))
         # work rows: dX, a term, X where copied, P, then h and h' per weight
@@ -550,19 +538,12 @@ class CurveAccumulator:
 
     def _cells(self, X: np.ndarray) -> np.ndarray:
         """``searchsorted(xs, X, side="right")``: on a grid of one node x0,
-        not (X < x0); on a grid the affine map fits, the map, clamped to
-        the cells 0..n, where ext[c] <= X < ext[c + 1] confirms it, and a
-        search for the points that fail (NaN, +inf, and points within about
-        _MAP_SLACK of a cell from a node); on any other grid, the search,
-        _SEARCH_POINTS points at a time."""
+        not (X < x0); on any other grid, the affine map, clamped to the
+        cells 0..n, where ext[c] <= X < ext[c + 1] confirms it, and a
+        search for the points that fail, _SEARCH_POINTS points at a time."""
         floats, cell, (ok, above) = self._scratch(X.size)
         if self._one_node:
             np.copyto(cell, np.logical_not(np.less(X, self._x0, out=ok), out=ok))
-            return cell
-        if self._scale is None:
-            for a in range(0, X.size, _SEARCH_POINTS):
-                cell[a:a + _SEARCH_POINTS] = np.searchsorted(self.xs, X[a:a + _SEARCH_POINTS],
-                                                             side="right")
             return cell
         g = floats[0]
         with np.errstate(all="ignore"):  # inf * 0 and overflow: clamped below
@@ -575,8 +556,10 @@ class CurveAccumulator:
         np.less_equal(np.take(self._ext, cell, out=g, mode="clip"), X, out=ok)
         ok &= np.less(X, np.take(self._ext[1:], cell, out=g, mode="clip"), out=above)
         if not ok.all():
-            miss = np.flatnonzero(np.logical_not(ok, out=ok))
-            cell[miss] = np.searchsorted(self.xs, X[miss], side="right")
+            np.logical_not(ok, out=ok)
+            for a in range(0, X.size, _SEARCH_POINTS):
+                miss = np.flatnonzero(ok[a:a + _SEARCH_POINTS]) + a
+                cell[miss] = np.searchsorted(self.xs, X[miss], side="right")
         return cell
 
     @staticmethod

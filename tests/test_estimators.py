@@ -776,24 +776,16 @@ class TestCurveAccumulator:
         acc = CurveAccumulator(xs, [as_estimator("edf")], None, 1, 1, 1.0)
         assert np.array_equal(acc._cells(X), np.searchsorted(xs, X, side="right"))
 
-    def test_map_kept_only_on_grids_it_fits(self):
-        # a uniform grid's cells come from the map; a grid with off-grid
-        # point-mass atoms merged in is searched whole
-        uniform = np.linspace(-5.0, 5.0, 81)
-        merged = np.unique(np.concatenate([uniform, [-0.7, 0.1, 1.3]]))
-        edf = [as_estimator("edf")]
-        assert CurveAccumulator(uniform, edf, None, 1, 1, 1.0)._scale is not None
-        assert CurveAccumulator(merged, edf, None, 1, 1, 1.0)._scale is None
-
     @pytest.mark.parametrize("node", [0.3, -0.0, 5e-324, -np.inf, np.inf, np.nan])
     def test_one_node_grid_cells_by_one_comparison(self, node):
         # a single node has no affine map onto its index; its cell is
         # not (X < node), the search's cell at the node, its neighbours,
         # NaN and the infinities. Every point compares false with a NaN
-        # node, which the search sorts last, so that grid keeps the search
+        # node, which the search sorts last, so that grid's points all
+        # miss the map's cell and are searched
         xs = np.array([node])
         acc = CurveAccumulator(xs, [as_estimator("edf")], None, 1, 1, 1.0)
-        assert acc._scale is None and acc._one_node == (node == node)
+        assert acc._one_node == (node == node)
         X = np.array([node, np.nextafter(node, -np.inf), np.nextafter(node, np.inf),
                       -np.inf, -2.0, 0.0, -0.0, 0.7, np.inf, np.nan])
         assert np.array_equal(acc._cells(X), np.searchsorted(xs, X, side="right"))
@@ -974,14 +966,14 @@ class TestCurveAccumulator:
     def test_chunk_after_warm_up_allocates_no_chunk_sized_array(self, ou, atoms):
         # numpy traces its buffers to tracemalloc; the weight values, the
         # primitives, the cells and the masks all go into kept work arrays,
-        # on a uniform grid and on one with atoms merged in (searched)
+        # on a uniform grid and on one with atoms merged in, where about
+        # half the points miss the map's cell and are searched
         choices = [as_estimator(c) for c in ("edf", "unbiased:exp:delta=1",
                                              "unbiased:poly:p=1", "unbiased:poly:p=2")]
         rng = np.random.default_rng(8)
         states = np.cumsum(rng.normal(0.0, 0.07, (2 * 512 + 1, 60)), axis=0)
         xs = np.unique(np.concatenate([np.linspace(-3.0, 3.0, 41), atoms]))
         acc = CurveAccumulator(xs, choices, ou, 60, 1024, 0.005)
-        assert (acc._scale is None) == bool(atoms)
         tracemalloc.start()
         try:
             acc.add(slice(0, 60), 0, states[:513])

@@ -144,6 +144,14 @@ class TestInvariantCdf:
         for x in np.linspace(-20, 20, 41):
             assert 0.0 <= invariant_cdf(ou, float(x)) <= 1.0
 
+    @pytest.mark.parametrize("x", [0, np.float32(0.5)], ids=["int", "float32"])
+    def test_value_not_a_python_float_reads_its_float(self, ou, x):
+        got = invariant_cdf(ou, x)
+        assert type(got) is float and got == invariant_cdf(ou, float(x))
+
+    def test_nan_reads_nan(self, ou):
+        assert math.isnan(invariant_cdf(ou, math.nan))
+
     def test_left_tail_relative_accuracy(self, ou):
         # the law of OU(1, 1) is N(0, 1/2); F(-6) is about 1e-17
         from scipy.stats import norm

@@ -176,6 +176,13 @@ class TestIntegratePanels:
         with pytest.raises(ValueError):
             y[...] = 1.0
 
+    def test_result_of_another_shape_falls_back_to_float_calls(self):
+        # the array call returns two values for three points, so each
+        # point goes through a float call
+        f = lambda x: np.array([1.0, 2.0]) if np.ndim(x) else 2 * x
+        y = numerics.on_array(f, [1, 2, 3])
+        assert y.dtype == float and y.tolist() == [2.0, 4.0, 6.0]
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_value_reports_abscissa(self, bad):
         with pytest.raises(EvaluationError) as err:
@@ -338,6 +345,12 @@ class TestInvertMonotone:
     def test_target_outside_bracket(self):
         with pytest.raises(BracketError):
             invert_monotone(lambda x: x, 2.0, 0.0, 1.0, 1e-10)
+
+    def test_jump_over_the_target_stalls(self):
+        # the bracket collapses onto the jump at 0.3, where f is 0 or 1
+        # and never within tol of 0.5
+        with pytest.raises(BracketError, match="inversion stalled: bracket"):
+            invert_monotone(lambda x: 0.0 if x < 0.3 else 1.0, 0.5, 0.0, 1.0, 1e-10)
 
     @given(st.floats(min_value=-0.9, max_value=0.9))
     @settings(max_examples=25, deadline=None)
