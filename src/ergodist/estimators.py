@@ -356,8 +356,6 @@ def unbiased_estimate(path: Path, wf: WeightFunction, model: DiffusionModel, x: 
     Not clamped to [0, 1]: the estimator may leave the unit interval at
     finite T and clamping would break exact unbiasedness.
     """
-    if len(path.values) < 2:
-        raise ValueError("path needs at least 2 grid points")
     return float(estimate_curves(path, [x], [wf], model)[0].values[0])
 
 
@@ -450,8 +448,10 @@ class CurveAccumulator:
     summed per (path, cell) with one weighted ``bincount`` and added into
     the (statistic, path, cell) sums by one slice add per statistic: a
     streamed chunk's columns are distinct paths, so each sum takes one
-    addition per chunk, and the columns of a stored path are added in
-    step order. One cumulative sum over the cells gives every curve.
+    addition per chunk. A single path, stored or streamed, is read in its
+    own memory order, as contiguous rows of one chunk each, and its rows'
+    sums are added in step order. One cumulative sum over the cells gives
+    every curve.
 
     Every per-point array of a chunk (dX, each term, the cells, the masks,
     and h, h' and P of the built-in weights, whose factories' callables
@@ -510,22 +510,26 @@ class CurveAccumulator:
     def add(self, cols: slice, start: int, states: np.ndarray, dw=None) -> None:
         """The consumer of :func:`stream_block`: the steps between
         consecutive rows of ``states``, shape (steps + 1, paths), of the
-        block's paths ``cols``."""
-        self._add(cols, states[:-1], states[1:])
+        block's paths ``cols``; a single path's span is added as a stored
+        path's, so its sums are the stored path's bit for bit."""
+        if states.shape[1] == 1:
+            self.add_path(cols.start, states[:, 0])
+        else:
+            self._add(cols, states[:-1], states[1:])
 
     def add_path(self, j: int, values: np.ndarray) -> None:
         """Stored path ``values`` as path j, in the chunks of steps a
-        streamed block takes; _PATH_CHUNKS full chunks are added at a time
-        as the columns of one array."""
+        streamed block takes: _PATH_CHUNKS full chunks at a time as the
+        rows of one array, then the steps past them as one row."""
         n = len(values) - 1
         full = n - n % _CHUNK_STEPS
         span = _CHUNK_STEPS * _PATH_CHUNKS
         for a in range(0, full, span):
             b = min(a + span, full)
-            self._add(j, values[a:b].reshape(-1, _CHUNK_STEPS).T,
-                      values[a + 1:b + 1].reshape(-1, _CHUNK_STEPS).T)
+            self._add(j, values[a:b].reshape(-1, _CHUNK_STEPS),
+                      values[a + 1:b + 1].reshape(-1, _CHUNK_STEPS))
         if full < n:
-            self._add(j, values[full:n, None], values[full + 1:, None])
+            self._add(j, values[None, full:n], values[None, full + 1:])
 
     def _scratch(self, n: int) -> tuple:
         """The work arrays' first n points (see ``_floats``; the cells; two
@@ -572,32 +576,32 @@ class CurveAccumulator:
         return copy
 
     def _add(self, cols, before: np.ndarray, after: np.ndarray) -> None:
-        """Column i of ``before`` and ``after`` (shape (steps, columns)) is
-        a chunk of path ``cols.start + i``, or of path ``cols`` for an int,
-        whose columns are then added in step order; a path's first step
-        that cannot be weighted goes into ``failures`` (see the class)."""
-        k, cells = before.shape[1], self.sums.shape[2]
+        """For a slice ``cols``, column i of ``before`` and ``after``
+        (shape (steps, paths)) is a chunk of path ``cols.start + i``; for an
+        int, row i (shape (chunks, steps)) is the i-th chunk of path
+        ``cols``, so the flattened rows are its steps in order. A path's
+        first step that cannot be weighted goes into ``failures`` (see the
+        class)."""
+        stored = not isinstance(cols, slice)
+        k, cells = before.shape[0 if stored else 1], self.sums.shape[2]
         floats, _, (bad, flag) = self._scratch(before.size)
         dX, term, copy, P = floats[:4]
-        if before.flags.c_contiguous:
-            X = before.ravel()
-        else:  # a stored path's chunk: its steps in the same (step, column) order
-            X = copy
-            np.copyto(X.reshape(before.shape), before)
+        X = before.reshape(-1)
         idx = self._cells(X)
-        idx.reshape(-1, k)[...] += cells * np.arange(k)
+        offsets = cells * np.arange(k)
+        idx.reshape(before.shape)[...] += offsets[:, None] if stored else offsets
 
         def bins(term=None):
             return np.bincount(idx, term, minlength=k * cells).reshape(k, cells)
 
         def put(row, cell_sums):
             # a streamed chunk's sums take one addition per (path, cell); a
-            # stored path's columns are added in step order
-            if isinstance(cols, slice):
-                self.sums[row, cols] += cell_sums
-            else:
+            # stored path's rows are added in step order
+            if stored:
                 for part in cell_sums:
                     self.sums[row, cols] += part
+            else:
+                self.sums[row, cols] += cell_sums
 
         if self._edf:
             put(0, bins())
@@ -642,10 +646,13 @@ class CurveAccumulator:
             put(1 + 2 * w, bins(u))
             put(2 + 2 * w, v_sums)
         if failed:
-            at = np.flatnonzero(bad)  # the rows of a flattened chunk are steps
-            at_cols, first = np.unique(at % k, return_index=True)
-            paths = np.broadcast_to(np.arange(self.sums.shape[1])[cols], k)
-            for j, x in zip(paths[at_cols].tolist(), before[at[first] // k, at_cols].tolist()):
+            at = np.flatnonzero(bad)
+            if stored:  # the flattened rows are the path's steps in order
+                paths, first = [cols], at[:1]
+            else:  # each path's first step is its column's first flattened point
+                at_cols, first = np.unique(at % k, return_index=True)
+                paths, first = np.arange(self.sums.shape[1])[cols][at_cols].tolist(), at[first]
+            for j, x in zip(paths, before.reshape(-1)[first].tolist()):
                 self.failures.setdefault(j, x)
 
     def curves(self, dropped=None) -> list[np.ndarray]:
@@ -673,12 +680,15 @@ class CurveAccumulator:
 def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = None
                     ) -> list[EstimateCurve]:
     """Evaluate estimators on a strictly increasing grid of finite
-    thresholds; ValueError naming the first threshold that is not finite.
+    thresholds; ValueError naming the first threshold that is not finite,
+    and for a path with no step.
 
     Every curve comes from one :class:`CurveAccumulator` fed the path in
     the chunks a simulated block takes, so each equals bit for bit the
     curve of the same path streamed in a block.
     """
+    if path.n_steps < 1:
+        raise ValueError("path needs at least 2 grid points")
     xs = np.asarray(xs, dtype=float)
     bad = xs[~np.isfinite(xs)]
     if bad.size:

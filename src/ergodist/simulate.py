@@ -8,7 +8,8 @@ uniform for a stationary start (the invariant law's quantile transform),
 then its increments dW_i ~ Normal(0, dt), burn-in steps first.
 
 ``stream_block`` is the one simulator, and it has one chunk loop. Per
-chunk of ``_CHUNK_STEPS`` steps, burn-in first, it draws each path's
+chunk of ``_CHUNK_STEPS`` steps (a single path: per span of
+``_SPAN_CHUNKS`` such chunks), burn-in first, it draws each path's
 increments from its own stream, scales them by ``sigma_const`` once when
 the model sets it (not asking for sigma each step), has a step kernel
 fill the chunk's states, marks each path's first non-finite step, and
@@ -16,8 +17,8 @@ hands the chunk after burn-in to a consumer: a curve accumulator, which
 keeps per-cell sums and no path, or ``simulate_path``, which stores the
 one path of a block of one. The vector kernel steps every path of a
 block as one numpy vector. The float kernel steps one path as a Python
-float: by one list comprehension per chunk when the model sets
-``sigma_const`` and its drift gives a Python float at the chunk's first
+float: by one list comprehension per span when the model sets
+``sigma_const`` and its drift gives a Python float at the span's first
 state, else (or when the comprehension raised or its last state is not a
 float) by the per-step reference loop, which stops at the first
 non-finite state. It runs a block of one,
@@ -151,6 +152,12 @@ def _initial_value(model: DiffusionModel, cfg: SimConfig, rng: np.random.Generat
 # Steps of increments a block draws at a time, and of states it hands a
 # consumer at a time.
 _CHUNK_STEPS = 512
+# Chunks a single path draws, steps and hands over at a time: the calls
+# per chunk cost a path stepped as a Python float what one chunk of a
+# vector block costs every path of it. On a 2-core VM a 404 000-step OU
+# path took 38, 34.5, 33 and 32 ms in spans of 1, 2, 4 and 8 chunks; 8
+# chunks raised the peak RSS of a run storing it by 0.2 MiB, 4 by 0.08.
+_SPAN_CHUNKS = 4
 # Points between the start points at which a block checks that drift and
 # diffusion vectorize.
 _PROBE_POINTS = 1024
@@ -170,8 +177,9 @@ def stream_block(model: DiffusionModel, cfg: SimConfig, seeds, consume: Callable
     states at steps start, ..., start + steps of the block's paths ``cols``,
     and ``dw`` holds the increments between them. A chunk covers steps
     [start, start + _CHUNK_STEPS) of every path at once, or, in a block of
-    one or where drift and diffusion do not vectorize, of one path at a
-    time; an exploded path's states are not finite from its explosion on.
+    one or where drift and diffusion do not vectorize, steps [start, start
+    + _SPAN_CHUNKS * _CHUNK_STEPS) of one path at a time; an exploded
+    path's states are not finite from its explosion on.
     """
     rngs = [np.random.default_rng(int(s)) for s in seeds]
     x0 = np.array([_initial_value(model, cfg, rng) for rng in rngs])
@@ -204,26 +212,30 @@ def _vectorizes(model: DiffusionModel, x0: np.ndarray) -> bool:
 def _stream(model: DiffusionModel, cfg: SimConfig, step: Callable, x: np.ndarray,
             rngs: list, cols: slice, consume: Callable) -> np.ndarray:
     """The paths ``cols`` of a block from start points x, burn-in steps
-    first, in chunks of _CHUNK_STEPS steps that ``step`` fills; returns
-    each one's first non-finite step or -1. Chunks restart at the end of
-    burn-in, so the chunks handed to ``consume`` start at multiples of
-    _CHUNK_STEPS. With ``model.sigma_const`` set, a chunk's increments are
-    scaled by it once, not per step by a call to sigma. Once every path
-    has exploded, the stream stops before handing over that chunk."""
+    first, in chunks of _CHUNK_STEPS steps (of _SPAN_CHUNKS such chunks
+    for a single path) that ``step`` fills; returns each one's first
+    non-finite step or -1. Chunks restart at the end of burn-in, so the
+    chunks handed to ``consume`` start at multiples of _CHUNK_STEPS. A
+    block shorter than a chunk holds buffers of its own length. With
+    ``model.sigma_const`` set, a chunk's increments are scaled by it once,
+    not per step by a call to sigma. Once every path has exploded, the
+    stream stops before handing over that chunk."""
     s = model.sigma_const
     sd = math.sqrt(cfg.dt)
     n_burn = _burn_steps(cfg)
+    chunk = min(_CHUNK_STEPS * (_SPAN_CHUNKS if len(rngs) == 1 else 1),
+                max(n_burn, cfg.n_steps))
     exploded = np.full(len(rngs), -1, dtype=np.int64)
     # each path's standard normals land in its own contiguous row of z and
     # are scaled there: sd z is rng.normal(0, sd)'s value, 0 + sd z
-    z = np.empty((len(rngs), _CHUNK_STEPS))
-    sdw = None if s is None else np.empty((_CHUNK_STEPS, len(rngs)))
-    states = np.empty((_CHUNK_STEPS + 1, len(rngs)))
+    z = np.empty((len(rngs), chunk))
+    sdw = None if s is None else np.empty((chunk, len(rngs)))
+    states = np.empty((chunk + 1, len(rngs)))
     states[0] = x
     with np.errstate(all="ignore"):
         for first, total in ((0, n_burn), (n_burn, cfg.n_steps)):
-            for start in range(0, total, _CHUNK_STEPS):
-                c = min(_CHUNK_STEPS, total - start)
+            for start in range(0, total, chunk):
+                c = min(chunk, total - start)
                 for j, rng in enumerate(rngs):
                     rng.standard_normal(out=z[j, :c])
                 dw = z[:, :c].T

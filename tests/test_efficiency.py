@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -718,6 +719,24 @@ class TestRepresentationDiscrepancy:
         for x, (residual, estimate) in self._PINNED_RESIDUAL_BITS.items():
             assert representation_discrepancy(long_path, wf_exp, ou, x).hex() == residual
             assert unbiased_estimate(long_path, wf_exp, ou, x).hex() == estimate
+
+    # sha256 of each curve's values on long_path, 195 chunks of 512 steps
+    # and a tail of 160, measured with numpy 2.4.6
+    _PINNED_CURVE_SHA256 = {
+        "edf": "093da1c7b8ae0435f498d1a912b1439021ecb42b3f0a33e872b9917265120a2c",
+        "unbiased:exp:delta=1": "634b063d72cb63193eb294199679f1b99008b1f2107d8dfaec8d91f184e276b3",
+        "unbiased:poly:p=2": "07d5724051eaebdbbed7196bad641e678979be8ec327f58ff8bbe6b451b3cbe7",
+        "unbiased:const:c=1": "561d64a3c63d4e4aeef98434b967c494efd934d1617e7eec05735ffc513d636d",
+    }
+
+    def test_long_path_curves_match_pinned_digests(self, ou, long_path):
+        if np.__version__ != _PINNED_NUMPY:
+            pytest.skip(f"bits pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
+        specs = list(self._PINNED_CURVE_SHA256)
+        curves = estimate_curves(long_path, np.linspace(-1.5, 1.5, 201), specs, ou)
+        got = {spec: hashlib.sha256(c.values.tobytes()).hexdigest()
+               for spec, c in zip(specs, curves)}
+        assert got == self._PINNED_CURVE_SHA256
 
 
 @pytest.mark.slow

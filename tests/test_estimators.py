@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ergodist import estimators
+from ergodist import estimators, simulate
 from ergodist import model as model_module
 from ergodist.errors import EvaluationError, TailError
 from ergodist.estimators import (
@@ -459,7 +460,7 @@ class TestUnbiasedEstimate:
         assert unbiased_estimate(path, wf_exp, ou, 3.0) == 0.0
 
     def test_needs_two_points(self, ou, wf_exp):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="path needs at least 2 grid points"):
             unbiased_estimate(Path(dt=0.1, values=np.array([1.0])), wf_exp, ou, 0.0)
 
     def test_matches_direct_sum(self, ou, wf_exp):
@@ -516,6 +517,16 @@ class TestEstimateCurve:
             unbiased_estimate(path, wf, ou, x)
         with pytest.raises(ValueError, match="thresholds must be finite"):
             representation_discrepancy(path, wf, ou, x)
+
+    def test_path_with_no_step_refused(self, ou):
+        # a one-value path has T = 0: refused by name, as unbiased_estimate
+        # refuses it, not read as 0/0 (the suite turns numpy's
+        # RuntimeWarning into an error)
+        path = Path(dt=0.1, values=np.array([0.5]))
+        with pytest.raises(ValueError, match="path needs at least 2 grid points"):
+            estimate_curve(path, [0.0, 1.0], "edf")
+        with pytest.raises(ValueError, match="path needs at least 2 grid points"):
+            estimate_curves(path, [0.0], ["edf", "unbiased:exp:delta=1"], ou)
 
     def test_edf_curve_monotone(self, ou):
         path = simulate_path(ou, SimConfig(horizon_T=5.0, dt=0.01, seed=12))
@@ -824,6 +835,30 @@ class TestCurveAccumulator:
         assert err.value.abscissa == -0.98
 
     @pytest.mark.filterwarnings("error")
+    def test_unweightable_step_past_the_first_chunk(self, ou):
+        # 3 x 512 + 7 steps whose first unweightable step, the overflow of
+        # exp(730 u)'s primitive at -0.98, is step 600 in the second chunk;
+        # steps 1100 (h = 0) and 1540 (in the tail) follow it. A stored
+        # path, a streamed block of one and column 1 of a streamed block of
+        # two mark the same step
+        n = 3 * 512 + 7
+        values = 0.3 * np.sin(np.arange(n + 1) * 0.01)
+        values[600], values[1100], values[1540] = -0.98, -800.0, -0.99
+        choice = as_estimator("unbiased:exp:delta=730")
+        xs = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(EvaluationError, match="path 0 cannot be weighted") as err:
+            estimate_curve(Path(dt=0.01, values=values), xs, choice, ou)
+        assert err.value.abscissa == -0.98
+        acc = CurveAccumulator(xs, [choice], ou, 1, n, 0.01)
+        acc.add(slice(0, 1), 0, values[:, None])
+        assert acc.failures == {0: -0.98}
+        states = np.stack([np.zeros(n + 1), values], axis=1)
+        acc = CurveAccumulator(xs, [choice], ou, 2, n, 0.01)
+        for start in range(0, n, 512):
+            acc.add(slice(0, 2), start, states[start:start + 513])
+        assert acc.failures == {1: -0.98}
+
+    @pytest.mark.filterwarnings("error")
     def test_first_unweightable_step_across_both_screens(self, ou):
         # one chunk of 3 paths x 4 steps: path 0 overflows at step 1 and
         # has h = 0 at step 2, path 2 has h = 0 at step 0 and overflows at
@@ -856,6 +891,33 @@ class TestCurveAccumulator:
         block = stored_block(model, cfg, seeds)
         for j in range(len(seeds)):
             path = Path(dt=cfg.dt, values=block.values[j])
+            for rows, curve in zip(streamed, estimate_curves(path, xs, choices, model)):
+                assert np.array_equal(rows[j], curve.values)
+
+    @pytest.mark.parametrize("chunks, extra", [
+        (0, 1), (1, -1), (1, 0), (1, 1),
+        (simulate._SPAN_CHUNKS, -1), (simulate._SPAN_CHUNKS, 0), (simulate._SPAN_CHUNKS, 1)],
+        ids=["1", "511", "512", "513", "span-1", "span", "span+1"])
+    def test_streamed_single_paths_match_stored_paths_at_span_edges(self, chunks, extra):
+        # a drift written with math.exp does not vectorize, so each path of
+        # the block is streamed alone, in spans of _SPAN_CHUNKS chunks after
+        # 300 burn-in steps; its curves equal its stored path's bit for bit,
+        # one of them on a tabulated primitive
+        model = DiffusionModel(drift=lambda x: -x * (1.0 + math.exp(-x * x)),
+                               diffusion=lambda x: 1.0, diffusion_sq=lambda x: 1.0,
+                               label="math_exp", sigma_const=1.0)
+        n = chunks * simulate._CHUNK_STEPS + extra
+        cfg = SimConfig(horizon_T=n / 128, dt=1 / 128, seed=0, init=0.5, burn_in_T=300 / 128)
+        seeds = [derive_substream_seed(19, r) for r in range(2)]
+        xs = np.linspace(-2.0, 2.0, 21)
+        choices = [as_estimator(c) for c in (
+            "edf", "unbiased:exp:delta=1", "unbiased:poly:p=2",
+            custom_weight(lambda u: 1.0 + u * u, lambda u: 2.0 * u))]
+        acc = CurveAccumulator(xs, choices, model, len(seeds), n, cfg.dt)
+        assert np.all(stream_block(model, cfg, seeds, acc.add) == -1)
+        streamed = acc.curves()
+        for j, seed in enumerate(seeds):
+            path = simulate_path(model, replace(cfg, seed=seed))
             for rows, curve in zip(streamed, estimate_curves(path, xs, choices, model)):
                 assert np.array_equal(rows[j], curve.values)
 

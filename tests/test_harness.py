@@ -250,6 +250,10 @@ _PINNED_SHA256 = {
 # sha256 of the CSV that `simulate` writes for one OU path from x0 = 1.5
 # (see test_simulate_csv_matches_pinned_digest), with numpy 2.4.6.
 _PINNED_SIMULATE_SHA256 = "8b6180dfdc006563ab9c33c5a228652be691ab76b02c22a5d053526f63f97278"
+# sha256 of the CSV that `estimate` prints for one OU path's exp curve on
+# 201 thresholds (see test_estimate_csv_matches_pinned_digest), with numpy
+# 2.4.6.
+_PINNED_ESTIMATE_SHA256 = "6644262bf17c07a61bb55078aec57aa646292bd931472e929ce36870f27cdbd2"
 # sha256 of the JSON that `identity-checks` prints for each argument list
 # (see test_identity_checks_json_matches_pinned_digest), with numpy 2.4.6.
 _PINNED_IDENTITY_SHA256 = {
@@ -324,6 +328,18 @@ class TestByteIdentity:
                        "--x0", "1.5", "--burn-in", "3", "--store-wiener", "--out", str(out)])
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SIMULATE_SHA256
+
+    def test_estimate_csv_matches_pinned_digest(self, capsys):
+        # one stored Python float path of 40 000 steps, 78 chunks of 512
+        # and a tail of 64, read on 201 thresholds
+        if np.__version__ != _PINNED_NUMPY:
+            pytest.skip(f"digests pinned with numpy {_PINNED_NUMPY}, running {np.__version__}")
+        rc = cli_main(["estimate", "--model", "ou:theta=2,s=0.5", "--estimator",
+                       "unbiased:exp:delta=1", "--T", "200", "--dt", "0.005", "--seed", "21",
+                       "--grid", "-1.5:1.5:201"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_ESTIMATE_SHA256
 
     @pytest.mark.parametrize("name", sorted(_PINNED_IDENTITY_SHA256))
     def test_identity_checks_json_matches_pinned_digest(self, name, capsys):

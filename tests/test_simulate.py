@@ -311,9 +311,11 @@ class TestSimulateBlock:
     @pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
     def test_stream_hands_bounded_chunks(self, ou, vector, monkeypatch):
         # 1200 steps after 300 of burn-in: every chunk starts at a multiple
-        # of _CHUNK_STEPS and holds at most that many steps, and the chunks
-        # of a block split 3 + 2 put together the rows of the whole block
+        # of _CHUNK_STEPS and holds at most that many steps (a float path's
+        # at most a span of _SPAN_CHUNKS chunks), and the chunks of a block
+        # split 3 + 2 put together the rows of the whole block
         cfg = SimConfig(horizon_T=12.0, dt=0.01, seed=0, init=0.5, burn_in_T=3.0)
+        limit = simulate._CHUNK_STEPS * (1 if vector else simulate._SPAN_CHUNKS)
         seeds = [derive_substream_seed(5, r) for r in range(5)]
         if not vector:
             monkeypatch.setattr(simulate, "_vectorizes", lambda model, x0: False)
@@ -323,7 +325,7 @@ class TestSimulateBlock:
             def record(cols, start, states, dw, part=part):
                 steps = len(states) - 1
                 assert start % simulate._CHUNK_STEPS == 0
-                assert 1 <= steps <= simulate._CHUNK_STEPS and dw.shape[0] == steps
+                assert 1 <= steps <= limit and dw.shape[0] == steps
                 rows[part.start + cols.start:part.start + cols.stop,
                      start:start + steps + 1] = states.T
             exploded = stream_block(ou, cfg, [seeds[r] for r in part], record)
@@ -337,11 +339,13 @@ class TestSimulateBlock:
     def test_block_size_respects_byte_budget(self, ou, vector, n_steps, monkeypatch):
         # a streamed block of m paths holds one chunk buffer of
         # (_CHUNK_STEPS + 1) x m states whatever the step count, and a
-        # float path one of (_CHUNK_STEPS + 1) x 1: the consumer gets views
-        # of it, refilled in place, and the stream is stopped after the
-        # first path's second chunk
+        # float path one of (span + 1) x 1, a span being _SPAN_CHUNKS
+        # chunks, and no more than a chunk's when its steps fit in one: the
+        # consumer gets views of it, refilled in place, and the stream is
+        # stopped after the first path's second chunk
         m = 4
         width = m if vector else 1
+        chunk = simulate._CHUNK_STEPS * (1 if vector else simulate._SPAN_CHUNKS)
         if not vector:
             monkeypatch.setattr(simulate, "_vectorizes", lambda model, x0: False)
         cfg = SimConfig(horizon_T=0.5 * n_steps, dt=0.5, seed=0, init=0.5)
@@ -358,17 +362,17 @@ class TestSimulateBlock:
             if len(chunks) == 2:
                 raise Enough
 
-        if n_steps <= simulate._CHUNK_STEPS:
+        if n_steps <= chunk:
             stream_block(ou, cfg, seeds, record)
         else:
             with pytest.raises(Enough):
                 stream_block(ou, cfg, seeds, record)
-        budget = 8 * (simulate._CHUNK_STEPS + 1) * width
+        budget = 8 * (min(chunk, max(n_steps, simulate._CHUNK_STEPS)) + 1) * width
         for k, (start, states) in enumerate(chunks):
-            assert start == k * simulate._CHUNK_STEPS
-            assert states.shape == (min(n_steps - start, simulate._CHUNK_STEPS) + 1, width)
+            assert start == k * chunk
+            assert states.shape == (min(n_steps - start, chunk) + 1, width)
             assert states.base is not None and states.base.nbytes <= budget
-        assert len(chunks) == min(2, -(-n_steps // simulate._CHUNK_STEPS))
+        assert len(chunks) == min(2, -(-n_steps // chunk))
         if len(chunks) == 2:
             assert chunks[1][1].base is chunks[0][1].base
 
@@ -447,17 +451,19 @@ class TestFloatKernel:
         ("python_float", False), ("numpy_scalar", False), ("state_sigma", False),
         ("float32_below_0", True)])
     def test_drift_calls_per_step(self, case, stepped_twice):
-        # one call per step, one more at each chunk's first state when the
-        # model sets sigma_const; a chunk the reference steps again calls
-        # the drift for its steps twice
+        # one call per step, one more at each span's first state when the
+        # model sets sigma_const; a span the reference steps again calls
+        # the drift for its steps twice. A span is _SPAN_CHUNKS chunks, or
+        # the longer phase's steps when they are fewer
         model, cfg, _ = _FLOAT_CASES[case]
         calls = []
         counted = replace(model, drift=lambda x: calls.append(1) or model.drift(x))
         simulate_path(counted, cfg)
-        steps = simulate._burn_steps(cfg) + cfg.n_steps
-        chunks = -(-simulate._burn_steps(cfg) // simulate._CHUNK_STEPS) + -(
-            -cfg.n_steps // simulate._CHUNK_STEPS)
-        probes = chunks if model.sigma_const is not None else 0
+        n_burn = simulate._burn_steps(cfg)
+        steps = n_burn + cfg.n_steps
+        span = min(simulate._SPAN_CHUNKS * simulate._CHUNK_STEPS, max(n_burn, cfg.n_steps))
+        spans = -(-n_burn // span) + -(-cfg.n_steps // span)
+        probes = spans if model.sigma_const is not None else 0
         if stepped_twice:
             assert len(calls) > steps + probes
         else:
