@@ -608,8 +608,6 @@ class RiskReport:
     bound: float
     ratio: float
     replications: int
-    horizon_T: float
-    dt: float
     estimator_tag: str
     path_seeds: list[int]
     aborted: int = 0
@@ -729,7 +727,10 @@ def empirical_risk(
         violations.append("grid needs at least 2 points")
     elif not np.all(np.diff(xs) > 0.0):
         violations.append("grid must be sorted strictly increasing")
-    if xs.size >= 2:
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        violations.append(f"grid points must be finite, got {float(bad[0])!r}")
+    elif xs.size >= 2:
         violations += grid_hull_violations(nu, float(xs[0]), float(xs[-1]))
     if violations:
         raise ConfigError(violations)
@@ -782,8 +783,6 @@ def empirical_risk(
             bound=bound,
             ratio=scaled_risk / bound,
             replications=R,
-            horizon_T=T,
-            dt=sim.dt,
             estimator_tag=choice.tag,
             path_seeds=list(seeds),
             aborted=aborted,

@@ -282,14 +282,16 @@ def primitive(wf: WeightFunction, model: DiffusionModel, lo: float, hi: float) -
     return table
 
 
-def primitive_at(wf: WeightFunction, model: DiffusionModel, x):
-    """P(x) = K_x(0) at a float or an array of x: the closed form, or read
-    off :func:`primitive` within |x| <= _EXP_MAX_HALFWIDTH and one float
+def primitive_at(wf: WeightFunction, model: DiffusionModel, x, out=None):
+    """P(x) = K_x(0) at a float or an array of x: the closed form, written
+    into ``out`` (an array of x's shape) where given, or read off
+    :func:`primitive` within |x| <= _EXP_MAX_HALFWIDTH and one float
     :func:`kernel` each past it, so no finite moment or Phi fails on the
-    table's limit. A float x without a closed form gives a 0-d array."""
+    table's limit; a tabulated read ignores ``out``. A float x without a
+    closed form gives a 0-d array."""
     closed = _closed_primitive(wf, model)
     if closed is not None:
-        return closed(x)
+        return closed(x, out)
     x = np.asarray(x, dtype=float)
     lo, hi = (float(x.min()), float(x.max())) if x.size else (math.nan, math.nan)
     if -_EXP_MAX_HALFWIDTH <= lo and hi <= _EXP_MAX_HALFWIDTH:  # every point on the table
@@ -416,7 +418,6 @@ class EstimateCurve:
     xs: np.ndarray
     values: np.ndarray
     estimator_tag: str
-    horizon_T: float
 
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.values):
@@ -457,7 +458,8 @@ class CurveAccumulator:
     and h, h' and P of the built-in weights, whose factories' callables
     write into given arrays) is a work array kept from chunk to chunk, so
     a chunk builds no array of its size; a custom weight's h, h' and
-    tabulated P are read fresh. The arrays handed in are never written.
+    tabulated P are read fresh. P is read by :func:`primitive_at` alone.
+    The arrays handed in are never written.
     A tabulated primitive is built over the grid before the first chunk
     and widened, moving none of its values, up to the reach:
     _PRIMITIVE_REACH times the larger of 16 and the grid's ends, at most
@@ -499,13 +501,11 @@ class CurveAccumulator:
         self._index = np.empty(0, dtype=np.intp)
         self._flags = np.empty((2, 0), dtype=bool)
         self.failures: dict[int, float] = {}
-        self.reach = math.inf
-        self._closed = [_closed_primitive(wf, model) for wf in self.weights]
-        for wf, closed in zip(self.weights, self._closed):
+        for wf in self.weights:
             primitive(wf, model, float(xs[0]), float(xs[-1]))
-            if closed is None:
-                self.reach = min(_PRIMITIVE_REACH * max(16.0, abs(float(xs[0])),
-                                                        abs(float(xs[-1]))), _EXP_MAX_HALFWIDTH)
+        tabulated = any(_closed_primitive(wf, model) is None for wf in self.weights)
+        self.reach = min(_PRIMITIVE_REACH * max(16.0, abs(float(xs[0])), abs(float(xs[-1]))),
+                         _EXP_MAX_HALFWIDTH) if tabulated else math.inf
 
     def add(self, cols: slice, start: int, states: np.ndarray, dw=None) -> None:
         """The consumer of :func:`stream_block`: the steps between
@@ -624,17 +624,13 @@ class CurveAccumulator:
         # (dt/2) sigma^2, a broadcast scalar for a constant sigma
         half_dt = 0.5 * self.dt
         half_s2 = on_array(lambda y: half_dt * self.model.diffusion_sq(y), X)
-        for w, (wf, closed, (h, hp)) in enumerate(zip(self.weights, self._closed, vals)):
+        for w, (wf, (h, hp)) in enumerate(zip(self.weights, vals)):
             # the rows u = h dX + (dt/2) h' sigma^2 and P u; P's row holds
             # the second product until the primitive is read into it
             u = np.multiply(h, dX, out=term)
             u += np.multiply(hp, half_s2, out=P)
-            # a tabulated P is read, and its table grown, with numpy's warnings on
-            PX = None if closed else primitive_at(wf, self.model, X)
             with np.errstate(all="ignore"):  # an overflowing P u is screened below
-                if closed:
-                    PX = closed(X, P)
-                Pu = np.multiply(u, PX, out=PX)
+                Pu = np.multiply(u, primitive_at(wf, self.model, X, P), out=P)
             v_sums = bins(Pu)
             if not np.isfinite(v_sums).all():
                 over = np.logical_not(np.isfinite(Pu, out=flag), out=flag)
@@ -702,8 +698,7 @@ def estimate_curves(path: Path, xs, estimators, model: DiffusionModel | None = N
         acc = CurveAccumulator(xs, choices, model, 1, path.n_steps, path.dt)
         acc.add_path(0, np.ascontiguousarray(path.values, dtype=float))
         values = [rows[0] for rows in acc.curves()]
-    return [EstimateCurve(xs=xs, values=v, estimator_tag=c.tag, horizon_T=path.horizon_T)
-            for c, v in zip(choices, values)]
+    return [EstimateCurve(xs=xs, values=v, estimator_tag=c.tag) for c, v in zip(choices, values)]
 
 
 def estimate_curve(path: Path, xs, estimator, model: DiffusionModel | None = None) -> EstimateCurve:

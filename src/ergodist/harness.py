@@ -41,7 +41,7 @@ from .efficiency import (
 )
 from .errors import (ConfigError, DivergenceError, EvaluationError, RiskRunError,
                      SimulationError, TailError, WorkerError)
-from .estimators import as_estimator, check_weight_conditions, parse_estimator
+from .estimators import as_estimator, check_weight_conditions, estimate_curve, parse_estimator
 from .model import (
     DiffusionModel,
     _cdf_pair,
@@ -363,8 +363,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .estimators import estimate_curve
-
     model = _model_from_arg(args.model)
     choice = parse_estimator(args.estimator)
     xs = _parse_grid_arg(args.grid)
@@ -465,13 +463,13 @@ def _cmd_identity_checks(args) -> int:
                 resid = max(resid, abs(ode_residual(wf, model, x, float(z))))
     rms = None
     if args.seeds > 0:
-        discs = []
+        discs = []  # per seed, the residual at each x of one path
         for k in range(args.seeds):
             cfg = SimConfig(horizon_T=args.T, dt=args.dt, seed=args.seed + k,
                             init="stationary", store_wiener=True)
             path = simulate_path(model, cfg)
-            discs.append(representation_discrepancy(path, wf, model, xs[0]))
-        rms = math.sqrt(sum(d * d for d in discs) / len(discs))
+            discs.append([representation_discrepancy(path, wf, model, x) for x in xs])
+        rms = max(math.sqrt(sum(d * d for d in at_x) / len(at_x)) for at_x in zip(*discs))
     _emit(
         {
             "model": model.label,
@@ -566,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", action="append", default=None, type=float)
     p.add_argument("--z-grid", default="-2:2:9")
     p.add_argument("--seeds", type=int, default=0,
-                   help="pathwise representation RMS over this many seeds (0 = skip)")
+                   help="pathwise representation RMS over this many seeds, the largest "
+                        "over the --x (0 = skip)")
     p.add_argument("--T", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)

@@ -107,7 +107,6 @@ class Path:
     dt: float
     values: np.ndarray
     wiener_increments: np.ndarray | None = None
-    seed_used: int = 0
 
     def __post_init__(self) -> None:
         if self.wiener_increments is not None and len(self.wiener_increments) != self.n_steps:
@@ -338,7 +337,7 @@ def simulate_path(model: DiffusionModel, cfg: SimConfig) -> Path:
         raise SimulationError(step - n_burn, f"trajectory exploded at step {step - n_burn}")
     if step >= 0:
         raise SimulationError(step, f"trajectory exploded during burn-in at step {step}")
-    return Path(dt=cfg.dt, values=values, wiener_increments=wiener, seed_used=cfg.seed)
+    return Path(dt=cfg.dt, values=values, wiener_increments=wiener)
 
 
 def write_path_csv(path: Path, stream: TextIO) -> None:

@@ -927,6 +927,19 @@ class TestEmpiricalRisk:
         with pytest.raises(ConfigError):
             empirical_risk(ou, "edf", nu_gaussian(0, 1), sim, 1, self.grid())
 
+    @pytest.mark.parametrize("xs, bad", [([-np.inf, 0.0, 10.0], "-inf"),
+                                         ([-10.0, 0.0, np.inf], "inf"),
+                                         ([-10.0, np.nan, 10.0], "nan")])
+    def test_non_finite_grid_point_refused_before_any_path(self, ou, monkeypatch, xs, bad):
+        # the grid is checked before any path is drawn
+        drawn = []
+        monkeypatch.setattr(efficiency, "stream_block", lambda *a: drawn.append(a))
+        sim = SimConfig(horizon_T=1.0, dt=0.01, seed=1)
+        with pytest.raises(ConfigError) as err:
+            empirical_risk(ou, "edf", nu_uniform(-1.0, 1.0), sim, 4, np.array(xs))
+        assert f"grid points must be finite, got {bad}" in err.value.violations
+        assert drawn == []
+
     def test_exploding_replications_fail_the_run(self, quartic):
         sim = SimConfig(horizon_T=10.0, dt=1.0, seed=2)
         with pytest.raises(RiskRunError):

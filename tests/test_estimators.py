@@ -238,6 +238,23 @@ class TestOutputArrays:
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(inv_got, inv_want, equal_nan=True)
 
+    @pytest.mark.parametrize("spec", ["exp:delta=1", "poly:p=1", "poly:p=2", "const:c=1"])
+    def test_primitive_at_writes_a_closed_form_into_out(self, ou, spec):
+        wf = parse_estimator(f"unbiased:{spec}").weight
+        out = self.dirty(self.U.size)[1]
+        with np.errstate(all="ignore"):
+            got = estimators.primitive_at(wf, ou, self.U, out)
+            want = estimators.primitive_at(wf, ou, self.U)
+        assert got is out
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_primitive_at_reads_a_table_whatever_out(self, ou):
+        # a tabulated primitive is read as without out, into a fresh array
+        wf = custom_weight(h=lambda u: 1.0 + u**4, h_prime=lambda u: 4.0 * u**3)
+        u = np.linspace(-20.0, 20.0, 801)
+        got = estimators.primitive_at(wf, ou, u, self.dirty(u.size)[1])
+        assert np.array_equal(got, estimators.primitive_at(wf, ou, u))
+
 
 class TestKernel:
     def test_arctan_closed_form(self, ou, wf_poly):

@@ -717,6 +717,20 @@ class TestCli:
         assert data["ode_residual_max_abs"] < 1e-3
         assert data["representation_rms"] < 0.1
 
+    def test_representation_rms_is_the_largest_over_every_x(self, capsys):
+        # like the other three fields, a maximum over every --x, whichever
+        # comes first
+        def rms(*xs):
+            args = [a for x in xs for a in ("--x", x)]
+            assert cli_main(["identity-checks", "--model", "ou", "--estimator",
+                             "unbiased:exp:delta=1", "--z-grid", "-1:1:3", "--seeds", "2",
+                             "--T", "2", *args]) == 0
+            return json.loads(capsys.readouterr().out)["representation_rms"]
+
+        at_0, at_1 = rms("0"), rms("1")
+        assert at_0 != at_1
+        assert rms("0", "1") == rms("1", "0") == max(at_0, at_1)
+
     def test_regroup_identity_sees_a_wrong_primitive(self, tmp_path, monkeypatch):
         # the boundary function's primitives, shifted by 1e-6, no longer
         # integrate its closed-form derivative (z = 0, where the boundary
